@@ -203,8 +203,7 @@ def evolve_track(
     pts = []
     for t in times:
         choi_t = family(t)
-        big = maps.tensor_with_identity(maps.dual_map(choi_t), d2)
-        out = maps.apply_map(big, state.mat)
+        out = maps.apply_map(maps.dual_map(choi_t), state.mat, d2)
         out = (out + out.conj().T) / 2.0
         w, _ = matcore.hermitian_eig(out)
         min_eig = float(w[0])

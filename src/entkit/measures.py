@@ -69,8 +69,7 @@ def map_witness(state, choi, tol=WITNESS_TOL):
         raise ValueError(
             f"map input dimension {choi.d_in} does not match leg 1 ({state.d1})"
         )
-    big = maps.tensor_with_identity(maps.dual_map(choi), state.d2)
-    out = maps.apply_map(big, state.mat)
+    out = maps.apply_map(maps.dual_map(choi), state.mat, state.d2)
     lo = matcore.min_eigenvalue(out)
     return WitnessReport(lo, lo < -tol)
 

@@ -37,6 +37,8 @@ class DensityMatrix:
             raise ValueError(
                 f"split {self.d1}x{self.d2} does not match dimension {a.shape[0]}"
             )
+        if not np.isfinite(a).all():
+            raise ValueError("density matrix has non-finite entries")
         defect = matcore.hermiticity_defect(a)
         if defect > matcore.HERMITICITY_TOL:
             raise ValueError(f"density matrix not hermitian (defect {defect:.3e})")

@@ -65,6 +65,28 @@ class TestStateCommands:
         assert st.split == (2, 3)
 
 
+@pytest.fixture
+def nan_file(tmp_path):
+    # I/4 with one NaN diagonal entry; json writes it as a bare NaN token
+    mat = np.eye(4) / 4
+    mat[0, 0] = np.nan
+    path = tmp_path / "nan.json"
+    path.write_text(
+        json.dumps({"d1": 2, "d2": 2, "re": mat.tolist(), "im": np.zeros((4, 4)).tolist()})
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv", [("state", "info"), ("measure", "ppt"), ("measure", "eof")]
+)
+def test_non_finite_state_exit_2(nan_file, argv):
+    proc = run_cli(*argv, "--in", str(nan_file), check=False)
+    assert proc.returncode == 2
+    assert "non-finite" in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestMeasureCommands:
     def test_ppt_on_bell(self, bell_file):
         proc = run_cli("measure", "ppt", "--in", str(bell_file))

@@ -66,6 +66,21 @@ class TestEvolveTrack:
             assert abs(pt.trace - 1.0) < 1e-10
         assert rec.first_negative_time() is None
 
+    def test_points_match_tensor_with_identity(self):
+        st = states.random_density(2, 3, seed=7)
+        fam = dynamics.family_catalog("transpose_mix", d=2, speed=1.0)
+        grid = np.linspace(0, 1, 6)
+        rec = dynamics.evolve_track(st, fam, grid)
+        for t, pt in zip(grid, rec.points):
+            big = maps.tensor_with_identity(maps.dual_map(fam(t)), 3)
+            out = maps.apply_map(big, st.mat)
+            out = (out + out.conj().T) / 2
+            assert abs(pt.min_eig - np.linalg.eigvalsh(out).min()) < 1e-12
+            assert abs(pt.trace - np.trace(out).real) < 1e-12
+            if pt.negativity is not None:
+                w_pt = np.linalg.eigvalsh(matcore.partial_transpose(out, (2, 3), leg=2))
+                assert abs(pt.negativity - np.clip(-w_pt, 0, None).sum()) < 1e-12
+
     def test_t0_matches_statics(self):
         st = states.werner_state(0.8)
         fam = dynamics.family_catalog("depolarizing_flow", d=2, rate=1.0)

@@ -59,6 +59,24 @@ class TestApplyMap:
         ident = maps.catalog("identity", d=2)
         with pytest.raises(ValueError):
             maps.apply_map(ident, np.eye(3))
+        with pytest.raises(ValueError):
+            maps.apply_map(ident, np.eye(4), d2=3)
+        with pytest.raises(ValueError):
+            maps.apply_map(ident, np.eye(2), d2=0)
+
+    @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 2), (2, 2)])
+    @pytest.mark.parametrize("d2", [1, 2, 3])
+    def test_leg_one_matches_tensor_with_identity(self, d_in, d_out, d2):
+        rng = np.random.default_rng(100 * d_in + 10 * d_out + d2)
+        for _ in range(3):
+            choi = maps.ChoiMatrix(random_hermitian(rng, d_in * d_out), d_in, d_out)
+            x = rng.standard_normal((d_in * d2,) * 2) + 1j * rng.standard_normal(
+                (d_in * d2,) * 2
+            )
+            got = maps.apply_map(choi, x, d2)
+            expected = maps.apply_map(maps.tensor_with_identity(choi, d2), x)
+            assert got.shape == (d_out * d2, d_out * d2)
+            assert np.abs(got - expected).max() < 1e-12
 
 
 class TestDualMap:
@@ -183,6 +201,17 @@ def strict_mixture(seed, d=3):
     return maps.ChoiMatrix(c, d, d)
 
 
+def breuer_hall(d):
+    """Breuer-Hall map on M_d, d even: positive, not decomposable for d >= 4."""
+    u = np.zeros((d, d))
+    for k in range(0, d, 2):
+        u[k, k + 1], u[k + 1, k] = 1.0, -1.0
+    eye = np.eye(d)
+    return maps.choi_from_map(
+        lambda x: (np.trace(x) * eye - x - u @ x.T @ u.T) / (d - 2), d
+    )
+
+
 class TestDecomposability:
     def test_cp_short_circuit(self):
         rep = maps.is_decomposable(random_cp(0))
@@ -199,6 +228,36 @@ class TestDecomposability:
         rep = maps.is_decomposable(maps.catalog("choi_map"), max_iter=5000)
         assert rep.decomposable is False
         assert rep.residual >= 1e-3
+
+    @pytest.mark.parametrize(
+        "label,d",
+        [("choi_map", 3), ("breuer_hall", 4), ("breuer_hall", 6)],
+    )
+    def test_non_decomposable_witness(self, label, d):
+        # the witness is checked with numpy alone: W >= 0, W^PT >= 0 (PT by
+        # reshape) and tr(W C) < 0, which rules out any split C = A + B
+        choi = maps.catalog("choi_map") if label == "choi_map" else breuer_hall(d)
+        rep = maps.is_decomposable(choi)
+        assert rep.decomposable is False
+        assert rep.iterations <= 16
+        w = rep.witness
+        dd = d * d
+        w_pt = w.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(dd, dd)
+        assert np.abs(w - w.conj().T).max() < 1e-12
+        assert np.linalg.eigvalsh(w).min() >= -1e-12
+        assert np.linalg.eigvalsh(w_pt).min() >= -1e-12
+        overlap = np.trace(w @ choi.mat).real
+        assert overlap < -1e-3
+        # -tr(W C) / ||W|| and the residual bracket the distance to the cone
+        assert -overlap / np.linalg.norm(w) <= rep.residual + 1e-12
+
+    @pytest.mark.parametrize("max_iter", [1, 10, 30])
+    def test_short_budget_is_indeterminate(self, max_iter):
+        # a decomposable map must never come back False, however short the run
+        rep = maps.is_decomposable(strict_mixture(0), max_iter=max_iter, tol=1e-8)
+        assert rep.decomposable is None
+        assert rep.witness is None
+        assert rep.iterations == max_iter
 
     def test_strict_mixture_converges(self):
         rep = maps.is_decomposable(strict_mixture(0), max_iter=2000, tol=1e-8)
@@ -319,3 +378,10 @@ class TestSerialization:
     def test_malformed(self):
         with pytest.raises(ValueError):
             maps.choi_from_json({"d_in": 2})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        obj = maps.choi_to_json(maps.catalog("identity", d=2))
+        obj["re"][1][2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            maps.choi_from_json(obj)

@@ -60,6 +60,15 @@ class TestMapWitness:
                 states.random_density(3, 2, seed=0), maps.catalog("identity", d=2)
             )
 
+    def test_matches_tensor_with_identity(self):
+        for d, d2 in ((2, 3), (3, 3), (4, 2)):
+            st = states.random_density(d, d2, seed=d + d2)
+            for name in ("transpose", "reduction", "werner_holevo"):
+                choi = maps.catalog(name, d=d)
+                big = maps.tensor_with_identity(maps.dual_map(choi), d2)
+                ref = np.linalg.eigvalsh(maps.apply_map(big, st.mat)).min()
+                assert abs(measures.map_witness(st, choi).lambda_min - ref) < 1e-12
+
 
 class TestNegativity:
     def test_separable(self):

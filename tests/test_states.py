@@ -20,6 +20,16 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             states.DensityMatrix(np.eye(4), 2, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            states.DensityMatrix(mat, 2, 2)
+        obj = {"d1": 2, "d2": 2, "re": mat.real.tolist(), "im": mat.imag.tolist()}
+        with pytest.raises(ValueError, match="non-finite"):
+            states.state_from_json(obj)
+
 
 class TestEnsemble:
     def test_weights_must_be_positive_and_normalized(self):
