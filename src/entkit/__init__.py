@@ -6,7 +6,6 @@ hierarchy), ``measures`` (separability probes and correlation measures),
 ``dynamics`` (time-parametrized map families) and ``cli``.
 """
 
-from .kernels import BACKEND as kernel_backend
 from .matcore import (
     hermitian_eig,
     kron,

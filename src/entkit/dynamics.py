@@ -212,9 +212,9 @@ def evolve_track(
         eof_val = None
         dsup_val = None
         valid = min_eig >= -NEGATIVE_EIG_TOL and abs(trace - 1.0) <= TRACE_TOL
-        pt_mat = matcore.partial_transpose(out, (d1, d2), leg=2)
-        wpt, _ = matcore.hermitian_eig(pt_mat)
         if valid:
+            pt_mat = matcore.partial_transpose(out, (d1, d2), leg=2)
+            wpt, _ = matcore.hermitian_eig(pt_mat)
             neg = float(np.clip(-wpt, 0.0, None).sum())
             out_state = states.DensityMatrix(out, d1, d2)
             if measure_eof:

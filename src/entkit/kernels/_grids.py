@@ -1,7 +1,7 @@
-"""Shared search-grid constants for the ensemble-rotation kernels.
+"""Search-grid constants of the two-member rotation searches.
 
-Both kernel backends (compiled and numpy) read these so that they run the
-same coarse-grid / refinement protocol.
+The EOF sweep in ``kernels`` and the correlation-coefficient sweep in
+``measures`` run the same coarse-grid / refinement protocol.
 """
 
 import numpy as np

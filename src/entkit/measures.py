@@ -6,6 +6,7 @@ random-restart local search over ensemble decompositions; verdict fields
 never claim separability from small values alone.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,49 @@ def _grow_split(rows, size, scores):
     return out, donors
 
 
+def _random_starts(base, seed, skip, count):
+    """``count`` random unitary recombinations u @ base, built lazily.
+
+    Start i draws u from the (skip + i)-th child of ``seed``.  Children and
+    starts are made only when the search loop reaches them, so stopping
+    early skips their QR factorizations without changing the starts that
+    do run.
+    """
+    seq = _as_seed_sequence(seed)
+    seq.spawn(skip)
+    rank = base.shape[0]
+    for _ in range(count):
+        rng = np.random.default_rng(seq.spawn(1)[0])
+        g = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+        u, _ = np.linalg.qr(g)
+        yield u @ base
+
+
+def _multistart(starts, n_structured, search):
+    """Run ``search`` on each start; keep the best (value, snapshot, converged).
+
+    The first ``n_structured`` starts always run.  The loop stops once the
+    best value reaches ``EARLY_STOP_VALUE``, or after ``RESTART_PATIENCE``
+    random starts in a row fail to improve it.  Returns the best value,
+    snapshot and converged flag, and the number of starts used.
+    """
+    best_value, best_snapshot, best_converged = np.inf, None, False
+    used = since_improved = 0
+    for idx, start in enumerate(starts):
+        used += 1
+        value, snapshot, converged = search(start)
+        if value < best_value - 1e-15:
+            best_value, best_snapshot, best_converged = value, snapshot, converged
+            since_improved = 0
+        elif idx >= n_structured:
+            since_improved += 1
+        if best_value <= EARLY_STOP_VALUE:
+            break
+        if idx >= n_structured and since_improved >= RESTART_PATIENCE:
+            break
+    return best_value, best_snapshot, best_converged, used
+
+
 def _refine_product_certificate(cert, d1, d2, cap):
     """Pure-product refinement of a separable certificate, or None.
 
@@ -227,59 +271,39 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
         raise ValueError(f"ensemble size {K} below state rank {rank}: infeasible")
 
     d1, d2 = state.split
-    seq = _as_seed_sequence(seed)
-    children = seq.spawn(restarts + 2)
-
-    start_rows = []
+    starts = []
     if state.certificate is not None:
         refined = _refine_product_certificate(state.certificate, d1, d2, K)
         if refined is not None:
-            start_rows.append(refined)
-    start_rows.append(base)
-    rngs = [np.random.default_rng(c) for c in children]
-    for i in range(restarts):
-        g = rngs[2 + i].standard_normal((rank, rank)) + 1j * rngs[
-            2 + i
-        ].standard_normal((rank, rank))
-        u, _ = np.linalg.qr(g)
-        start_rows.append(u @ base)
+            starts.append(refined)
+    starts.append(base)
+    n_structured = len(starts)
 
-    best_value = np.inf
-    best_rows = None
-    best_converged = False
-    used = 0
-    n_structured = len(start_rows) - restarts
-    since_improved = 0
-    for idx, rows in enumerate(start_rows):
-        used += 1
-        rows = np.ascontiguousarray(rows, dtype=np.complex128)
+    def search(rows):
+        rows = np.array(rows, dtype=np.complex128)  # sweeps work in place
         converged = False
+        _, ew = kernels.column_scores(rows, d1, d2)
         for size in _ladder_sizes(rows.shape[0], K):
-            _, ew = kernels.column_scores(rows, d1, d2)
-            rows, _ = _grow_split(rows, size, ew)
-            _, ew = kernels.column_scores(rows, d1, d2)
+            if size > rows.shape[0]:
+                rows, _ = _grow_split(rows, size, ew)
+                _, ew = kernels.column_scores(rows, d1, d2)
             converged = False
-            for _ in range(iters):
-                gained = kernels.eof_sweep(rows, ew, d1, d2)
-                if gained < tol:
-                    converged = True
-                    break
+            if ew.sum() > EARLY_STOP_VALUE:
+                for _ in range(iters):
+                    if kernels.eof_sweep(rows, ew, d1, d2) < tol:
+                        converged = True
+                        break
             if ew.sum() <= EARLY_STOP_VALUE:
                 converged = True
                 break
         value = float(kernels.column_scores(rows, d1, d2)[1].sum())
-        if value < best_value - 1e-15:
-            best_value = value
-            best_rows = rows
-            best_converged = converged
-            since_improved = 0
-        elif idx >= n_structured:
-            since_improved += 1
-        if best_value <= EARLY_STOP_VALUE:
-            break
-        if idx >= n_structured and since_improved >= RESTART_PATIENCE:
-            break
+        return value, rows, converged
 
+    best_value, best_rows, best_converged, used = _multistart(
+        itertools.chain(starts, _random_starts(base, seed, 2, restarts)),
+        n_structured,
+        search,
+    )
     cert = _ensemble_from_rows(best_rows, d1, d2, state)
     return MeasureReport(max(0.0, best_value), cert, best_converged, used)
 
@@ -287,6 +311,12 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
 # ---------------------------------------------------------------------------
 # coefficient of quantum correlations
 # ---------------------------------------------------------------------------
+
+
+def _group_terms(tot):
+    """u v / p for each row (p, u, v) of ``tot``, zero below the weight floor."""
+    heavy = tot[:, 0] > _grids.WEIGHT_FLOOR
+    return np.where(heavy, tot[:, 1] * tot[:, 2] / np.where(heavy, tot[:, 0], 1.0), 0.0)
 
 
 class _GroupedEnsemble:
@@ -308,17 +338,23 @@ class _GroupedEnsemble:
         self._refresh_members()
         self._refresh_groups()
 
-    def _refresh_members(self):
-        e = self.rows
-        self.p = _weights(e)
-        self.u = np.einsum("ij,jk,ik->i", e.conj(), self.big1, e).real
-        self.v = np.einsum("ij,jk,ik->i", e.conj(), self.big2, e).real
+    def _member_terms(self, e):
+        return (
+            _weights(e),
+            np.einsum("ij,jk,ik->i", e.conj(), self.big1, e).real,
+            np.einsum("ij,jk,ik->i", e.conj(), self.big2, e).real,
+        )
 
-    def _refresh_groups(self):
-        labels = np.unique(self.gid)
-        self.group_p = {}
-        self.group_u = {}
-        self.group_v = {}
+    def _refresh_members(self):
+        self.p, self.u, self.v = self._member_terms(self.rows)
+
+    def _refresh_groups(self, labels=None):
+        """Recompute the group totals of ``labels`` (default: every group)."""
+        if labels is None:
+            labels = np.unique(self.gid)
+            self.group_p = {}
+            self.group_u = {}
+            self.group_v = {}
         for g in labels:
             sel = self.gid == g
             self.group_p[int(g)] = float(self.p[sel].sum())
@@ -349,45 +385,35 @@ class _GroupedEnsemble:
         self._refresh_members()
         self._refresh_groups()
 
-    def _pair_grid(self, a, b, cross, th, ph):
-        paa, pbb, pab = cross["p"]
-        uaa, ubb, uab = cross["u"]
-        vaa, vbb, vab = cross["v"]
-        ga, gb = int(self.gid[a]), int(self.gid[b])
-        c = np.cos(th)[:, None]
-        s = np.sin(th)[:, None]
-        z = np.exp(1j * ph)[None, :]
-        c2, s2, cs = c * c, s * s, c * s
-        rp = 2.0 * cs * np.real(z * pab)
-        ru = 2.0 * cs * np.real(z * uab)
-        rv = 2.0 * cs * np.real(z * vab)
-        pa2 = c2 * paa + s2 * pbb - rp
-        pb2 = s2 * paa + c2 * pbb + rp
-        ua2 = c2 * uaa + s2 * ubb - ru
-        ub2 = s2 * uaa + c2 * ubb + ru
-        va2 = c2 * vaa + s2 * vbb - rv
-        vb2 = s2 * vaa + c2 * vbb + rv
-        pga = self.group_p[ga] - paa + pa2
-        uga = self.group_u[ga] - uaa + ua2
-        vga = self.group_v[ga] - vaa + va2
-        pgb = self.group_p[gb] - pbb + pb2
-        ugb = self.group_u[gb] - ubb + ub2
-        vgb = self.group_v[gb] - vbb + vb2
-        old_terms = self._term(
-            self.group_p[ga], self.group_u[ga], self.group_v[ga]
-        ) + self._term(self.group_p[gb], self.group_u[gb], self.group_v[gb])
-        ta = np.where(
-            pga > _grids.WEIGHT_FLOOR,
-            uga * vga / np.where(pga > _grids.WEIGHT_FLOOR, pga, 1.0),
-            0.0,
+    def _totals(self, g):
+        return np.array([self.group_p[g], self.group_u[g], self.group_v[g]])
+
+    def _rotation_objective(self, a, b):
+        """Scorer of the rotations of rows a and b, for ``kernels._best_rotation``.
+
+        Member weight and expectations are quadratic forms, so they rotate
+        like the marginals of the EOF sweep: ``basis`` holds the (p, u, v) of
+        both rows and twice the real and imaginary parts of the cross terms
+        <b|.|a>.  Only the two groups of a and b change.
+        """
+        ea, eb = self.rows[a], self.rows[b]
+        own = np.array(
+            [[self.p[a], self.u[a], self.v[a]], [self.p[b], self.u[b], self.v[b]]]
         )
-        tb = np.where(
-            pgb > _grids.WEIGHT_FLOOR,
-            ugb * vgb / np.where(pgb > _grids.WEIGHT_FLOOR, pgb, 1.0),
-            0.0,
-        )
-        cl = self.classical - old_terms + ta + tb
-        return np.abs(self.target - cl)
+        cross = eb.conj() @ np.array([ea, self.big1 @ ea, self.big2 @ ea]).T
+        basis = np.vstack([own, 2.0 * cross.real, 2.0 * cross.imag])
+        tot_a = self._totals(int(self.gid[a]))
+        tot_b = self._totals(int(self.gid[b]))
+        rest = self.classical - self._term(*tot_a) - self._term(*tot_b)
+
+        def objective(table):
+            coef, rows_a, rows_b = table
+            q = coef @ basis
+            cl = rest + _group_terms(tot_a - own[0] + q[rows_a])
+            cl = cl + _group_terms(tot_b - own[1] + q[rows_b])
+            return np.abs(self.target - cl)
+
+        return objective
 
     def rotation_sweep(self):
         """One pass of cross-group two-member rotations; returns the gain."""
@@ -399,52 +425,19 @@ class _GroupedEnsemble:
                     continue
                 if self.p[a] + self.p[b] < 2 * _grids.WEIGHT_FLOOR:
                     continue
-                ea, eb = self.rows[a], self.rows[b]
-                cross = {
-                    "p": (self.p[a], self.p[b], complex(ea.conj() @ eb)),
-                    "u": (
-                        self.u[a],
-                        self.u[b],
-                        complex(ea.conj() @ (self.big1 @ eb)),
-                    ),
-                    "v": (
-                        self.v[a],
-                        self.v[b],
-                        complex(ea.conj() @ (self.big2 @ eb)),
-                    ),
-                }
+                objective = self._rotation_objective(a, b)
                 base = self.objective
-                vals = self._pair_grid(a, b, cross, _grids.THETAS, _grids.PHIS)
-                flat = int(np.argmin(vals))
-                best = float(vals.flat[flat])
-                th = _grids.THETAS[flat // _grids.PHIS.shape[0]]
-                ph = _grids.PHIS[flat % _grids.PHIS.shape[0]]
-                if best >= base - _grids.ACCEPT_EPS:
+                rot = kernels._best_rotation(
+                    objective, objective(kernels._COARSE), base
+                )
+                if rot is None:
                     continue
-                dth, dph = _grids.THETA_STEP0, _grids.PHI_STEP0
-                for _ in range(_grids.REFINE_ROUNDS):
-                    cth = np.clip(
-                        np.array([th - dth, th, th + dth]), 1e-9, np.pi / 2 - 1e-9
-                    )
-                    cph = np.array([ph - dph, ph, ph + dph])
-                    vals = self._pair_grid(a, b, cross, cth, cph)
-                    flat = int(np.argmin(vals))
-                    if vals.flat[flat] < best:
-                        best = float(vals.flat[flat])
-                        th = cth[flat // 3]
-                        ph = cph[flat % 3]
-                    dth *= 0.5
-                    dph *= 0.5
-                if best >= base - _grids.ACCEPT_EPS:
-                    continue
-                cth, sth = np.cos(th), np.sin(th)
-                z = np.exp(1j * ph)
-                new_a = cth * ea - sth * z * eb
-                new_b = sth * z.conjugate() * ea + cth * eb
-                self.rows[a] = new_a
-                self.rows[b] = new_b
-                self._refresh_members()
-                self._refresh_groups()
+                kernels._rotate(self.rows, a, b, *rot)
+                pair = [a, b]
+                self.p[pair], self.u[pair], self.v[pair] = self._member_terms(
+                    self.rows[pair]
+                )
+                self._refresh_groups({int(self.gid[a]), int(self.gid[b])})
                 gained += base - self.objective
         return gained
 
@@ -540,10 +533,6 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
     if K < rank:
         raise ValueError(f"ensemble size {K} below state rank {rank}: infeasible")
 
-    seq = _as_seed_sequence(seed)
-    children = seq.spawn(restarts + 3)
-    rngs = [np.random.default_rng(c) for c in children]
-
     starts = [
         (base.copy(), np.zeros(rank, dtype=np.int64)),  # trivial: one group
     ]
@@ -563,47 +552,34 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
                 (np.array(cert_rows), np.array(cert_gid, dtype=np.int64))
             )
     starts.append((base.copy(), np.arange(rank, dtype=np.int64)))  # spectral
-    for i in range(restarts):
-        g = rngs[3 + i].standard_normal((rank, rank)) + 1j * rngs[
-            3 + i
-        ].standard_normal((rank, rank))
-        u, _ = np.linalg.qr(g)
-        starts.append((u @ base, np.arange(rank, dtype=np.int64)))
+    n_structured = len(starts)
+    spectral_gid = np.arange(rank, dtype=np.int64)
 
-    best_value = np.inf
-    best_snapshot = None
-    best_converged = False
-    used = 0
-    n_structured = len(starts) - restarts
-    since_improved = 0
-    for idx, (rows, gid) in enumerate(starts):
-        used += 1
+    def search(start):
+        rows, gid = start
         ens = _GroupedEnsemble(rows, gid, big1, big2, target)
         converged = False
         for size in _ladder_sizes(rows.shape[0], K):
             ens.grow(size)
             converged = False
-            for _ in range(iters):
-                gained = ens.rotation_sweep() + ens.merge_pass()
-                if gained < tol:
-                    converged = True
-                    break
+            if ens.objective > EARLY_STOP_VALUE:
+                for _ in range(iters):
+                    if ens.rotation_sweep() + ens.merge_pass() < tol:
+                        converged = True
+                        break
             if ens.objective <= EARLY_STOP_VALUE:
                 converged = True
                 break
-        value = ens.objective
-        if value < best_value - 1e-15:
-            best_value = value
-            best_snapshot = (ens.rows.copy(), ens.gid.copy())
-            best_converged = converged
-            since_improved = 0
-        elif idx >= n_structured:
-            since_improved += 1
-        if best_value <= EARLY_STOP_VALUE:
-            break
-        if idx >= n_structured and since_improved >= RESTART_PATIENCE:
-            break
+        return ens.objective, (ens.rows.copy(), ens.gid.copy()), converged
 
+    best_value, best_snapshot, best_converged, used = _multistart(
+        itertools.chain(
+            starts,
+            ((rows, spectral_gid) for rows in _random_starts(base, seed, 3, restarts)),
+        ),
+        n_structured,
+        search,
+    )
     final = _GroupedEnsemble(best_snapshot[0], best_snapshot[1], big1, big2, target)
     cert = final.to_ensemble(d1, d2, state)
     return MeasureReport(float(best_value), cert, best_converged, used)

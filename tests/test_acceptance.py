@@ -14,6 +14,7 @@ import numpy as np
 
 from entkit import dynamics, maps, matcore, measures, states
 
+from cli_env import cli_env
 from oracles import (
     SX,
     SZ,
@@ -283,6 +284,7 @@ def _cli(*args):
         [sys.executable, "-m", "entkit.cli", *args],
         capture_output=True,
         text=True,
+        env=cli_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -7,12 +7,15 @@ import pytest
 
 from entkit import maps, measures, states
 
+from cli_env import cli_env
+
 
 def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "entkit.cli", *args],
         capture_output=True,
         text=True,
+        env=cli_env(),
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
