@@ -274,10 +274,20 @@ def _cmd_evolve(args):
 # ---------------------------------------------------------------------------
 
 
+def _tolerance(text):
+    # argparse turns the ArgumentTypeError into a usage error, exit code 2
+    val = float(text)
+    if not np.isfinite(val) or val < 0.0:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and >= 0, got {text!r}"
+        )
+    return val
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="global random seed")
-    common.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance")
+    common.add_argument("--tol", type=_tolerance, default=1e-9, help="verdict tolerance")
     common.add_argument("--out", type=str, default=None, help="output file path")
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"

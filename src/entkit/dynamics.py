@@ -216,7 +216,8 @@ def evolve_track(
             pt_mat = matcore.partial_transpose(out, (d1, d2), leg=2)
             wpt, _ = matcore.hermitian_eig(pt_mat)
             neg = float(np.clip(-wpt, 0.0, None).sum())
-            out_state = states.DensityMatrix(out, d1, d2)
+            if measure_eof or measure_dcoef:
+                out_state = states.DensityMatrix(out, d1, d2)
             if measure_eof:
                 eof_val = measures.eof_upper(
                     out_state, K=K, restarts=restarts, iters=iters, seed=seed

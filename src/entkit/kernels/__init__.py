@@ -25,10 +25,11 @@ from . import _grids
 
 
 def eigh(h):
-    """Eigendecomposition of a hermitian matrix.
+    """Eigendecomposition of a hermitian matrix, or of a stack (..., n, n).
 
     Returns (w, v) with eigenvalues ascending and orthonormal eigenvector
-    columns.  The input is assumed hermitian; callers symmetrize first.
+    columns, per matrix of the stack.  The input is assumed hermitian;
+    callers symmetrize first.
     """
     return np.linalg.eigh(h)
 

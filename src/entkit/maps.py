@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import kernels, matcore
 
 DEFAULT_DECOMP_TOL = 1e-6
 DEFAULT_DECOMP_ITERS = 5000
@@ -142,44 +142,65 @@ class BlockPositivityReport:
     restarts_used: int
 
 
+def _lowest_eigvecs(vecs, table, d):
+    # Lowest eigenpairs of the compressions sum_ab conj(v_a) v_b T[ab, ij],
+    # one (d, d) matrix per row of ``vecs``, from one product and one
+    # stacked eigensolve.
+    outer = (vecs.conj()[:, :, None] * vecs[:, None, :]).reshape(vecs.shape[0], -1)
+    m = (outer @ table).reshape(-1, d, d)
+    w, v = kernels.eigh((m + m.conj().transpose(0, 2, 1)) / 2.0)
+    return w[:, 0], v[:, :, 0]
+
+
 def is_block_positive(choi, restarts=40, iters=200, tol=1e-9, seed=0):
     """See-saw search for min <x ox y| C |x ox y> over unit product vectors.
 
-    A negative verdict is certified by the returned witness pair; a positive
-    verdict is heuristic evidence whose strength grows with ``restarts``.
+    Each restart alternates two steps from a random unit y: x becomes the
+    lowest eigenvector of <y|C|y> (a d_in matrix), then y the lowest
+    eigenvector of <x|C|x> (a d_out matrix), whose eigenvalue is the
+    restart's value.  A restart stops when its value moves by less than
+    1e-12 or after ``iters`` steps.  All restarts take each step together,
+    as one stacked eigensolve over the restarts still running.
+
+    The report is that of running the restarts one after another and
+    stopping after the first whose value is below -tol: ``restarts_used``
+    counts the restarts up to and including that one (all of them when
+    there is none), and ``min_value`` and the witness pair come from the
+    first restart reaching the minimum over those.  Restarts after the first
+    finished negative one are dropped, so a non-positive map costs about one
+    restart's worth of steps.  A negative verdict is certified by the
+    witness pair (x, y); a positive verdict is heuristic evidence whose
+    strength grows with ``restarts``.
     """
+    n = max(1, restarts)
+    d_in, d_out = choi.d_in, choi.d_out
     c4 = choi.tensor4()
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    witness = None
-    used = 0
-    for _ in range(max(1, restarts)):
-        used += 1
-        y = rng.standard_normal(choi.d_out) + 1j * rng.standard_normal(choi.d_out)
-        y /= np.linalg.norm(y)
-        x = None
-        prev = np.inf
-        val = np.inf
-        for _ in range(max(1, iters)):
-            my = np.einsum("a,iajb,b->ij", y.conj(), c4, y)
-            my = (my + my.conj().T) / 2.0
-            w, v = matcore.hermitian_eig(my)
-            x = v[:, 0]
-            nx = np.einsum("i,iajb,j->ab", x.conj(), c4, x)
-            nx = (nx + nx.conj().T) / 2.0
-            w, v = matcore.hermitian_eig(nx)
-            y = v[:, 0]
-            val = float(w[0])
-            if abs(prev - val) < 1e-12:
-                break
-            prev = val
-        if val < best:
-            best = val
-            witness = (x.copy(), y.copy())
-        if best < -tol:
+    by_y = c4.transpose(1, 3, 0, 2).reshape(d_out**2, d_in**2)
+    by_x = c4.transpose(0, 2, 1, 3).reshape(d_in**2, d_out**2)
+    g = np.random.default_rng(seed).standard_normal((n, 2, d_out))
+    y = g[:, 0] + 1j * g[:, 1]
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    x = np.zeros((n, d_in), dtype=np.complex128)
+    val = np.full(n, np.inf)  # each restart's value at its last step
+    active = np.arange(n)
+    used = n  # restarts up to the first that finished below -tol
+    last = max(1, iters) - 1
+    for step in range(last + 1):
+        _, xa = _lowest_eigvecs(y[active], by_y, d_in)
+        wa, ya = _lowest_eigvecs(xa, by_x, d_out)
+        done = (np.abs(val[active] - wa) < 1e-12) | (step == last)
+        x[active], y[active], val[active] = xa, ya, wa
+        neg = active[done & (wa < -tol)]
+        if neg.size:
+            used = min(used, int(neg[0]) + 1)
+        active = active[~done & (active < used)]
+        if not active.size:
             break
+    k = int(np.argmin(val[:used]))
+    best = float(val[k])
     ok = best >= -tol
-    return BlockPositivityReport(ok, best, None if ok else witness, used)
+    witness = None if ok else (x[k].copy(), y[k].copy())
+    return BlockPositivityReport(ok, best, witness, used)
 
 
 @dataclass(frozen=True, eq=False)

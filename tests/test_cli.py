@@ -90,6 +90,20 @@ def test_non_finite_state_exit_2(nan_file, argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [("measure", "ppt"), ("map", "check", "--catalog", "transpose", "--d", "2")],
+    ids=["measure-ppt", "map-check"],
+)
+def test_bad_tolerance_exit_2(bell_file, argv, tol):
+    extra = ("--in", str(bell_file)) if argv[0] == "measure" else ()
+    proc = run_cli(*argv, *extra, f"--tol={tol}", check=False)
+    assert proc.returncode == 2
+    assert "--tol" in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestMeasureCommands:
     def test_ppt_on_bell(self, bell_file):
         proc = run_cli("measure", "ppt", "--in", str(bell_file))

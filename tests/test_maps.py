@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entkit import maps, matcore, states
@@ -107,6 +109,28 @@ class TestDualMap:
             rhs = np.trace(x.conj().T @ maps.apply_map(dual, y))
             assert abs(lhs - rhs) < 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.tuples(
+            st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)
+        ).filter(lambda d: d[0] != d[1]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_adjoint_random_rectangular(self, dims, seed):
+        # tr[t(X)^+ Y] = tr[X^+ t^d(Y)] for a random hermiticity-preserving t
+        # from d_in to d_out != d_in and general complex X, Y
+        d_in, d_out = dims
+        rng = np.random.default_rng(seed)
+        choi = maps.ChoiMatrix(random_hermitian(rng, d_in * d_out), d_in, d_out)
+        dual = maps.dual_map(choi)
+        assert (dual.d_in, dual.d_out) == (d_out, d_in)
+        x = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
+        y = rng.standard_normal((d_out, d_out)) + 1j * rng.standard_normal((d_out, d_out))
+        lhs = np.vdot(maps.apply_map(choi, x), y)
+        rhs = np.vdot(x, maps.apply_map(dual, y))
+        scale = np.linalg.norm(choi.mat) * np.linalg.norm(x) * np.linalg.norm(y)
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
     def test_depolarizing_self_dual(self):
         dep = maps.catalog("depolarizing", d=2, lam=0.7)
         assert_allclose(maps.dual_map(dep).mat, dep.mat, atol=1e-12)
@@ -210,6 +234,101 @@ def breuer_hall(d):
     return maps.choi_from_map(
         lambda x: (np.trace(x) * eye - x - u @ x.T @ u.T) / (d - 2), d
     )
+
+
+def see_saw_reference(c, d_in, d_out, restarts, iters, tol, seed):
+    """The see-saw run one restart after another, stopping after the first
+    restart whose value is below -tol; numpy only."""
+    c4 = c.reshape(d_in, d_out, d_in, d_out)
+    rng = np.random.default_rng(seed)
+    best, used = np.inf, 0
+    for _ in range(max(1, restarts)):
+        used += 1
+        y = rng.standard_normal(d_out) + 1j * rng.standard_normal(d_out)
+        y /= np.linalg.norm(y)
+        prev = val = np.inf
+        for _ in range(max(1, iters)):
+            my = np.einsum("a,iajb,b->ij", y.conj(), c4, y)
+            x = np.linalg.eigh((my + my.conj().T) / 2.0)[1][:, 0]
+            nx = np.einsum("i,iajb,j->ab", x.conj(), c4, x)
+            w, v = np.linalg.eigh((nx + nx.conj().T) / 2.0)
+            y, val = v[:, 0], float(w[0])
+            if abs(prev - val) < 1e-12:
+                break
+            prev = val
+        best = min(best, val)
+        if best < -tol:
+            break
+    return best >= -tol, best, used
+
+
+def see_saw_cases():
+    cases = [
+        (f"{name}-d{d}", maps.catalog(name, d=d), dict(restarts=20, seed=0))
+        for name in ("identity", "transpose", "reduction", "werner_holevo", "depolarizing")
+        for d in (2, 3)
+    ]
+    cases.append(("choi_map", maps.catalog("choi_map"), dict(restarts=200, iters=200, seed=1)))
+    cases += [(f"breuer_hall-{d}", breuer_hall(d), dict(restarts=40, seed=d)) for d in (4, 6)]
+    cases += [
+        (
+            f"random_cp-{seed}",
+            maps.random_cp_map(2 + seed % 2, kraus_count=2 + seed % 3, seed=1000 + seed),
+            dict(restarts=8, iters=80, seed=seed),
+        )
+        for seed in range(50)
+    ]
+    rng = np.random.default_rng(77)
+    for k, (d_in, d_out) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]):
+        choi = maps.ChoiMatrix(random_hermitian(rng, d_in * d_out), d_in, d_out)
+        cases.append((f"non_positive-{d_in}x{d_out}", choi, dict(restarts=40, seed=k)))
+    edge = [
+        c
+        for c in cases
+        if c[0] in ("transpose-d2", "choi_map", "non_positive-2x3", "non_positive-4x2")
+    ]
+    cases += [(f"{label}-restarts1", c, dict(kw, restarts=1)) for label, c, kw in edge]
+    cases += [(f"{label}-iters1", c, dict(kw, iters=1)) for label, c, kw in edge]
+    cases += [(f"{label}-restarts0", c, dict(kw, restarts=0)) for label, c, kw in edge[:2]]
+    return cases
+
+
+SEE_SAW_CASES = see_saw_cases()
+
+
+@pytest.mark.parametrize(
+    "choi,kwargs", [c[1:] for c in SEE_SAW_CASES], ids=[c[0] for c in SEE_SAW_CASES]
+)
+def test_block_positive_matches_sequential_reference(choi, kwargs):
+    kwargs = dict(dict(restarts=40, iters=200, tol=1e-9), **kwargs)
+    rep = maps.is_block_positive(choi, **kwargs)
+    ok, best, used = see_saw_reference(choi.mat, choi.d_in, choi.d_out, **kwargs)
+    assert rep.block_positive == ok
+    assert rep.restarts_used == used
+    assert abs(rep.min_value - best) < 1e-12
+    if ok:
+        assert rep.witness is None
+    else:
+        x, y = rep.witness
+        xy = np.kron(x, y)
+        val = (xy.conj() @ choi.mat @ xy).real
+        assert abs(val - rep.min_value) < 1e-12
+        assert val < -kwargs["tol"]
+
+
+@pytest.mark.parametrize("iters", [200, 6])
+@pytest.mark.parametrize("seed,d_in,d_out", [(4, 3, 3), (16, 3, 3), (22, 4, 3), (27, 3, 4), (33, 2, 4)])
+def test_block_positive_late_negative_restart(seed, d_in, d_out, iters):
+    # a random hermitian shifted to product minimum about -0.01: the early
+    # restarts settle in shallower minima, so the first negative one is late
+    h = random_hermitian(np.random.default_rng(seed), d_in * d_out)
+    low = see_saw_reference(h, d_in, d_out, restarts=100, iters=200, tol=np.inf, seed=0)[1]
+    choi = maps.ChoiMatrix(h - (low + 0.01) * np.eye(d_in * d_out), d_in, d_out)
+    rep = maps.is_block_positive(choi, restarts=40, iters=iters, seed=seed)
+    ok, best, used = see_saw_reference(choi.mat, d_in, d_out, 40, iters, 1e-9, seed)
+    assert not ok and not rep.block_positive
+    assert 3 <= rep.restarts_used == used < 40
+    assert abs(rep.min_value - best) < 1e-12
 
 
 class TestDecomposability:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entkit import matcore
@@ -163,6 +165,25 @@ class TestPartialTranspose:
             assert abs(np.trace(pt) - np.trace(m)) < 1e-12
             assert matcore.hermiticity_defect(pt) < 1e-12
             assert abs(np.linalg.norm(pt) - np.linalg.norm(m)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d1=st.integers(min_value=1, max_value=4),
+    d2=st.integers(min_value=1, max_value=4),
+    leg=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_partial_transpose_isometry_and_involution(d1, d2, leg, seed):
+    # on general complex matrices: tr[A^G+ B^G] = tr[A^+ B] and (A^G)^G = A
+    rng = np.random.default_rng(seed)
+    n = d1 * d2
+    a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+    pa = matcore.partial_transpose(a, (d1, d2), leg=leg)
+    pb = matcore.partial_transpose(b, (d1, d2), leg=leg)
+    scale = np.linalg.norm(a) * np.linalg.norm(b)
+    assert abs(np.vdot(pa, pb) - np.vdot(a, b)) <= 1e-12 * scale
+    assert np.array_equal(matcore.partial_transpose(pa, (d1, d2), leg=leg), a)
 
 
 class TestPsdProject:
