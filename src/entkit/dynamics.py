@@ -12,7 +12,6 @@ import numpy as np
 
 from . import maps, matcore, measures, states
 
-TRACE_TOL = 1e-8
 NEGATIVE_EIG_TOL = 1e-9
 
 
@@ -190,7 +189,9 @@ def evolve_track(
     Records the minimal output eigenvalue and trace at every time, the
     negativity when the output is a valid state, and optionally the
     optimization-based measures (skipped, recorded as undefined, whenever
-    the output fails state validity).
+    the output fails state validity).  An output is valid when its lowest
+    eigenvalue is at least -NEGATIVE_EIG_TOL and its trace is within
+    ``states.TRACE_TOL`` of one, the tolerance ``DensityMatrix`` applies.
     """
     times = [float(t) for t in times]
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -211,7 +212,7 @@ def evolve_track(
         neg = None
         eof_val = None
         dsup_val = None
-        valid = min_eig >= -NEGATIVE_EIG_TOL and abs(trace - 1.0) <= TRACE_TOL
+        valid = min_eig >= -NEGATIVE_EIG_TOL and abs(trace - 1.0) <= states.TRACE_TOL
         if valid:
             pt_mat = matcore.partial_transpose(out, (d1, d2), leg=2)
             wpt, _ = matcore.hermitian_eig(pt_mat)

@@ -20,11 +20,6 @@ def as_complex_matrix(m):
     return a
 
 
-def dagger(m):
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
 def frobenius_norm(m):
     return float(np.linalg.norm(np.asarray(m)))
 
@@ -51,7 +46,10 @@ def _require_hermitian(m, tol, what):
 
 def kron(a, b):
     """Kronecker product with the first factor on the slow index."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    a = as_complex_matrix(a)
+    b = as_complex_matrix(b)
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def hermitian_eig(h, tol=HERMITICITY_TOL):

@@ -135,7 +135,7 @@ def _grow_split(rows, size, scores):
     """
     old = rows.shape[0]
     if size <= old:
-        return rows, list(range(old))
+        return rows, []
     out = np.zeros((size, rows.shape[1]), dtype=np.complex128)
     out[:old] = rows
     score = np.zeros(size)
@@ -201,47 +201,55 @@ def _multistart(starts, n_structured, search):
 
 
 def _refine_product_certificate(cert, d1, d2, cap):
-    """Pure-product refinement of a separable certificate, or None.
+    """Pure refinement of a separable certificate, or None.
 
+    Returns the rows and, per row, the index of the component it came from.
     Product components are split along their factor eigenbases so the
-    refined pure ensemble still has zero average marginal entropy; the
-    refinement is skipped when it would exceed ``cap`` members.
+    refined pure ensemble still has zero average marginal entropy; other
+    components are split along their own eigenbases.  The refinement is
+    skipped when it would exceed ``cap`` members.
     """
-    rows = []
-    for lam, comp in zip(cert.weights, cert.components):
+    rows, gid = [], []
+    for ci, (lam, comp) in enumerate(zip(cert.weights, cert.components)):
         r1 = matcore.partial_trace(comp.mat, (d1, d2), keep=1)
         r2 = matcore.partial_trace(comp.mat, (d1, d2), keep=2)
         if matcore.frobenius_norm(matcore.kron(r1, r2) - comp.mat) > 1e-10:
             w, v = matcore.hermitian_eig(comp.mat)
-            for k in range(w.shape[0]):
-                if w[k] > RANK_FLOOR:
-                    rows.append(np.sqrt(lam * w[k]) * v[:, k])
-            continue
-        w1, v1 = matcore.hermitian_eig(r1)
-        w2, v2 = matcore.hermitian_eig(r2)
-        for a in range(d1):
-            if w1[a] <= RANK_FLOOR:
-                continue
-            for b in range(d2):
-                if w2[b] <= RANK_FLOOR:
-                    continue
-                vec = np.kron(v1[:, a], v2[:, b])
-                rows.append(np.sqrt(lam * w1[a] * w2[b]) * vec)
-    if len(rows) > cap:
+            keep = w > RANK_FLOOR
+            part = (v[:, keep] * np.sqrt(lam * w[keep])).T
+        else:
+            w1, v1 = matcore.hermitian_eig(r1)
+            w2, v2 = matcore.hermitian_eig(r2)
+            k1, k2 = w1 > RANK_FLOOR, w2 > RANK_FLOOR
+            # row (a, b), a-major: sqrt(lam w1_a w2_b) kron(v1_a, v2_b)
+            vecs = v1[:, k1].T[:, None, :, None] * v2[:, k2].T[None, :, None, :]
+            amp = np.sqrt(lam * w1[k1][:, None] * w2[k2][None, :])
+            part = (amp[:, :, None, None] * vecs).reshape(-1, d1 * d2)
+        rows.append(part)
+        gid.append(np.full(part.shape[0], ci))
+    rows = np.concatenate(rows)
+    if rows.shape[0] > cap:
         return None
-    return np.array(rows, dtype=np.complex128)
+    return rows, np.concatenate(gid)
 
 
-def _ensemble_from_rows(rows, d1, d2, state, tol=1e-9):
-    p = _weights(rows)
+def _ensemble_from_rows(rows, d1, d2, state, gid=None):
+    """Certificate of pure rows, one mixed component per group of ``gid``.
+
+    ``gid`` labels each row's group (default: every row on its own).
+    Groups lighter than 1e-12 are dropped; the barycenter must match the
+    state within 1e-9.
+    """
+    if gid is None:
+        gid = np.arange(rows.shape[0])
+    p = np.bincount(gid, weights=_weights(rows))
+    mats = np.zeros((p.shape[0], rows.shape[1], rows.shape[1]), dtype=np.complex128)
+    np.add.at(mats, gid, rows[:, :, None] * rows.conj()[:, None, :])
     keep = p > 1e-12
     p = p[keep]
-    comps = tuple(
-        states.DensityMatrix(np.outer(r, r.conj()) / pw, d1, d2)
-        for r, pw in zip(rows[keep], p)
-    )
+    comps = tuple(states.DensityMatrix(m / pg, d1, d2) for m, pg in zip(mats[keep], p))
     ens = states.Ensemble(p / p.sum(), comps)
-    ens.check_barycenter(state, tol=tol)
+    ens.check_barycenter(state, tol=1e-9)
     return ens
 
 
@@ -275,7 +283,7 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     if state.certificate is not None:
         refined = _refine_product_certificate(state.certificate, d1, d2, K)
         if refined is not None:
-            starts.append(refined)
+            starts.append(refined[0])
     starts.append(base)
     n_structured = len(starts)
 
@@ -327,66 +335,50 @@ class _GroupedEnsemble:
     member weight and the subnormalized expectations <w|a1 ox 1|w>,
     <w|1 ox a2|w>.  Rotations inside one group leave the objective alone,
     so only cross-group rotations and group merges are searched.
+
+    Groups are labelled 0..G-1 in ``gid``; ``terms`` (K, 3) holds each
+    member's (p, u, v), ``tot`` (G, 3) the group totals, ``group_terms``
+    their U V / P and ``classical`` the sum of those.
     """
 
     def __init__(self, rows, gid, big1, big2, target):
         self.rows = np.ascontiguousarray(rows, dtype=np.complex128)
-        self.gid = np.asarray(gid, dtype=np.int64).copy()
+        self.gid = np.unique(gid, return_inverse=True)[1]
         self.big1 = big1
         self.big2 = big2
         self.target = target
-        self._refresh_members()
+        self.terms = self._member_terms(self.rows)
         self._refresh_groups()
 
     def _member_terms(self, e):
-        return (
-            _weights(e),
-            np.einsum("ij,jk,ik->i", e.conj(), self.big1, e).real,
-            np.einsum("ij,jk,ik->i", e.conj(), self.big2, e).real,
+        return np.stack(
+            [
+                _weights(e),
+                np.einsum("ij,jk,ik->i", e.conj(), self.big1, e).real,
+                np.einsum("ij,jk,ik->i", e.conj(), self.big2, e).real,
+            ],
+            axis=1,
         )
 
-    def _refresh_members(self):
-        self.p, self.u, self.v = self._member_terms(self.rows)
-
-    def _refresh_groups(self, labels=None):
-        """Recompute the group totals of ``labels`` (default: every group)."""
-        if labels is None:
-            labels = np.unique(self.gid)
-            self.group_p = {}
-            self.group_u = {}
-            self.group_v = {}
-        for g in labels:
-            sel = self.gid == g
-            self.group_p[int(g)] = float(self.p[sel].sum())
-            self.group_u[int(g)] = float(self.u[sel].sum())
-            self.group_v[int(g)] = float(self.v[sel].sum())
-        self.classical = sum(
-            self._term(self.group_p[g], self.group_u[g], self.group_v[g])
-            for g in self.group_p
-        )
-
-    @staticmethod
-    def _term(pg, ug, vg):
-        if pg <= _grids.WEIGHT_FLOOR:
-            return 0.0
-        return ug * vg / pg
+    def _refresh_groups(self):
+        """Recompute the group totals and the classical value from the members."""
+        idx = 3 * self.gid[:, None] + np.arange(3)
+        self.tot = np.bincount(idx.ravel(), weights=self.terms.ravel()).reshape(-1, 3)
+        self.group_terms = _group_terms(self.tot)
+        self.classical = float(self.group_terms.sum())
 
     @property
     def objective(self):
         return abs(self.target - self.classical)
 
     def grow(self, size):
-        self.rows, donors = _grow_split(self.rows, size, self.p.copy())
-        gid = np.zeros(size, dtype=np.int64)
-        gid[: self.gid.shape[0]] = self.gid
-        for slot, donor in zip(range(self.gid.shape[0], size), donors):
-            gid[slot] = gid[donor]
-        self.gid = gid
-        self._refresh_members()
+        old = self.rows.shape[0]
+        self.rows, donors = _grow_split(self.rows, size, self.terms[:, 0])
+        self.gid = np.append(self.gid, np.zeros(len(donors), dtype=np.int64))
+        for slot, donor in enumerate(donors, old):
+            self.gid[slot] = self.gid[donor]
+        self.terms = self._member_terms(self.rows)
         self._refresh_groups()
-
-    def _totals(self, g):
-        return np.array([self.group_p[g], self.group_u[g], self.group_v[g]])
 
     def _rotation_objective(self, a, b):
         """Scorer of the rotations of rows a and b, for ``kernels._best_rotation``.
@@ -397,14 +389,12 @@ class _GroupedEnsemble:
         <b|.|a>.  Only the two groups of a and b change.
         """
         ea, eb = self.rows[a], self.rows[b]
-        own = np.array(
-            [[self.p[a], self.u[a], self.v[a]], [self.p[b], self.u[b], self.v[b]]]
-        )
+        own = self.terms[[a, b]]
         cross = eb.conj() @ np.array([ea, self.big1 @ ea, self.big2 @ ea]).T
         basis = np.vstack([own, 2.0 * cross.real, 2.0 * cross.imag])
-        tot_a = self._totals(int(self.gid[a]))
-        tot_b = self._totals(int(self.gid[b]))
-        rest = self.classical - self._term(*tot_a) - self._term(*tot_b)
+        ga, gb = self.gid[a], self.gid[b]
+        tot_a, tot_b = self.tot[ga], self.tot[gb]
+        rest = self.classical - self.group_terms[ga] - self.group_terms[gb]
 
         def objective(table):
             coef, rows_a, rows_b = table
@@ -423,7 +413,7 @@ class _GroupedEnsemble:
             for b in range(a + 1, k):
                 if self.gid[a] == self.gid[b]:
                     continue
-                if self.p[a] + self.p[b] < 2 * _grids.WEIGHT_FLOOR:
+                if self.terms[a, 0] + self.terms[b, 0] < 2 * _grids.WEIGHT_FLOOR:
                     continue
                 objective = self._rotation_objective(a, b)
                 base = self.objective
@@ -433,61 +423,32 @@ class _GroupedEnsemble:
                 if rot is None:
                     continue
                 kernels._rotate(self.rows, a, b, *rot)
-                pair = [a, b]
-                self.p[pair], self.u[pair], self.v[pair] = self._member_terms(
-                    self.rows[pair]
-                )
-                self._refresh_groups({int(self.gid[a]), int(self.gid[b])})
+                self.terms[[a, b]] = self._member_terms(self.rows[[a, b]])
+                self._refresh_groups()
                 gained += base - self.objective
         return gained
 
     def merge_pass(self):
-        """Greedy group merges (coarse-graining) while they improve."""
+        """Greedy group merges (coarse-graining) while they improve.
+
+        Every pair of groups is scored at once; the first best pair in
+        label order is merged into its lower label.
+        """
         gained = 0.0
-        while True:
-            labels = sorted(self.group_p)
+        while self.tot.shape[0] > 1:
+            ga, gb = np.triu_indices(self.tot.shape[0], 1)
+            t_old = self.group_terms[ga] + self.group_terms[gb]
+            t_new = _group_terms(self.tot[ga] + self.tot[gb])
+            obj = np.abs(self.target - (self.classical - t_old + t_new))
+            best = int(np.argmin(obj))
             base = self.objective
-            best = None
-            for i, ga in enumerate(labels):
-                for gb in labels[i + 1 :]:
-                    t_old = self._term(
-                        self.group_p[ga], self.group_u[ga], self.group_v[ga]
-                    ) + self._term(self.group_p[gb], self.group_u[gb], self.group_v[gb])
-                    t_new = self._term(
-                        self.group_p[ga] + self.group_p[gb],
-                        self.group_u[ga] + self.group_u[gb],
-                        self.group_v[ga] + self.group_v[gb],
-                    )
-                    obj = abs(self.target - (self.classical - t_old + t_new))
-                    if obj < base - _grids.ACCEPT_EPS and (
-                        best is None or obj < best[0]
-                    ):
-                        best = (obj, ga, gb)
-            if best is None:
-                return gained
-            _, ga, gb = best
-            self.gid[self.gid == gb] = ga
+            if obj[best] >= base - _grids.ACCEPT_EPS:
+                break
+            self.gid[self.gid == gb[best]] = ga[best]
+            self.gid[self.gid > gb[best]] -= 1
             self._refresh_groups()
             gained += base - self.objective
-
-    def to_ensemble(self, d1, d2, state):
-        labels = sorted(self.group_p)
-        weights = []
-        comps = []
-        for g in labels:
-            sel = self.gid == g
-            pg = float(self.p[sel].sum())
-            if pg <= 1e-12:
-                continue
-            mat = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
-            for r in self.rows[sel]:
-                mat += np.outer(r, r.conj())
-            weights.append(pg)
-            comps.append(states.DensityMatrix(mat / pg, d1, d2))
-        w = np.array(weights)
-        ens = states.Ensemble(w / w.sum(), tuple(comps))
-        ens.check_barycenter(state, tol=1e-9)
-        return ens
+        return gained
 
 
 def _hermitian_observable(a, d, name):
@@ -533,24 +494,11 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
     if K < rank:
         raise ValueError(f"ensemble size {K} below state rank {rank}: infeasible")
 
-    starts = [
-        (base.copy(), np.zeros(rank, dtype=np.int64)),  # trivial: one group
-    ]
+    starts = [(base.copy(), np.zeros(rank, dtype=np.int64))]  # trivial: one group
     if state.certificate is not None:
-        cert_rows = []
-        cert_gid = []
-        for ci, (lam, comp) in enumerate(
-            zip(state.certificate.weights, state.certificate.components)
-        ):
-            w, v = matcore.hermitian_eig(comp.mat)
-            for k in range(w.shape[0]):
-                if w[k] > RANK_FLOOR:
-                    cert_rows.append(np.sqrt(lam * w[k]) * v[:, k])
-                    cert_gid.append(ci)
-        if len(cert_rows) <= K:
-            starts.append(
-                (np.array(cert_rows), np.array(cert_gid, dtype=np.int64))
-            )
+        refined = _refine_product_certificate(state.certificate, d1, d2, K)
+        if refined is not None:
+            starts.append(refined)
     starts.append((base.copy(), np.arange(rank, dtype=np.int64)))  # spectral
     n_structured = len(starts)
     spectral_gid = np.arange(rank, dtype=np.int64)
@@ -580,8 +528,8 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
         n_structured,
         search,
     )
-    final = _GroupedEnsemble(best_snapshot[0], best_snapshot[1], big1, big2, target)
-    cert = final.to_ensemble(d1, d2, state)
+    rows, gid = best_snapshot
+    cert = _ensemble_from_rows(rows, d1, d2, state, gid)
     return MeasureReport(float(best_value), cert, best_converged, used)
 
 

@@ -151,6 +151,37 @@ class TestEvolveTrack:
         assert rec.points[1].eof_upper is None
         assert rec.points[1].negativity is None
 
+    def test_trace_tolerance_is_the_density_matrix_one(self):
+        # A depolarizing flow whose Choi matrix is scaled by 1 + 5e-9 min(t, 1)
+        # takes the output trace off one by 5e-10 at t = 0.1 (still a state)
+        # and by 5e-9 at t = 1 (past states.TRACE_TOL): that point must be
+        # recorded as invalid instead of failing inside DensityMatrix.
+        def scaled(t):
+            choi = maps.catalog("depolarizing", d=2, lam=float(np.exp(-t)))
+            return maps.ChoiMatrix(choi.mat * (1.0 + 5e-9 * min(t, 1.0)), 2, 2)
+
+        fam = dynamics.ChannelFamily("scaled_depolarizing", {}, 2, scaled)
+        rec = dynamics.evolve_track(
+            states.bell_state(1),
+            fam,
+            [0.0, 0.1, 1.0],
+            measure_eof=True,
+            measure_dcoef=True,
+            K=4,
+            restarts=1,
+            iters=5,
+        )
+        near, off = rec.points[1], rec.points[2]
+        assert abs(near.trace - (1.0 + 5e-10)) < 1e-13
+        assert near.negativity is not None
+        assert near.eof_upper is not None
+        assert near.dcoef_sup is not None
+        assert abs(off.trace - (1.0 + 5e-9)) < 1e-13
+        assert off.min_eig >= 0.0
+        assert off.negativity is None
+        assert off.eof_upper is None
+        assert off.dcoef_sup is None
+
     def test_grid_must_ascend(self):
         fam = dynamics.family_catalog("identity", d=2)
         with pytest.raises(ValueError):

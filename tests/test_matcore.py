@@ -46,6 +46,13 @@ class TestKron:
         with pytest.raises(ValueError):
             matcore.kron(np.ones((2, 3)), np.eye(2))
 
+    def test_equals_numpy_kron_bitwise(self):
+        rng = np.random.default_rng(4)
+        for da, db in ((1, 3), (2, 2), (2, 3), (3, 2), (4, 5)):
+            a = rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da))
+            b = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
+            assert np.array_equal(matcore.kron(a, b), np.kron(a, b))
+
 
 class TestHermitianEig:
     def test_sigma_z(self):

@@ -260,3 +260,109 @@ class TestReports:
     def test_value_nonnegative(self):
         rep = measures.dcoef(states.werner_state(0.4), SZ, SZ, restarts=2, seed=0)
         assert rep.value >= 0.0
+
+
+def _scratch_totals(ens, gid):
+    """Group totals (p, u, v) and classical value recomputed from rows and gid."""
+    member = np.array(
+        [
+            [np.vdot(r, r).real, np.vdot(r, ens.big1 @ r).real, np.vdot(r, ens.big2 @ r).real]
+            for r in ens.rows
+        ]
+    )
+    tot = np.array([member[gid == g].sum(axis=0) for g in range(int(gid.max()) + 1)])
+    classical = sum(u * v / p for p, u, v in tot if p > 1e-14)
+    return tot, classical
+
+
+def _scratch_merges(ens):
+    """Labels after each greedy merge, chosen by a scan over all group pairs."""
+    gid = ens.gid
+    base = abs(ens.target - _scratch_totals(ens, gid)[1])
+    steps = []
+    while True:
+        n = int(gid.max()) + 1
+        scores = []
+        for ga in range(n):
+            for gb in range(ga + 1, n):
+                merged = np.where(gid == gb, ga, gid)
+                merged = merged - (merged > gb)
+                scores.append((abs(ens.target - _scratch_totals(ens, merged)[1]), merged))
+        if not scores or min(s for s, _ in scores) >= base - 1e-14:
+            return steps
+        # the first pair in scan order that reaches the minimum
+        best = min(s for s, _ in scores)
+        base, gid = next((s, m) for s, m in scores if s <= best + 1e-12)
+        steps.append(gid)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_grouped_ensemble_caches_match_scratch(case):
+    rng = np.random.default_rng(100 + case)
+    d1, d2 = (2, 2) if case % 2 == 0 else (2, 3)
+    state = states.random_density(d1, d2, seed=200 + case)
+    base = measures._spectral_rows(state)
+    twins = case >= 6
+    k = int(rng.integers(base.shape[0], 9 if twins else 17))
+    g = rng.standard_normal((k, base.shape[0])) + 1j * rng.standard_normal(
+        (k, base.shape[0])
+    )
+    rows = np.linalg.qr(g)[0] @ base  # an isometry keeps the barycenter
+    n_groups = int(rng.integers(2, k + 1))
+    gid = rng.integers(0, n_groups, k)
+    if twins:
+        # every group gets a twin with equal totals, so merge scores tie
+        rows = np.vstack([rows, rows]) * np.sqrt(0.5)
+        gid = np.concatenate([gid, gid + n_groups])
+
+    def observable(d):
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return h + h.conj().T
+
+    a1, a2 = observable(d1), observable(d2)
+    big1 = matcore.kron(a1, np.eye(d2))
+    big2 = matcore.kron(np.eye(d1), a2)
+    target = float(np.trace(state.mat @ matcore.kron(a1, a2)).real)
+    ens = measures._GroupedEnsemble(rows, gid, big1, big2, target)
+    steps = []  # labels at each refresh of the caches
+    refresh = ens._refresh_groups
+
+    def recording_refresh():
+        steps.append(ens.gid.copy())
+        refresh()
+
+    ens._refresh_groups = recording_refresh
+
+    def check_caches():
+        assert np.array_equal(np.unique(ens.gid), np.arange(ens.tot.shape[0]))
+        tot, classical = _scratch_totals(ens, ens.gid)
+        assert np.abs(ens.tot - tot).max() < 1e-12
+        assert abs(ens.classical - classical) < 1e-12
+
+    check_caches()
+    rotated = 0.0
+    for _ in range(3):
+        expected = _scratch_merges(ens)
+        steps.clear()
+        ens.merge_pass()
+        assert len(steps) == len(expected)
+        for got, want in zip(steps, expected):
+            assert np.array_equal(got, want)
+        check_caches()
+        rotated += ens.rotation_sweep()
+        check_caches()
+    assert rotated > 0.0  # the sweeps above did rotate rows
+
+    cert = measures._ensemble_from_rows(ens.rows, d1, d2, state, ens.gid)
+    total = 0.0
+    hand = []
+    for label in range(int(ens.gid.max()) + 1):
+        members = ens.rows[ens.gid == label]
+        mat = sum(np.outer(r, r.conj()) for r in members)
+        hand.append((np.trace(mat).real, mat))
+        total += np.trace(mat).real
+    assert cert.size == len(hand)
+    for lam, comp, (p, mat) in zip(cert.weights, cert.components, hand):
+        assert abs(lam - p / total) < 1e-12
+        assert np.abs(comp.mat - mat / p).max() < 1e-12
+    assert np.abs(cert.barycenter() - state.mat).max() < 1e-10
