@@ -150,13 +150,14 @@ def _pair_objective(table, bases, d):
     return ew[:, rows_a] + ew[:, rows_b]
 
 
-def _best_rotation(objective, coarse, base):
+def _best_rotation(score, coarse, base):
     """(theta, phi) of the best pair rotation, or None if it gains too little.
 
-    ``objective(table)`` scores the candidates of a ``_stencil`` table and
-    ``coarse`` holds its scores on ``_COARSE``.  The best coarse point is
-    refined over REFINE_ROUNDS 3 x 3 stencils of halving steps; the result
-    must beat ``base``, the unrotated objective, by ACCEPT_EPS.
+    ``coarse`` holds the objective at the coarse grid points, theta-major.
+    The best of them is refined over REFINE_ROUNDS 3 x 3 stencils of halving
+    steps; ``score(cand_th, cand_ph)`` returns the objective at the 9 points
+    of one stencil, theta-major.  The result must beat ``base``, the
+    unrotated objective, by ACCEPT_EPS.
     """
     idx = int(np.argmin(coarse))
     best = coarse[idx]
@@ -169,7 +170,7 @@ def _best_rotation(objective, coarse, base):
     for _ in range(_grids.REFINE_ROUNDS):
         cand_th = np.clip(np.array([th - dth, th, th + dth]), 1e-9, np.pi / 2 - 1e-9)
         cand_ph = np.array([ph - dph, ph, ph + dph])
-        vals = objective(_stencil(cand_th, cand_ph))
+        vals = score(cand_th, cand_ph)
         idx = int(np.argmin(vals))
         if vals[idx] < best:
             best = vals[idx]
@@ -228,7 +229,9 @@ def eof_sweep(ens, ew, d1, d2):
             vals = coarse[i]
         base = ew[a] + ew[b]
         rot = _best_rotation(
-            lambda table, basis=basis: _pair_objective(table, basis, d)[0], vals, base
+            lambda th, ph, basis=basis: _pair_objective(_stencil(th, ph), basis, d)[0],
+            vals,
+            base,
         )
         if rot is None:
             continue

@@ -1,7 +1,10 @@
 """Search-grid constants of the two-member rotation searches.
 
 The EOF sweep in ``kernels`` and the correlation-coefficient sweep in
-``measures`` run the same coarse-grid / refinement protocol.
+``measures`` run the same coarse-grid / refinement protocol through one
+driver, ``kernels._best_rotation``, with two scorers: the EOF sweep scores
+a stencil from Gram blocks and marginal spectra, the ``dcoef`` sweep in
+float arithmetic on the 3 x 3 Bloch frame of the pair.
 """
 
 import numpy as np

@@ -7,6 +7,7 @@ never claim separability from small values alone.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,10 @@ RANK_FLOOR = 1e-12
 WITNESS_TOL = 1e-10
 EARLY_STOP_VALUE = 1e-10
 RESTART_PATIENCE = 8
+
+# dcoef_sup skips a pair only when its one-group bound is below the best
+# value by more than rounding: the bound and dcoef sum in different orders.
+_PRUNE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,12 +87,17 @@ def map_witness(state, choi, tol=WITNESS_TOL):
 
 @dataclass(frozen=True, eq=False)
 class MeasureReport:
-    """Result of an optimization-based measure; the value is an upper bound."""
+    """Result of an optimization-based measure; the value is an upper bound.
+
+    ``pair`` is set by ``dcoef_sup`` only: the indices (i, j) of the winning
+    observables in ``gell_mann_basis(d1)`` and ``gell_mann_basis(d2)``.
+    """
 
     value: float
     certificate: object
     converged: bool
     restarts_used: int
+    pair: tuple = None
 
     def to_json(self):
         obj = {
@@ -95,6 +105,8 @@ class MeasureReport:
             "converged": bool(self.converged),
             "restarts_used": int(self.restarts_used),
         }
+        if self.pair is not None:
+            obj["pair"] = [int(k) for k in self.pair]
         if self.certificate is not None:
             obj["certificate"] = self.certificate.to_json()
         return obj
@@ -322,9 +334,94 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
 
 
 def _group_terms(tot):
-    """u v / p for each row (p, u, v) of ``tot``, zero below the weight floor."""
-    heavy = tot[:, 0] > _grids.WEIGHT_FLOOR
-    return np.where(heavy, tot[:, 1] * tot[:, 2] / np.where(heavy, tot[:, 0], 1.0), 0.0)
+    """u v / p for each (p, u, v) on the last axis of ``tot``, zero below the floor."""
+    p = tot[..., 0]
+    heavy = p > _grids.WEIGHT_FLOOR
+    return np.where(heavy, tot[..., 1] * tot[..., 2] / np.where(heavy, p, 1.0), 0.0)
+
+
+# The coarse grid as Bloch vectors z = (cos 2 theta, sin 2 theta cos phi,
+# sin 2 theta sin phi), theta-major like ``kernels._COARSE``.
+_TH, _PH = np.meshgrid(_grids.THETAS, _grids.PHIS, indexing="ij")
+_COARSE_Z = np.stack(
+    [np.cos(2 * _TH), np.sin(2 * _TH) * np.cos(_PH), np.sin(2 * _TH) * np.sin(_PH)],
+    axis=-1,
+).reshape(-1, 3)
+
+# Pairs whose coarse tables are scored in one batch; an accepted rotation
+# discards the scores of the pairs after it, so larger batches waste more.
+_CHUNK_PAIRS = 32
+
+
+def _frame_signed(target, rest, own_a, own_b, n):
+    """target - c of one pair frame at the Bloch vector (z0, z1, z2).
+
+    ``own_a`` and ``own_b`` are the two groups' totals with the pair's mean
+    m in place of its members, ``n`` the 3 x 3 frame, ``rest`` the classical
+    value of the other groups.  Plain float arithmetic: one evaluation costs
+    less than a numpy call.
+    """
+    pa, ua, va = own_a.tolist()
+    pb, ub, vb = own_b.tolist()
+    (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = n.tolist()
+    floor = _grids.WEIGHT_FLOOR
+
+    def signed(z0, z1, z2):
+        dp = n00 * z0 + n01 * z1 + n02 * z2
+        du = n10 * z0 + n11 * z1 + n12 * z2
+        dv = n20 * z0 + n21 * z1 + n22 * z2
+        c = rest
+        if pa + dp > floor:
+            c += (ua + du) * (va + dv) / (pa + dp)
+        if pb - dp > floor:
+            c += (ub - du) * (vb - dv) / (pb - dp)
+        return target - c
+
+    return signed
+
+
+def _stencil_score(signed):
+    """``kernels._best_rotation`` scorer: |signed| on a 3 x 3 stencil, theta-major."""
+
+    def score(cand_th, cand_ph):
+        c2th, s2th = np.cos(2 * cand_th).tolist(), np.sin(2 * cand_th).tolist()
+        cph, sph = np.cos(cand_ph).tolist(), np.sin(cand_ph).tolist()
+        return [
+            abs(signed(c2, s2 * cp, s2 * sp))
+            for c2, s2 in zip(c2th, s2th)
+            for cp, sp in zip(cph, sph)
+        ]
+
+    return score
+
+
+def _root_theta(signed, th, ph):
+    """Bisect theta in [0, th] at phi = ``ph`` for a sign change of ``signed``.
+
+    theta = 0 is the identity rotation; ``th`` is a grid point whose signed
+    value has the opposite sign.  Returns the end of the final bracket with
+    the smaller magnitude, once the bracket is as narrow as floats allow.
+    """
+    cph, sph = math.cos(ph), math.sin(ph)
+
+    def f(t):
+        s2 = math.sin(2.0 * t)
+        return signed(math.cos(2.0 * t), s2 * cph, s2 * sph)
+
+    lo, hi = 0.0, th
+    f_lo, f_hi = f(lo), f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if abs(f_lo) < abs(f_hi) else hi
 
 
 class _GroupedEnsemble:
@@ -373,6 +470,8 @@ class _GroupedEnsemble:
 
     def grow(self, size):
         old = self.rows.shape[0]
+        if size <= old:
+            return
         self.rows, donors = _grow_split(self.rows, size, self.terms[:, 0])
         self.gid = np.append(self.gid, np.zeros(len(donors), dtype=np.int64))
         for slot, donor in enumerate(donors, old):
@@ -380,52 +479,82 @@ class _GroupedEnsemble:
         self.terms = self._member_terms(self.rows)
         self._refresh_groups()
 
-    def _rotation_objective(self, a, b):
-        """Scorer of the rotations of rows a and b, for ``kernels._best_rotation``.
+    def _frames(self, a, b):
+        """Bloch frames (m, N) of the row pairs (a, b), index arrays of length P.
 
-        Member weight and expectations are quadratic forms, so they rotate
-        like the marginals of the EOF sweep: ``basis`` holds the (p, u, v) of
-        both rows and twice the real and imaginary parts of the cross terms
-        <b|.|a>.  Only the two groups of a and b change.
+        Rotating rows a and b by (theta, phi) gives member a the terms
+        m + N z and member b the terms m - N z, where
+        z = (cos 2 theta, sin 2 theta cos phi, sin 2 theta sin phi).
+        m (P, 3) is the mean of the members' (p, u, v); the columns of
+        N (P, 3, 3) are their half difference and minus the real and
+        imaginary parts of the cross terms <b|.|a> of (1, a1 ox 1, 1 ox a2).
         """
-        ea, eb = self.rows[a], self.rows[b]
-        own = self.terms[[a, b]]
-        cross = eb.conj() @ np.array([ea, self.big1 @ ea, self.big2 @ ea]).T
-        basis = np.vstack([own, 2.0 * cross.real, 2.0 * cross.imag])
-        ga, gb = self.gid[a], self.gid[b]
-        tot_a, tot_b = self.tot[ga], self.tot[gb]
-        rest = self.classical - self.group_terms[ga] - self.group_terms[gb]
-
-        def objective(table):
-            coef, rows_a, rows_b = table
-            q = coef @ basis
-            cl = rest + _group_terms(tot_a - own[0] + q[rows_a])
-            cl = cl + _group_terms(tot_b - own[1] + q[rows_b])
-            return np.abs(self.target - cl)
-
-        return objective
+        ea, eb = self.rows[a], self.rows[b].conj()
+        ta, tb = self.terms[a], self.terms[b]
+        cross = np.stack(
+            [
+                np.einsum("pi,pi->p", eb, ea),
+                np.einsum("pi,pi->p", eb @ self.big1, ea),
+                np.einsum("pi,pi->p", eb @ self.big2, ea),
+            ],
+            axis=1,
+        )
+        m = 0.5 * (ta + tb)
+        n = np.stack([0.5 * (ta - tb), -cross.real, -cross.imag], axis=2)
+        return m, n
 
     def rotation_sweep(self):
-        """One pass of cross-group two-member rotations; returns the gain."""
-        k = self.rows.shape[0]
+        """One pass of cross-group two-member rotations; returns the gain.
+
+        Pairs are visited in (a, b) order.  The signed value target - c at
+        the coarse points is scored for the pairs still to come, in chunks;
+        the first pair that beats the objective at a coarse point, or whose
+        signed value changes sign there, is rotated, and scoring resumes at
+        the pair after it.  A sign change is bracketed in theta at that
+        point's phi and the pair rotated onto the root, where the objective
+        is zero up to rounding; otherwise the best coarse point is refined.
+        The pass ends early once the objective reaches EARLY_STOP_VALUE.
+        """
+        pa, pb = np.triu_indices(self.rows.shape[0], 1)
+        split = self.gid[pa] != self.gid[pb]
+        pa, pb = pa[split], pb[split]
         gained = 0.0
-        for a in range(k - 1):
-            for b in range(a + 1, k):
-                if self.gid[a] == self.gid[b]:
-                    continue
-                if self.terms[a, 0] + self.terms[b, 0] < 2 * _grids.WEIGHT_FLOOR:
-                    continue
-                objective = self._rotation_objective(a, b)
-                base = self.objective
-                rot = kernels._best_rotation(
-                    objective, objective(kernels._COARSE), base
-                )
+        i = 0
+        while i < pa.shape[0] and self.objective > EARLY_STOP_VALUE:
+            a, b = pa[i : i + _CHUNK_PAIRS], pb[i : i + _CHUNK_PAIRS]
+            m, n = self._frames(a, b)
+            ga, gb = self.gid[a], self.gid[b]
+            own_a = self.tot[ga] - self.terms[a] + m
+            own_b = self.tot[gb] - self.terms[b] + m
+            rest = self.classical - self.group_terms[ga] - self.group_terms[gb]
+            nz = _COARSE_Z @ n.transpose(0, 2, 1)
+            cl = rest[:, None] + _group_terms(own_a[:, None] + nz)
+            signed = self.target - (cl + _group_terms(own_b[:, None] - nz))
+            base = self.objective
+            flip = signed * (self.target - self.classical) < 0.0
+            act = np.abs(signed).min(axis=1) < base - _grids.ACCEPT_EPS
+            act |= flip.any(axis=1)
+            act &= self.terms[a, 0] + self.terms[b, 0] >= 2 * _grids.WEIGHT_FLOOR
+            hits = np.flatnonzero(act)
+            if hits.size == 0:
+                i += a.shape[0]
+                continue
+            j = int(hits[0])
+            i += j + 1
+            f = _frame_signed(self.target, float(rest[j]), own_a[j], own_b[j], n[j])
+            if flip[j].any():
+                t, q = divmod(int(np.argmax(flip[j])), _grids.PHIS.shape[0])
+                ph = _grids.PHIS[q]
+                rot = _root_theta(f, _grids.THETAS[t], ph), ph
+            else:
+                rot = kernels._best_rotation(_stencil_score(f), np.abs(signed[j]), base)
                 if rot is None:
                     continue
-                kernels._rotate(self.rows, a, b, *rot)
-                self.terms[[a, b]] = self._member_terms(self.rows[[a, b]])
-                self._refresh_groups()
-                gained += base - self.objective
+            a, b = int(a[j]), int(b[j])
+            kernels._rotate(self.rows, a, b, *rot)
+            self.terms[[a, b]] = self._member_terms(self.rows[[a, b]])
+            self._refresh_groups()
+            gained += base - self.objective
         return gained
 
     def merge_pass(self):
@@ -473,6 +602,13 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
     on each of sx ox sx, sy ox sy and sz ox sz and zero on the other Pauli
     pairs, so zero on all of them up to p = 1/sqrt(5).  Small values never
     certify separability; the report remains a one-sided upper bound.
+
+    For a fixed grouping the classical value is continuous over the
+    unitary recombinations, so the reachable values form an interval and
+    the infimum is the distance from the target to it.  When a pair
+    rotation carries target - c across zero, the search bisects onto the
+    crossing, so zero values come out exact up to rounding and stop the
+    restarts early.
     """
     d1, d2 = state.split
     a1 = _hermitian_observable(a1, d1, "a1")
@@ -565,19 +701,42 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     elements are scanned.  Like dcoef, the supremum vanishes on separable
     states but also on some entangled ones (``werner_state(p)`` for
     1/3 < p <= 1/sqrt(5)), so near-zero values never certify separability.
+
+    dcoef(e, f) is at most its one-group value |tr rho(e ox f) -
+    tr(rho_1 e) tr(rho_2 f)|, so pairs are visited in decreasing order of
+    that bound and the rest are skipped once it falls below the best value.
+    Each pair keeps the seed child it has in basis order, and ties go to the
+    first pair in basis order, so the result is that of scanning every pair;
+    ``converged`` and ``restarts_used`` cover the visited pairs.  The
+    report's ``pair`` names the winning observables.
     """
     basis1 = gell_mann_basis(state.d1)
     basis2 = gell_mann_basis(state.d2)
-    pairs = [(e, f) for e in basis1 for f in basis2]
-    seq = _as_seed_sequence(seed)
-    children = seq.spawn(len(pairs))
-    best = None
+    pairs = list(itertools.product(range(len(basis1)), range(len(basis2))))
+    children = _as_seed_sequence(seed).spawn(len(pairs))
+    e, f = np.array(basis1), np.array(basis2)
+    r1 = matcore.partial_trace(state.mat, state.split, keep=1)
+    r2 = matcore.partial_trace(state.mat, state.split, keep=2)
+    rho = state.mat.reshape(state.d1, state.d2, state.d1, state.d2)
+    joint = np.einsum("ikjl,aji,blk->ab", rho, e, f).real
+    mean1 = np.einsum("ij,aji->a", r1, e).real
+    mean2 = np.einsum("ij,aji->a", r2, f).real
+    bound = np.abs(joint - np.outer(mean1, mean2)).ravel()
+    best, best_k = None, None
     total_restarts = 0
     all_converged = True
-    for (e, f), child in zip(pairs, children):
-        rep = dcoef(state, e, f, K=K, restarts=restarts, iters=iters, seed=child)
+    for k in np.argsort(-bound, kind="stable").tolist():
+        if best is not None and bound[k] + _PRUNE_SLACK <= best.value:
+            break
+        i, j = pairs[k]
+        rep = dcoef(
+            state, basis1[i], basis2[j], K=K, restarts=restarts, iters=iters,
+            seed=children[k],
+        )
         total_restarts += rep.restarts_used
         all_converged = all_converged and rep.converged
-        if best is None or rep.value > best.value:
-            best = rep
-    return MeasureReport(best.value, best.certificate, all_converged, total_restarts)
+        if best is None or (rep.value, -k) > (best.value, -best_k):
+            best, best_k = rep, k
+    return MeasureReport(
+        best.value, best.certificate, all_converged, total_restarts, pairs[best_k]
+    )

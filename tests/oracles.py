@@ -125,6 +125,23 @@ def werner_dcoef_decomposition(p):
     return np.array(weights), comps
 
 
+def dcoef_objective(rho, d1, d2, weights, comps, a1, a2):
+    """Objective of a grouped ensemble for the observables a1, a2.
+
+    |tr[rho (a1 ox a2)] - sum_g w_g tr(rho_g^1 a1) tr(rho_g^2 a2)|, where
+    ``comps`` are the d1*d2 x d1*d2 component matrices rho_g, whose
+    marginals come from ``trace_out_reference``.
+    """
+    target = np.trace(np.asarray(rho) @ np.kron(a1, a2)).real
+    classical = sum(
+        w
+        * np.trace(trace_out_reference(c, d1, d2, keep=1) @ a1).real
+        * np.trace(trace_out_reference(c, d1, d2, keep=2) @ a2).real
+        for w, c in zip(weights, comps)
+    )
+    return abs(target - classical)
+
+
 def random_hermitian(rng, n, scale=1.0):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (g + g.conj().T) / 2.0

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from entkit import maps, matcore, measures, states
+from entkit import kernels, maps, matcore, measures, states
 
-from oracles import SX, SZ, pt_reference, wootters_eof
+from oracles import (
+    SX,
+    SZ,
+    dcoef_objective,
+    pt_reference,
+    random_hermitian,
+    trace_out_reference,
+    wootters_eof,
+)
 
 
 class TestPpt:
@@ -214,6 +224,7 @@ class TestDcoefSup:
     def test_max_mixed(self):
         rep = measures.dcoef_sup(states.max_mixed(2, 2), restarts=2, seed=0)
         assert rep.value < 1e-9
+        assert rep.pair == (0, 0)  # every pair ties; the first in basis order wins
 
     def test_separable_werner(self):
         rep = measures.dcoef_sup(states.werner_state(0.2), K=16, restarts=16, seed=4)
@@ -366,3 +377,145 @@ def test_grouped_ensemble_caches_match_scratch(case):
         assert abs(lam - p / total) < 1e-12
         assert np.abs(comp.mat - mat / p).max() < 1e-12
     assert np.abs(cert.barycenter() - state.mat).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    split=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    th=st.floats(min_value=0.0, max_value=np.pi / 2),
+    ph=st.floats(min_value=0.0, max_value=2 * np.pi),
+)
+def test_bloch_frame_matches_rotated_rows(split, seed, th, ph):
+    # member a gets m + N z and member b gets m - N z, with
+    # z = (cos 2 theta, sin 2 theta cos phi, sin 2 theta sin phi)
+    d1, d2 = split
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((2, d1 * d2)) + 1j * rng.standard_normal((2, d1 * d2))
+    rows /= np.linalg.norm(rows)
+    big1 = matcore.kron(random_hermitian(rng, d1), np.eye(d2))
+    big2 = matcore.kron(np.eye(d1), random_hermitian(rng, d2))
+    ens = measures._GroupedEnsemble(rows, [0, 1], big1, big2, 0.0)
+    m, n = ens._frames(np.array([0]), np.array([1]))
+    s2 = np.sin(2 * th)
+    z = np.array([np.cos(2 * th), s2 * np.cos(ph), s2 * np.sin(ph)])
+    rotated = rows.copy()
+    kernels._rotate(rotated, 0, 1, th, ph)
+    terms = ens._member_terms(rotated)
+    assert np.abs(terms[0] - (m[0] + n[0] @ z)).max() < 1e-12
+    assert np.abs(terms[1] - (m[0] - n[0] @ z)).max() < 1e-12
+
+
+def _certificate(rep):
+    ens = rep.certificate
+    return list(ens.weights), [c.mat for c in ens.components]
+
+
+ZERO_DCOEF_STATES = [
+    ("werner(0.2)", lambda: states.werner_state(0.2)),
+    ("werner(0.4)", lambda: states.werner_state(0.4)),
+] + [
+    (f"separable(2, 3, seed={s})", lambda s=s: states.random_separable(2, 3, m=4, seed=s))
+    for s in (33, 34, 35)
+]
+
+
+@pytest.mark.parametrize("name,make", ZERO_DCOEF_STATES, ids=[n for n, _ in ZERO_DCOEF_STATES])
+def test_dcoef_sup_zero_is_exact(name, make):
+    # werner(p) has dcoef 0 on every Pauli pair for p <= 1/sqrt(5); the
+    # separable states have a product ensemble
+    state = make()
+    rep = measures.dcoef_sup(state, K=16, restarts=8, seed=1)
+    assert rep.value <= 1e-12
+    weights, comps = _certificate(rep)
+    assert np.abs(sum(w * c for w, c in zip(weights, comps)) - state.mat).max() < 1e-9
+
+
+def test_dcoef_sup_full_rank_2x3_reaches_zero_early():
+    # every pair used to stall between 5e-9 and 6e-7 and run all 6 starts
+    # (144 in total); an exact zero stops the restarts
+    rep = measures.dcoef_sup(states.random_density(2, 3), restarts=4)
+    assert rep.value <= 1e-12
+    assert rep.restarts_used <= 60
+
+
+def _one_group_bounds(state):
+    """|tr rho (e ox f) - tr(rho_1 e) tr(rho_2 f)| per Gell-Mann pair, basis order."""
+    d1, d2 = state.split
+    r1 = trace_out_reference(state.mat, d1, d2, keep=1)
+    r2 = trace_out_reference(state.mat, d1, d2, keep=2)
+    return np.array(
+        [
+            abs(
+                np.trace(state.mat @ np.kron(e, f)).real
+                - np.trace(r1 @ e).real * np.trace(r2 @ f).real
+            )
+            for e in measures.gell_mann_basis(d1)
+            for f in measures.gell_mann_basis(d2)
+        ]
+    )
+
+
+PRUNE_CASES = [
+    ("werner(0.9)", lambda: states.werner_state(0.9), dict(K=8, restarts=4)),
+    ("isotropic(0.7, 3)", lambda: states.isotropic_state(0.7, 3), dict(K=9, restarts=1)),
+    ("random(2, 3)", lambda: states.random_density(2, 3, rank=2, seed=20), dict(K=8, restarts=2)),
+    ("random(2, 2)", lambda: states.random_density(2, 2, rank=3, seed=14), dict(K=8, restarts=2)),
+]
+
+
+@pytest.mark.parametrize("name,make,budget", PRUNE_CASES, ids=[n for n, _, _ in PRUNE_CASES])
+def test_dcoef_sup_pruning_keeps_the_maximum(name, make, budget, monkeypatch):
+    state = make()
+    basis1 = measures.gell_mann_basis(state.d1)
+    basis2 = measures.gell_mann_basis(state.d2)
+    children = np.random.SeedSequence(3).spawn(len(basis1) * len(basis2))
+    direct = [
+        measures.dcoef(state, e, f, seed=children[i * len(basis2) + j], **budget).value
+        for i, e in enumerate(basis1)
+        for j, f in enumerate(basis2)
+    ]
+
+    calls = []
+    dcoef = measures.dcoef
+
+    def counted(st_, a1, a2, **kwargs):
+        rep = dcoef(st_, a1, a2, **kwargs)
+        calls.append((a1, a2, rep.value))
+        return rep
+
+    monkeypatch.setattr(measures, "dcoef", counted)
+    rep = measures.dcoef_sup(state, seed=3, **budget)
+
+    # the maximum of the full scan, bit for bit, at its first pair in basis order
+    assert rep.value == max(direct)
+    k = int(np.argmax(direct))
+    assert rep.pair == (k // len(basis2), k % len(basis2))
+    assert rep.to_json()["pair"] == list(rep.pair)
+    # one dcoef call per visited pair, in decreasing order of the one-group
+    # bound; every skipped pair has a bound no greater than the value found
+    bounds = _one_group_bounds(state)
+    visited = []
+    for a1, a2, value in calls:
+        i = next(i for i, e in enumerate(basis1) if np.array_equal(e, a1))
+        j = next(j for j, f in enumerate(basis2) if np.array_equal(f, a2))
+        visited.append(i * len(basis2) + j)
+        assert value == direct[visited[-1]]
+    assert len(set(visited)) == len(visited)
+    assert np.all(np.diff(bounds[visited]) <= 1e-12)
+    skipped = sorted(set(range(len(direct))) - set(visited))
+    assert skipped  # every case here prunes some pairs
+    assert bounds[skipped].max() <= rep.value
+
+
+def test_dcoef_sup_pair_reproduces_value():
+    for state in (states.werner_state(0.9), states.random_density(2, 3, rank=2, seed=21)):
+        rep = measures.dcoef_sup(state, K=8, restarts=2, seed=5)
+        i, j = rep.pair
+        weights, comps = _certificate(rep)
+        e = measures.gell_mann_basis(state.d1)[i]
+        f = measures.gell_mann_basis(state.d2)[j]
+        got = dcoef_objective(state.mat, state.d1, state.d2, weights, comps, e, f)
+        assert abs(got - rep.value) < 1e-9
+    eof = measures.eof_upper(states.werner_state(0.5), K=4, restarts=2, seed=0)
+    assert eof.pair is None and "pair" not in eof.to_json()
