@@ -284,6 +284,14 @@ def _tolerance(text):
     return val
 
 
+def _count(text):
+    # an iteration or restart budget; negative ones are usage errors too
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {text!r}")
+    return val
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="global random seed")
@@ -319,8 +327,8 @@ def _build_parser():
     p_meas.add_argument("which", choices=("ppt", "negativity", "eof", "dcoef-sup"))
     p_meas.add_argument("--in", dest="infile", type=str, required=True)
     p_meas.add_argument("--K", type=int, default=None)
-    p_meas.add_argument("--restarts", type=int, default=32)
-    p_meas.add_argument("--iters", type=int, default=60)
+    p_meas.add_argument("--restarts", type=_count, default=32)
+    p_meas.add_argument("--iters", type=_count, default=60)
     p_meas.add_argument("--strict", action="store_true")
     p_meas.set_defaults(func=_cmd_measure)
 
@@ -331,9 +339,9 @@ def _build_parser():
     p_map.add_argument("--state", type=str, default=None)
     p_map.add_argument("--d", type=int, default=None)
     p_map.add_argument("--lam", type=float, default=None)
-    p_map.add_argument("--restarts", type=int, default=64)
-    p_map.add_argument("--iters", type=int, default=200)
-    p_map.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
+    p_map.add_argument("--restarts", type=_count, default=64)
+    p_map.add_argument("--iters", type=_count, default=200)
+    p_map.add_argument("--max-iter", dest="max_iter", type=_count, default=5000)
     p_map.set_defaults(func=_cmd_map)
 
     p_evo = sub.add_parser("evolve", parents=[common], help="track a map family")
@@ -347,8 +355,8 @@ def _build_parser():
     p_evo.add_argument("--steps", type=int, required=True)
     p_evo.add_argument("--measures", type=str, default="")
     p_evo.add_argument("--K", type=int, default=None)
-    p_evo.add_argument("--restarts", type=int, default=8)
-    p_evo.add_argument("--iters", type=int, default=40)
+    p_evo.add_argument("--restarts", type=_count, default=8)
+    p_evo.add_argument("--iters", type=_count, default=40)
     p_evo.set_defaults(func=_cmd_evolve)
     return parser
 

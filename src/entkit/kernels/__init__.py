@@ -156,22 +156,24 @@ def _best_rotation(score, coarse, base):
     ``coarse`` holds the objective at the coarse grid points, theta-major.
     The best of them is refined over REFINE_ROUNDS 3 x 3 stencils of halving
     steps; ``score(cand_th, cand_ph)`` returns the objective at the 9 points
-    of one stencil, theta-major.  The result must beat ``base``, the
-    unrotated objective, by ACCEPT_EPS.
+    of one stencil, theta-major, for two lists of 3 floats.  The first
+    minimum wins ties.  The result must beat ``base``, the unrotated
+    objective, by ACCEPT_EPS.
     """
     idx = int(np.argmin(coarse))
     best = coarse[idx]
     if best >= base - _grids.ACCEPT_EPS:
         return None
-    th = _grids.THETAS[idx // _NP]
-    ph = _grids.PHIS[idx % _NP]
+    th = float(_grids.THETAS[idx // _NP])
+    ph = float(_grids.PHIS[idx % _NP])
     dth = _grids.THETA_STEP0
     dph = _grids.PHI_STEP0
+    lo, hi = 1e-9, np.pi / 2 - 1e-9
     for _ in range(_grids.REFINE_ROUNDS):
-        cand_th = np.clip(np.array([th - dth, th, th + dth]), 1e-9, np.pi / 2 - 1e-9)
-        cand_ph = np.array([ph - dph, ph, ph + dph])
+        cand_th = [min(max(t, lo), hi) for t in (th - dth, th, th + dth)]
+        cand_ph = [ph - dph, ph, ph + dph]
         vals = score(cand_th, cand_ph)
-        idx = int(np.argmin(vals))
+        idx = min(range(9), key=vals.__getitem__)
         if vals[idx] < best:
             best = vals[idx]
             th = cand_th[idx // 3]
@@ -229,7 +231,9 @@ def eof_sweep(ens, ew, d1, d2):
             vals = coarse[i]
         base = ew[a] + ew[b]
         rot = _best_rotation(
-            lambda th, ph, basis=basis: _pair_objective(_stencil(th, ph), basis, d)[0],
+            lambda th, ph, basis=basis: _pair_objective(
+                _stencil(np.array(th), np.array(ph)), basis, d
+            )[0].tolist(),
             vals,
             base,
         )

@@ -2,10 +2,12 @@
 
 The optimization-based quantities (entanglement-of-formation bound, the
 correlation coefficient and its supremum) are upper bounds computed by
-random-restart local search over ensemble decompositions; verdict fields
-never claim separability from small values alone.
+random-restart local search over ensemble decompositions, except the
+two-qubit entanglement of formation, which Wootters' decomposition gives
+exactly; verdict fields never claim separability from small values alone.
 """
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -270,6 +272,106 @@ def _ensemble_from_rows(rows, d1, d2, state, gid=None):
 # ---------------------------------------------------------------------------
 
 
+# sigma_y ox sigma_y, real.  For two-qubit rows a, b the bilinear
+# tau(a, b) = a^T _SPIN_FLIP b is the complex conjugate of <a|b~>, and the
+# concurrence of a is |tau(a, a)| / <a|a>.
+_SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+_HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+
+
+def _takagi(tau):
+    """Takagi factorization tau = u diag(lam) u^T of a complex symmetric matrix.
+
+    For an eigenvector (p, q) of [[Re tau, Im tau], [Im tau, -Re tau]] with
+    eigenvalue lam >= 0, u = p + i q has tau conj(u) = lam u; the n largest
+    eigenvalues give lam, descending.  At lam = 0 such vectors can coincide
+    up to a phase, so there u spans the null space of conj(tau) instead.
+    The columns are then made exactly orthonormal (the nearest unitary).
+    """
+    n = tau.shape[0]
+    w, v = kernels.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    lam, v = w[::-1][:n], v[:, ::-1][:, :n]
+    u = v[:n] + 1j * v[n:]
+    small = lam <= RANK_FLOOR
+    if small.any():
+        u[:, small] = np.linalg.svd(tau.conj())[2][n - small.sum() :].conj().T
+        lam = np.where(small, 0.0, lam)
+    a, _, b = np.linalg.svd(u)
+    return lam, a @ b
+
+
+def _equalize_concurrence(y, c):
+    """Rotate the rows y by real Givens rotations until each has concurrence c.
+
+    A real orthogonal o keeps the barycenter and turns both tau(y, y) and
+    Re<y|y> into o . o^T, so a = Re tau(y, y) - c Re<y|y>, traceless for
+    sum_k tau(y_k, y_k) = c, must get a zero diagonal.  Each rotation
+    zeroes a[k, k] against an entry a[j, j] of the opposite sign, which the
+    zero trace of the rest provides; n - 1 rotations suffice.
+    """
+    a = (y @ _SPIN_FLIP @ y.T).real - c * (y.conj() @ y.T).real
+    for k in range(y.shape[0] - 1):
+        sign = a[k, k] * np.diag(a)[k + 1 :]
+        j = k + 1 + int(np.argmin(sign))
+        if sign[j - k - 1] >= 0.0:
+            continue  # a[k, k] is zero up to rounding
+        akk, akj, ajj = a[k, k], a[k, j], a[j, j]
+        # t = tan(angle) solves akk + 2 akj t + ajj t^2 = 0, discriminant > 0
+        t = akk / -(akj + math.copysign(math.sqrt(akj * akj - akk * ajj), akj))
+        cos = 1.0 / math.sqrt(1.0 + t * t)
+        g = np.array([[cos, t * cos], [-t * cos, cos]])
+        a[[k, j]] = g @ a[[k, j]]
+        a[:, [k, j]] = a[:, [k, j]] @ g.T
+        y[[k, j]] = g @ y[[k, j]]
+    return y
+
+
+def _closing_phases(lam):
+    """Phases phi with sum_k lam_k exp(i phi_k) = 0, for lam_1 <= sum of the rest.
+
+    ``lam`` is descending with at most 4 entries.  Sides 1, 2 and sides 3, 4
+    are each joined into a side of length max(lam_1 - lam_2, lam_3 - lam_4),
+    which both pairs can span, and the two joints are turned against each
+    other.
+    """
+    l = np.zeros(4)
+    l[: lam.shape[0]] = lam
+    side = max(l[0] - l[1], l[2] - l[3])
+
+    def joint(a, b):  # psi with |a + b exp(i psi)| = side
+        if a * b <= 0.0:
+            return 0.0
+        return math.acos(min(1.0, max(-1.0, (side * side - a * a - b * b) / (2 * a * b))))
+
+    p12, p34 = joint(l[0], l[1]), joint(l[2], l[3])
+    s12 = l[0] + l[1] * cmath.exp(1j * p12)
+    s34 = l[2] + l[3] * cmath.exp(1j * p34)
+    turn = cmath.phase(-s12 / s34) if s34 != 0.0 else 0.0
+    return np.array([0.0, p12, turn, turn + p34])[: lam.shape[0]]
+
+
+def _wootters_rows(base):
+    """Wootters' optimal decomposition of a two-qubit state from its spectral rows.
+
+    Wootters, PRL 80, 2245 (1998).  The Takagi factorization of
+    tau(v_i, v_j) gives rows x_k with tau(x_k, x_l) = lam_k delta_kl and the
+    concurrence C = lam_1 - sum_{k>1} lam_k.  If C > 0, the rows
+    (x_1, i x_2, ...) are rotated so each member has concurrence C.
+    Otherwise the x_k are phased so their tau(x_k, x_k) sum to zero and
+    mixed by a Hadamard matrix into 2 (rank 2) or 4 product members.
+    """
+    lam, u = _takagi(base @ _SPIN_FLIP @ base.T)
+    x = u.conj().T @ base
+    c = lam[0] - lam[1:].sum()
+    if c > 0.0:
+        x[1:] *= 1j
+        return _equalize_concurrence(x, c)
+    n = lam.shape[0]
+    x *= np.exp(0.5j * _closing_phases(lam))[:, None]
+    h = _HADAMARD[:2, :2] * math.sqrt(2.0) if n == 2 else _HADAMARD[:, :n]
+    return h @ x
+
+
 def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     """Upper bound on the entanglement of formation, in bits.
 
@@ -278,6 +380,13 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     the purification parametrization: all size-K pure ensembles are unitary
     recombinations of the eigen-ensemble.  Rank-one states short-circuit to
     the exact value S(tr_2 psi).
+
+    Two-qubit states get the exact value from Wootters' optimal
+    decomposition, whose members all have the state's concurrence; the
+    report is converged with ``restarts_used`` 0, and ``restarts``,
+    ``iters``, ``tol`` and ``seed`` are unused.  The one exception is a
+    separable rank-3 state with K = 3: its decomposition has 4 members, so
+    it takes the search.
     """
     base = _spectral_rows(state)
     rank = base.shape[0]
@@ -291,6 +400,12 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
         raise ValueError(f"ensemble size {K} below state rank {rank}: infeasible")
 
     d1, d2 = state.split
+    if state.split == (2, 2):
+        rows = _wootters_rows(base)
+        if rows.shape[0] <= K:
+            value = float(kernels.column_scores(rows, d1, d2)[1].sum())
+            cert = _ensemble_from_rows(rows, d1, d2, state)
+            return MeasureReport(max(0.0, value), cert, True, 0)
     starts = []
     if state.certificate is not None:
         refined = _refine_product_certificate(state.certificate, d1, d2, K)
@@ -384,12 +499,12 @@ def _stencil_score(signed):
     """``kernels._best_rotation`` scorer: |signed| on a 3 x 3 stencil, theta-major."""
 
     def score(cand_th, cand_ph):
-        c2th, s2th = np.cos(2 * cand_th).tolist(), np.sin(2 * cand_th).tolist()
-        cph, sph = np.cos(cand_ph).tolist(), np.sin(cand_ph).tolist()
+        ang = np.array([2 * t for t in cand_th] + cand_ph)  # 2 theta, then phi
+        cos, sin = np.cos(ang).tolist(), np.sin(ang).tolist()
         return [
             abs(signed(c2, s2 * cp, s2 * sp))
-            for c2, s2 in zip(c2th, s2th)
-            for cp, sp in zip(cph, sph)
+            for c2, s2 in zip(cos[:3], sin[:3])
+            for cp, sp in zip(cos[3:], sin[3:])
         ]
 
     return score
@@ -622,7 +737,7 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
     if rank <= 1:
         r1 = matcore.partial_trace(state.mat, state.split, keep=1)
         r2 = matcore.partial_trace(state.mat, state.split, keep=2)
-        value = abs(target - np.trace(r1 @ a1).real * np.trace(r2 @ a2).real)
+        value = float(abs(target - np.trace(r1 @ a1).real * np.trace(r2 @ a2).real))
         cert = states.Ensemble(np.array([1.0]), (state,))
         return MeasureReport(value, cert, True, 0)
     if K is None:

@@ -64,6 +64,54 @@ def wootters_eof(rho):
     return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
 
+def concurrence(rho):
+    """Two-qubit concurrence from the singular values of tau = S^T (sy ox sy) S.
+
+    S holds the columns sqrt(w_i) v_i of the eigendecomposition of rho; the
+    singular values of tau are the square roots of the eigenvalues of
+    rho rho~, but stay accurate where those are near zero.
+    """
+    w, v = np.linalg.eigh(rho)
+    s = v * np.sqrt(np.clip(w, 0.0, None))
+    lam = np.linalg.svd(s.T @ np.kron(SY, SY) @ s, compute_uv=False)
+    return max(0.0, lam[0] - lam[1:].sum())
+
+
+def pure_concurrence(mat):
+    """Concurrence |psi^T (sy ox sy) psi| of the top eigenvector of ``mat``."""
+    psi = np.linalg.eigh(mat)[1][:, -1]
+    return abs(psi @ np.kron(SY, SY) @ psi)
+
+
+def werner_dd_matrix(a, d):
+    """d x d Werner state: weight a on the antisymmetric subspace, 1 - a on the symmetric one.
+
+    Each weight is spread uniformly over its subspace, whose projectors are
+    (I -+ F) / 2 with F the swap.  At d = 2 the antisymmetric subspace is
+    the singlet, so this is ``werner_matrix`` with singlet weight a.
+    """
+    n = d * d
+    swap = np.zeros((n, n))
+    for i in range(d):
+        for j in range(d):
+            swap[i * d + j, j * d + i] = 1.0
+    anti = (np.eye(n) - swap) / 2.0
+    sym = (np.eye(n) + swap) / 2.0
+    return a * anti / (d * (d - 1) / 2.0) + (1.0 - a) * sym / (d * (d + 1) / 2.0)
+
+
+def werner_dd_eof(a):
+    """Entanglement of formation of ``werner_dd_matrix(a, d)``, any d, in bits.
+
+    Vollbrecht & Werner, PRA 64, 062307 (2001): h(1/2 - sqrt(a (1 - a)))
+    for antisymmetric weight a >= 1/2, and 0 below, where the state is
+    separable.
+    """
+    if a <= 0.5:
+        return 0.0
+    return binary_entropy(0.5 - np.sqrt(a * (1.0 - a)))
+
+
 def werner_matrix(p):
     """p |Psi-><Psi-| + (1-p) I/4 with Psi- = (|01> - |10>)/sqrt(2)."""
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)

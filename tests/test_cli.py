@@ -104,6 +104,26 @@ def test_bad_tolerance_exit_2(bell_file, argv, tol):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("map", "check", "--catalog", "transpose", "--d", "2", "--restarts", "-3"), "--restarts"),
+        (("map", "check", "--catalog", "transpose", "--d", "2", "--max-iter", "-1"), "--max-iter"),
+        (("measure", "eof", "--iters", "-5"), "--iters"),
+        (("measure", "dcoef-sup", "--restarts", "-1"), "--restarts"),
+        (("evolve", "--family", "depolarizing_flow", "--t-max", "1", "--steps", "2",
+          "--iters", "-2"), "--iters"),
+    ],
+    ids=["map-restarts", "map-max-iter", "measure-iters", "measure-restarts", "evolve-iters"],
+)
+def test_negative_count_exit_2(bell_file, argv, option):
+    extra = () if argv[0] == "map" else ("--in", str(bell_file))
+    proc = run_cli(*argv, *extra, check=False)
+    assert proc.returncode == 2
+    assert option in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestMeasureCommands:
     def test_ppt_on_bell(self, bell_file):
         proc = run_cli("measure", "ppt", "--in", str(bell_file))
@@ -137,14 +157,23 @@ class TestMeasureCommands:
         assert float(kv["value"]) <= 0.02
 
     def test_strict_nonconvergence_exit_3(self, tmp_path):
-        path = tmp_path / "w09.json"
-        run_cli("state", "make", "--family", "werner", "--p", "0.9", "--out", str(path))
+        # a 3 x 3 state: two-qubit EOF is exact and always converged
+        path = tmp_path / "iso07.json"
+        run_cli(
+            "state", "make", "--family", "isotropic", "--f", "0.7", "--d", "3",
+            "--out", str(path),
+        )
         proc = run_cli(
             "measure", "eof", "--in", str(path),
-            "--restarts", "1", "--iters", "1", "--strict",
+            "--K", "9", "--restarts", "1", "--iters", "1", "--strict",
             check=False,
         )
         assert proc.returncode == 3
+
+    def test_dcoef_sup_value_is_a_float(self, bell_file):
+        # the pure-state short circuit used to print value=np.float64(...)
+        proc = run_cli("measure", "dcoef-sup", "--in", str(bell_file))
+        assert abs(float(parse_kv(proc.stdout)["value"]) - 1.0) < 1e-9
 
     def test_report_file(self, bell_file, tmp_path):
         out = tmp_path / "rep.json"

@@ -9,10 +9,14 @@ from entkit import kernels, maps, matcore, measures, states
 from oracles import (
     SX,
     SZ,
+    concurrence,
     dcoef_objective,
     pt_reference,
+    pure_concurrence,
     random_hermitian,
     trace_out_reference,
+    werner_dd_eof,
+    werner_dd_matrix,
     wootters_eof,
 )
 
@@ -519,3 +523,102 @@ def test_dcoef_sup_pair_reproduces_value():
         assert abs(got - rep.value) < 1e-9
     eof = measures.eof_upper(states.werner_state(0.5), K=4, restarts=2, seed=0)
     assert eof.pair is None and "pair" not in eof.to_json()
+
+
+# ---------------------------------------------------------------------------
+# eof_upper against closed forms: Wootters (2 x 2) and Vollbrecht-Werner (d x d)
+# ---------------------------------------------------------------------------
+
+
+def _entropy_bits(mat):
+    w = np.linalg.eigvalsh(mat)
+    w = w[w > 1e-14]
+    return float(-(w * np.log2(w)).sum())
+
+
+def _assert_sound_eof(rep, state, members_at=None):
+    """Pure components, barycenter within 1e-10, value = average marginal entropy.
+
+    With ``members_at``, every member heavier than 1e-12 must have that
+    concurrence within 1e-9.
+    """
+    weights, comps = _certificate(rep)
+    assert abs(sum(weights) - 1.0) < 1e-12 and min(weights) > 0.0
+    assert np.abs(sum(w * c for w, c in zip(weights, comps)) - state.mat).max() < 1e-10
+    assert max(np.linalg.eigvalsh(c)[-2] for c in comps) < 1e-10
+    d1, d2 = state.split
+    avg = sum(
+        w * _entropy_bits(trace_out_reference(c, d1, d2, keep=1))
+        for w, c in zip(weights, comps)
+    )
+    assert abs(avg - rep.value) < 1e-9
+    if members_at is not None:
+        for w, c in zip(weights, comps):
+            if w > 1e-12:
+                assert abs(pure_concurrence(c) - members_at) < 1e-9
+
+
+def _assert_wootters_exact(state):
+    rep = measures.eof_upper(state)
+    exact = wootters_eof(state.mat)  # reads up to ~3e-8 low on rank-2 states
+    assert exact - 1e-9 <= rep.value <= exact + 1e-7
+    assert rep.converged and rep.restarts_used == 0
+    _assert_sound_eof(rep, state, members_at=concurrence(state.mat))
+    return rep
+
+
+@pytest.mark.parametrize("p", [round(0.1 * k, 1) for k in range(11)])
+def test_eof_werner_is_wootters(p):
+    _assert_wootters_exact(states.werner_state(p))
+
+
+@pytest.mark.parametrize("seed", range(63))
+def test_eof_random_two_qubit_is_wootters(seed):
+    state = states.random_density(2, 2, rank=2 + seed % 3, seed=500 + seed)
+    rep = _assert_wootters_exact(state)
+    # the construction reads no search setting
+    again = measures.eof_upper(state, K=4, restarts=1, iters=1, tol=1.0, seed=seed)
+    assert again.to_json() == rep.to_json()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_eof_separable_fixture_is_zero(seed):
+    rep = _assert_wootters_exact(states.random_separable(2, 2, m=4, seed=seed))
+    assert rep.value <= 1e-12
+
+
+def _rank3_separable():
+    rng = np.random.default_rng(3)
+    mat = np.zeros((4, 4), dtype=complex)
+    for w in (0.5, 0.3, 0.2):
+        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        mat += w * np.outer(v, v.conj())
+    return states.DensityMatrix(mat, 2, 2)
+
+
+def test_eof_rank3_separable_needs_four_members():
+    state = _rank3_separable()
+    assert state.rank() == 3
+    exact = measures.eof_upper(state, K=4)
+    assert exact.value <= 1e-12 and exact.restarts_used == 0
+    _assert_sound_eof(exact, state, members_at=0.0)
+    # K = 3 leaves no room for the 4 product members: the search runs
+    rep = measures.eof_upper(state, K=3, restarts=2, seed=0)
+    assert rep.restarts_used >= 1
+    assert rep.value >= -1e-12
+    _assert_sound_eof(rep, state)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.6, 0.9])
+def test_eof_werner_3x3_above_vollbrecht_werner(a):
+    state = states.DensityMatrix(werner_dd_matrix(a, 3), 3, 3)
+    rep = measures.eof_upper(state, K=9, restarts=2, seed=0)
+    assert rep.value >= werner_dd_eof(a) - 1e-9
+    _assert_sound_eof(rep, state)
+
+
+def test_werner_dd_oracle_is_wootters_at_d2():
+    for a in np.linspace(0.0, 1.0, 21):
+        assert abs(werner_dd_eof(a) - wootters_eof(werner_dd_matrix(a, 2))) < 1e-12
