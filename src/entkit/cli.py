@@ -241,8 +241,8 @@ def _cmd_evolve(args):
     family = dynamics.family_catalog(args.family, **params)
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
-    if args.t_max <= 0:
-        raise ValueError(f"t-max must be > 0, got {args.t_max}")
+    if not (np.isfinite(args.t_max) and args.t_max > 0):
+        raise ValueError(f"t-max must be finite and > 0, got {args.t_max}")
     grid = np.linspace(0.0, args.t_max, args.steps + 1)
     wanted = {m.strip() for m in args.measures.split(",") if m.strip()}
     unknown = wanted - {"eof", "dcoef"}

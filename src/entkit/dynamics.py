@@ -6,6 +6,7 @@ and records positivity and entanglement diagnostics over the grid.
 Families are closed-form in t, so grid evaluation is pointwise.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,18 @@ class ChannelFamily:
             raise ValueError(f"family {self.name!r} does not start at the identity")
 
     def __call__(self, t):
-        if t < 0:
-            raise ValueError(f"time must be >= 0, got {t}")
-        return self.evaluator(float(t))
+        t = float(t)
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"time must be finite and >= 0, got {t}")
+        return self.evaluator(t)
+
+
+def _nonnegative(params, key):
+    """Family parameter ``key`` (default 1.0), which must be finite and >= 0."""
+    val = float(params.get(key, 1.0))
+    if not (math.isfinite(val) and val >= 0):
+        raise ValueError(f"{key} must be finite and >= 0, got {val}")
+    return val
 
 
 def _flip_channel(h, beta):
@@ -75,9 +85,7 @@ def family_catalog(name, **params):
         return ChannelFamily("identity", {"d": d}, d, lambda t: ident)
     if name == "depolarizing_flow":
         d = int(params.get("d", 2))
-        rate = float(params.get("rate", 1.0))
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
+        rate = _nonnegative(params, "rate")
 
         def depol(t):
             return maps.catalog("depolarizing", d=d, lam=float(np.exp(-rate * t)))
@@ -85,9 +93,7 @@ def family_catalog(name, **params):
         return ChannelFamily("depolarizing_flow", {"d": d, "rate": rate}, d, depol)
     if name == "transpose_mix":
         d = int(params.get("d", 2))
-        speed = float(params.get("speed", 1.0))
-        if speed < 0:
-            raise ValueError(f"speed must be >= 0, got {speed}")
+        speed = _nonnegative(params, "speed")
         ident = maps.catalog("identity", d=d)
         trans = maps.catalog("transpose", d=d)
 
@@ -101,10 +107,8 @@ def family_catalog(name, **params):
         if h is None:
             raise ValueError("glauber_flip needs a site Hamiltonian H")
         h = matcore.as_complex_matrix(h)
-        beta = float(params.get("beta", 1.0))
-        rate = float(params.get("rate", 1.0))
-        if beta < 0 or rate < 0:
-            raise ValueError("beta and rate must be >= 0")
+        beta = _nonnegative(params, "beta")
+        rate = _nonnegative(params, "rate")
         d = h.shape[0]
         flip = maps.choi_from_map(_flip_channel(h, beta), d)
         ident = maps.catalog("identity", d=d)
@@ -194,6 +198,8 @@ def evolve_track(
     ``states.TRACE_TOL`` of one, the tolerance ``DensityMatrix`` applies.
     """
     times = [float(t) for t in times]
+    if not all(map(math.isfinite, times)):
+        raise ValueError("time grid must be finite")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("time grid must be strictly ascending")
     if family.d != state.d1:

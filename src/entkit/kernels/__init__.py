@@ -1,27 +1,36 @@
-"""Numpy kernels for the ensemble-rotation searches.
+"""Numpy kernels for the ensemble searches.
 
-A hermitian eigensolver, the per-member weighted marginal entropies and the
-cyclic two-member rotation sweep that drives the entanglement-of-formation
-optimizer (the pair-rotation scheme of Audenaert, Verstraete & De Moor,
-PRA 64, 052304 (2001)).  Ensembles are stored as (K, n) arrays whose rows
-are subnormalized pure-state vectors on a d1 x d2 split.
+A hermitian eigensolver, the per-member weighted marginal entropies, the
+Riemannian conjugate-gradient step of the entanglement-of-formation
+optimizer and the grid-and-refine pair-rotation driver of the ``dcoef``
+search.  Ensembles are stored as (K, n) arrays whose rows are subnormalized
+pure-state vectors on a d1 x d2 split.
 
-The sweep scores a rotation of rows a and b from Gram blocks.  With R_a,
-R_b the rows reshaped to d x d' matrices (d = min(d1, d2)), the rotated
-members have marginals
-
-    M_a = c^2 G_aa + s^2 G_bb - cs (cos(phi) X + sin(phi) Y)
-    M_b = s^2 G_aa + c^2 G_bb + cs (cos(phi) X + sin(phi) Y)
-
-where G_aa = R_a R_a^+, G_bb = R_b R_b^+, X = G_ab + G_ab^+ and
-Y = -i (G_ab - G_ab^+) with G_ab = R_a R_b^+.  Scoring a candidate grid is
-then one real (N, 4) @ (4, 2 d^2) product followed by one batched spectrum:
-in closed form for d = 2, through eigvalsh otherwise.
+The EOF step follows Audenaert, Verstraete & De Moor, PRA 64, 052304
+(2001).  Every size-K pure ensemble of a state is X = U B, with B the
+(r, n) spectral rows and U a K x r isometry (U^+ U = I), so the search
+runs on the Stiefel manifold of such U.  With R_i row i reshaped to a
+d x d' matrix (d = min(d1, d2)), M_i = R_i R_i^+ and p_i = tr M_i, the
+objective sum_i p_i S(M_i / p_i) has the Euclidean gradient
+G_R,i = 2 (log p_i I - log M_i) R_i / ln 2.  Written back as rows G_X,
+it gives G_U = G_X B^+, and the Riemannian gradient is the tangent
+component G_U - U sym(U^+ G_U).
 """
 
 import numpy as np
 
 from . import _grids
+
+# Eigenvalues are clipped here inside the logarithm of the gradient, which
+# would otherwise blow up as a marginal becomes pure.
+_LOG_FLOOR = 1e-15
+# Sufficient-decrease constant of the Armijo test.  The first trial is 4
+# times the last accepted step, and a weak constant such as 1e-4 accepts
+# steps far past the minimum along the line, which spoils the conjugate
+# directions: certificate-free separable 2 x 3 states then stall near 1e-8.
+_ARMIJO = 0.3
+_MAX_STEP = 4.0
+_MIN_STEP = 1e-12
 
 
 def eigh(h):
@@ -44,27 +53,13 @@ def _blocks(rows, d1, d2):
     return r if d1 <= d2 else r.transpose(0, 2, 1)
 
 
-def _spectra(m):
-    """Eigenvalues of a stack of hermitian (N, d, d) matrices, clipped at zero."""
-    if m.shape[-1] == 2:
-        a = m[:, 0, 0].real
-        b = m[:, 1, 1].real
-        mid = 0.5 * (a + b)
-        disc = np.hypot(0.5 * (a - b), np.abs(m[:, 1, 0]))
-        lam = np.empty((m.shape[0], 2))
-        np.subtract(mid, disc, out=lam[:, 0])
-        np.add(mid, disc, out=lam[:, 1])
-    else:
-        lam = np.linalg.eigvalsh(m)
-    return np.maximum(lam, 0.0, out=lam)
-
-
-def _weighted_entropies(m):
-    """Weights p = tr M and weighted entropies p * S(M / p) in bits.
+def column_scores(ens, d1, d2):
+    """Per-member weights p = tr M and weighted marginal entropies p S(M / p), in bits.
 
     Members below the weight floor report zero entropy.
     """
-    lam = _spectra(m)
+    r = _blocks(np.ascontiguousarray(ens, dtype=np.complex128), d1, d2)
+    lam = np.maximum(np.linalg.eigvalsh(r @ r.conj().transpose(0, 2, 1)), 0.0)
     p = lam.sum(axis=1)
     heavy = p > _grids.WEIGHT_FLOOR
     nu = lam / np.where(heavy, p, 1.0)[:, None]
@@ -74,80 +69,88 @@ def _weighted_entropies(m):
     return p, ew
 
 
-def _scores(rows, d1, d2):
-    """``column_scores`` of complex rows, as the sweep calls it internally."""
-    r = _blocks(rows, d1, d2)
-    return _weighted_entropies(r @ r.conj().transpose(0, 2, 1))
+def _objective(u, base, d1, d2):
+    """Objective at the isometry ``u`` and the parts its gradient needs.
 
-
-def column_scores(ens, d1, d2):
-    """Per-member weights and weighted marginal entropies (bits)."""
-    return _scores(np.ascontiguousarray(ens, dtype=np.complex128), d1, d2)
-
-
-def _coefficients(thetas, phis):
-    """(T P, 4) weights of (G_aa, G_bb, X, Y) in M_a, theta-major over the grid."""
-    c = np.cos(thetas)[:, None]
-    s = np.sin(thetas)[:, None]
-    coef = np.empty((thetas.shape[0], phis.shape[0], 4))
-    coef[:, :, 0] = c * c
-    coef[:, :, 1] = s * s
-    coef[:, :, 2] = -c * s * np.cos(phis)
-    coef[:, :, 3] = -c * s * np.sin(phis)
-    return coef.reshape(-1, 4)
-
-
-def _stencil(thetas, phis):
-    """Candidate table on a T x P grid: (weights, rows of M_a, rows of M_b).
-
-    Rotating by (theta, phi) gives row b the marginal that row a gets at
-    (pi/2 - theta, phi + pi).
+    One stacked eigendecomposition of the marginals gives both.  Returns
+    the value in bits and (R, V, log p - log lam) per member.
     """
-    n = thetas.shape[0] * phis.shape[0]
-    coef = np.concatenate(
-        [_coefficients(thetas, phis), _coefficients(np.pi / 2 - thetas, phis + np.pi)]
-    )
-    return coef, np.arange(n), np.arange(n, 2 * n)
+    r = _blocks(u @ base, d1, d2)
+    lam, v = eigh(r @ r.conj().transpose(0, 2, 1))
+    lam = np.maximum(lam, 0.0)
+    p = lam.sum(axis=1)
+    log_lam = np.log(np.maximum(lam, _LOG_FLOOR))
+    log_p = np.log(np.maximum(p, _LOG_FLOOR))
+    value = (p @ log_p - np.einsum("ij,ij->", lam, log_lam)) / np.log(2.0)
+    return float(value), (r, v, log_p[:, None] - log_lam)
 
 
-# On the coarse grid (pi/2 - theta, phi + pi) is itself a grid point: THETAS
-# is symmetric about pi/4 and PHIS is an even-length full circle.  Row b's
-# marginals are then a permutation of row a's, and only half are computed.
-_NT = _grids.THETAS.shape[0]
-_NP = _grids.PHIS.shape[0]
-_MIRROR = np.add.outer(
-    (_NT - 1 - np.arange(_NT)) * _NP, (np.arange(_NP) + _NP // 2) % _NP
-).ravel()
-_COARSE = (_coefficients(_grids.THETAS, _grids.PHIS), np.arange(_NT * _NP), _MIRROR)
-
-_CHUNK_PAIRS = 16
+def _tangent(u, z):
+    """Component of ``z`` tangent to the Stiefel manifold at ``u``: z - u sym(u^+ z)."""
+    s = u.conj().T @ z
+    return z - u @ (0.5 * (s + s.conj().T))
 
 
-def _pair_bases(ens, a, b, d1, d2):
-    """(P, 4, 2 d^2) real views of G_aa, G_bb, X, Y for the row pairs (a, b).
+def _gradient(u, base, d1, d2, parts):
+    """Riemannian gradient at ``u`` from the parts returned by ``_objective``."""
+    r, v, log_ratio = parts
+    vh = v.conj().transpose(0, 2, 1)
+    g = (v * log_ratio[:, None, :]) @ (vh @ r) * (2.0 / np.log(2.0))
+    if d1 > d2:
+        g = g.transpose(0, 2, 1)
+    return _tangent(u, g.reshape(u.shape[0], -1) @ base.conj().T)
 
-    ``a`` and ``b`` are index arrays of length P.
+
+def _value_gradient(u, base, d1, d2):
+    """Objective and Riemannian gradient at the isometry ``u`` (K, r)."""
+    value, parts = _objective(u, base, d1, d2)
+    return value, _gradient(u, base, d1, d2, parts)
+
+
+def _retract(y):
+    """Q factor of y with a positive real diagonal in R: the QR retraction."""
+    q, r = np.linalg.qr(y)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def eof_sweep(u, grad, direction, line, base, d1, d2):
+    """One Riemannian conjugate-gradient step on the isometry ``u``, in place.
+
+    Minimizes the objective of the rows u @ base.  ``u`` (K, r), its
+    Riemannian gradient ``grad`` and the search direction ``direction``
+    are updated in place, as is ``line``, which holds the objective at u and
+    the next trial step length.  The step backtracks from the trial length
+    by halving until the Armijo condition holds, moves to the retracted
+    point, sets the next trial length to 4 times the accepted one (at most
+    4), and takes the Polak-Ribiere+ direction with the old direction and
+    gradient projected onto the new tangent space.  Returns the objective
+    decrease, 0.0 at a zero gradient or when no step length down to 1e-12
+    decreases it enough.
     """
-    r = _blocks(ens, d1, d2)
-    ra, rb = r[a], r[b]
-    gab = ra @ rb.conj().transpose(0, 2, 1)
-    gba = gab.conj().transpose(0, 2, 1)
-    d = r.shape[1]
-    basis = np.empty((len(a), 4, d, d), dtype=np.complex128)
-    basis[:, 0] = ra @ ra.conj().transpose(0, 2, 1)
-    basis[:, 1] = rb @ rb.conj().transpose(0, 2, 1)
-    basis[:, 2] = gab + gba
-    basis[:, 3] = -1j * (gab - gba)
-    return basis.reshape(len(a), 4, -1).view(np.float64)
-
-
-def _pair_objective(table, bases, d):
-    """(P, N) summed weighted entropies of both rotated members per candidate."""
-    coef, rows_a, rows_b = table
-    m = (coef @ bases).view(np.complex128)
-    _, ew = _weighted_entropies(m.reshape(-1, d, d))
-    ew = ew.reshape(m.shape[0], -1)
-    return ew[:, rows_a] + ew[:, rows_b]
+    value, t = line
+    slope = np.vdot(grad, direction).real
+    if slope >= 0.0:  # not a descent direction: steepest descent
+        direction[:] = -grad
+        slope = -np.vdot(grad, grad).real
+        if slope == 0.0:
+            return 0.0
+    while True:
+        trial = _retract(u + t * direction)
+        new, parts = _objective(trial, base, d1, d2)
+        if new <= value + _ARMIJO * t * slope:
+            break
+        t *= 0.5
+        if t < _MIN_STEP:
+            return 0.0
+    new_grad = _gradient(trial, base, d1, d2, parts)
+    beta = np.vdot(new_grad, new_grad - _tangent(trial, grad)).real
+    beta = max(0.0, beta / np.vdot(grad, grad).real)
+    direction[:] = beta * _tangent(trial, direction) - new_grad
+    u[:] = trial
+    grad[:] = new_grad
+    line[:] = new, min(4.0 * t, _MAX_STEP)
+    return value - new
 
 
 def _best_rotation(score, coarse, base):
@@ -164,8 +167,9 @@ def _best_rotation(score, coarse, base):
     best = coarse[idx]
     if best >= base - _grids.ACCEPT_EPS:
         return None
-    th = float(_grids.THETAS[idx // _NP])
-    ph = float(_grids.PHIS[idx % _NP])
+    n_phi = _grids.PHIS.shape[0]
+    th = float(_grids.THETAS[idx // n_phi])
+    ph = float(_grids.PHIS[idx % n_phi])
     dth = _grids.THETA_STEP0
     dph = _grids.PHI_STEP0
     lo, hi = 1e-9, np.pi / 2 - 1e-9
@@ -193,56 +197,3 @@ def _rotate(rows, a, b, th, ph):
     wa = rows[a].copy()
     rows[a] = c * wa - s * z * rows[b]
     rows[b] = s * z.conjugate() * wa + c * rows[b]
-
-
-def eof_sweep(ens, ew, d1, d2):
-    """One cyclic pass of two-member rotations, minimizing sum(ew).
-
-    ``ens`` (K, n) and its weighted-entropy cache ``ew`` (K,) are updated
-    in place; returns the total objective improvement of the pass.
-    """
-    k = ens.shape[0]
-    d = min(d1, d2)
-    pairs_a, pairs_b = np.triu_indices(k, 1)
-    # With the closed-form 2 x 2 spectrum a candidate costs far less than a
-    # numpy call, so all coarse grids are scored in one batch up front and a
-    # pair is scored again only if a row of it was rotated earlier in this
-    # pass.  Larger marginals go through eigvalsh, whose cost per matrix
-    # dominates, so there each pair is scored once, when its turn comes.
-    # The batch runs in chunks of _CHUNK_PAIRS pairs to bound its memory.
-    if d == 2 and k > 1:
-        bases = _pair_bases(ens, pairs_a, pairs_b, d1, d2)
-        coarse = np.concatenate(
-            [
-                _pair_objective(_COARSE, bases[i : i + _CHUNK_PAIRS], d)
-                for i in range(0, len(bases), _CHUNK_PAIRS)
-            ]
-        )
-        stale = np.zeros(k, dtype=bool)
-    else:
-        stale = np.ones(k, dtype=bool)
-    gained = 0.0
-    for i, (a, b) in enumerate(zip(pairs_a.tolist(), pairs_b.tolist())):
-        if stale[a] or stale[b]:
-            basis = _pair_bases(ens, [a], [b], d1, d2)
-            vals = _pair_objective(_COARSE, basis, d)[0]
-        else:
-            basis = bases[i : i + 1]
-            vals = coarse[i]
-        base = ew[a] + ew[b]
-        rot = _best_rotation(
-            lambda th, ph, basis=basis: _pair_objective(
-                _stencil(np.array(th), np.array(ph)), basis, d
-            )[0].tolist(),
-            vals,
-            base,
-        )
-        if rot is None:
-            continue
-        _rotate(ens, a, b, *rot)
-        _, pair_ew = _scores(ens[[a, b]], d1, d2)
-        gained += base - (pair_ew[0] + pair_ew[1])
-        ew[a] = pair_ew[0]
-        ew[b] = pair_ew[1]
-        stale[a] = stale[b] = True
-    return gained

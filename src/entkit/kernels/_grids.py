@@ -1,10 +1,9 @@
-"""Search-grid constants of the two-member rotation searches.
+"""Search-grid constants of the ``dcoef`` two-member rotation search, and floors.
 
-The EOF sweep in ``kernels`` and the correlation-coefficient sweep in
-``measures`` run the same coarse-grid / refinement protocol through one
-driver, ``kernels._best_rotation``, with two scorers: the EOF sweep scores
-a stencil from Gram blocks and marginal spectra, the ``dcoef`` sweep in
-float arithmetic on the 3 x 3 Bloch frame of the pair.
+The correlation-coefficient sweep in ``measures`` runs a coarse-grid /
+refinement protocol through ``kernels._best_rotation``, scoring in float
+arithmetic on the 3 x 3 Bloch frame of the pair.  The weight and entropy
+floors also serve ``kernels.column_scores``.
 """
 
 import numpy as np

@@ -26,6 +26,10 @@ class ChoiMatrix:
 
     def __post_init__(self):
         a = matcore.as_complex_matrix(self.mat)
+        if self.d_in < 1 or self.d_out < 1:
+            raise ValueError(
+                f"Choi split {self.d_in}x{self.d_out} has a dimension below 1"
+            )
         if a.shape[0] != self.d_in * self.d_out:
             raise ValueError(
                 f"Choi dimension {a.shape[0]} does not match {self.d_in}x{self.d_out}"

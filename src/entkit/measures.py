@@ -171,22 +171,21 @@ def _grow_split(rows, size, scores):
     return out, donors
 
 
-def _random_starts(base, seed, skip, count):
-    """``count`` random unitary recombinations u @ base, built lazily.
+def _random_isometries(k, rank, seed, skip, count):
+    """``count`` random (k, rank) isometries, built lazily.
 
-    Start i draws u from the (skip + i)-th child of ``seed``.  Children and
-    starts are made only when the search loop reaches them, so stopping
-    early skips their QR factorizations without changing the starts that
-    do run.
+    Start i orthonormalizes a complex Gaussian matrix drawn from the
+    (skip + i)-th child of ``seed``.  Children and starts are made only when
+    the search loop reaches them, so stopping early skips their QR
+    factorizations without changing the starts that do run.
     """
     seq = _as_seed_sequence(seed)
     seq.spawn(skip)
-    rank = base.shape[0]
     for _ in range(count):
         rng = np.random.default_rng(seq.spawn(1)[0])
-        g = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+        g = rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank))
         u, _ = np.linalg.qr(g)
-        yield u @ base
+        yield u
 
 
 def _multistart(starts, n_structured, search):
@@ -377,9 +376,15 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
 
     Minimizes the ensemble-average marginal entropy over pure
     decompositions of size ``K`` (default rank squared), realized through
-    the purification parametrization: all size-K pure ensembles are unitary
-    recombinations of the eigen-ensemble.  Rank-one states short-circuit to
-    the exact value S(tr_2 psi).
+    the purification parametrization: every size-K pure ensemble is U B for
+    the spectral rows B and a K x rank isometry U.  Each start runs up to
+    ``iters`` Riemannian conjugate-gradient steps on U
+    (``kernels.eof_sweep``) and is converged once a step gains less than
+    ``tol`` or the value reaches EARLY_STOP_VALUE.  The starts are the
+    refined certificate of a state that carries one, the spectral ensemble
+    (U = [I; 0]) and up to ``restarts`` random isometries.  The value is
+    recomputed from the final rows.  Rank-one states short-circuit to the
+    exact value S(tr_2 psi).
 
     Two-qubit states get the exact value from Wootters' optimal
     decomposition, whose members all have the state's concurrence; the
@@ -410,32 +415,29 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     if state.certificate is not None:
         refined = _refine_product_certificate(state.certificate, d1, d2, K)
         if refined is not None:
-            starts.append(refined[0])
-    starts.append(base)
+            # rows = u @ base and base @ base^+ = diag(lam) give u
+            starts.append((refined[0] @ base.conj().T) / _weights(base))
+    starts.append(np.eye(rank))
     n_structured = len(starts)
 
-    def search(rows):
-        rows = np.array(rows, dtype=np.complex128)  # sweeps work in place
-        converged = False
-        _, ew = kernels.column_scores(rows, d1, d2)
-        for size in _ladder_sizes(rows.shape[0], K):
-            if size > rows.shape[0]:
-                rows, _ = _grow_split(rows, size, ew)
-                _, ew = kernels.column_scores(rows, d1, d2)
-            converged = False
-            if ew.sum() > EARLY_STOP_VALUE:
-                for _ in range(iters):
-                    if kernels.eof_sweep(rows, ew, d1, d2) < tol:
-                        converged = True
-                        break
-            if ew.sum() <= EARLY_STOP_VALUE:
-                converged = True
+    def search(start):
+        u = np.zeros((K, rank), dtype=np.complex128)
+        u[: start.shape[0]] = start
+        value, grad = kernels._value_gradient(u, base, d1, d2)
+        direction = -grad
+        line = np.array([value, 1.0])
+        converged = value <= EARLY_STOP_VALUE
+        for _ in range(iters):
+            if converged:
                 break
+            gain = kernels.eof_sweep(u, grad, direction, line, base, d1, d2)
+            converged = gain < tol or line[0] <= EARLY_STOP_VALUE
+        rows = u @ base
         value = float(kernels.column_scores(rows, d1, d2)[1].sum())
         return value, rows, converged
 
     best_value, best_rows, best_converged, used = _multistart(
-        itertools.chain(starts, _random_starts(base, seed, 2, restarts)),
+        itertools.chain(starts, _random_isometries(K, rank, seed, 2, restarts)),
         n_structured,
         search,
     )
@@ -456,7 +458,7 @@ def _group_terms(tot):
 
 
 # The coarse grid as Bloch vectors z = (cos 2 theta, sin 2 theta cos phi,
-# sin 2 theta sin phi), theta-major like ``kernels._COARSE``.
+# sin 2 theta sin phi), theta-major as ``kernels._best_rotation`` reads it.
 _TH, _PH = np.meshgrid(_grids.THETAS, _grids.PHIS, indexing="ij")
 _COARSE_Z = np.stack(
     [np.cos(2 * _TH), np.sin(2 * _TH) * np.cos(_PH), np.sin(2 * _TH) * np.sin(_PH)],
@@ -774,7 +776,10 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
     best_value, best_snapshot, best_converged, used = _multistart(
         itertools.chain(
             starts,
-            ((rows, spectral_gid) for rows in _random_starts(base, seed, 3, restarts)),
+            (
+                (u @ base, spectral_gid)
+                for u in _random_isometries(rank, rank, seed, 3, restarts)
+            ),
         ),
         n_structured,
         search,

@@ -33,6 +33,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = matcore.as_complex_matrix(self.mat)
+        if self.d1 < 1 or self.d2 < 1:
+            raise ValueError(f"split {self.d1}x{self.d2} has a dimension below 1")
         if self.d1 * self.d2 != a.shape[0]:
             raise ValueError(
                 f"split {self.d1}x{self.d2} does not match dimension {a.shape[0]}"

@@ -2,9 +2,12 @@
 
 Everything here deliberately avoids the package's own code paths: partial
 transposes are explicit index permutations, eigenproblems go through
-numpy.linalg directly, and the two-qubit entanglement-of-formation uses
-the closed concurrence formula.
+numpy.linalg directly, and the entanglement of formation uses the
+closed forms of Wootters (two qubits), Terhal-Vollbrecht (isotropic states)
+and Vollbrecht-Werner (d x d Werner states).
 """
+
+import functools
 
 import numpy as np
 
@@ -53,15 +56,60 @@ def binary_entropy(x):
 
 
 def wootters_eof(rho):
-    """Exact two-qubit entanglement of formation via the concurrence."""
-    yy = np.kron(SY, SY)
-    r = rho @ yy @ rho.conj() @ yy
-    ev = np.sqrt(np.abs(np.linalg.eigvals(r).real))
-    ev.sort()
-    c = max(0.0, ev[3] - ev[2] - ev[1] - ev[0])
+    """Exact two-qubit entanglement of formation from ``concurrence``."""
+    c = concurrence(rho)
     if c == 0.0:
         return 0.0
     return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
+
+
+def tv_r(fid, d):
+    """R(F) of Terhal & Vollbrecht for d x d isotropic states, F >= 1/d (array).
+
+    H(gamma) + (1 - gamma) log2(d - 1) with
+    gamma = (sqrt(F) + sqrt((d - 1)(1 - F)))^2 / d.
+    """
+    gamma = np.clip((np.sqrt(fid) + np.sqrt((d - 1) * (1.0 - fid))) ** 2 / d, 0.0, 1.0)
+    h = np.zeros_like(gamma)
+    for t in (gamma, 1.0 - gamma):
+        pos = t > 1e-300
+        h[pos] -= t[pos] * np.log2(t[pos])
+    return h + (1.0 - gamma) * np.log2(d - 1) if d > 2 else h
+
+
+@functools.cache
+def _tv_hull(d, n=20001):
+    """Samples f, R(f) on [1/d, 1] and the indices of their lower convex hull."""
+    f = np.linspace(1.0 / d, 1.0, n)
+    r = tv_r(f, d)
+    hull = []
+    for i in range(n):  # monotone chain
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (f[b] - f[a]) * (r[i] - r[a]) - (r[b] - r[a]) * (f[i] - f[a]) > 0:
+                break
+            hull.pop()
+        hull.append(i)
+    return f, r, np.array(hull)
+
+
+def tv_isotropic_eof(fid, d):
+    """Entanglement of formation of the d x d isotropic state of fidelity ``fid``.
+
+    Terhal & Vollbrecht, PRL 85, 2625 (2000): the convex hull of R(F) on
+    [1/d, 1], and 0 below 1/d.  Where the sampled hull follows R itself
+    (adjacent samples) R is returned exactly; on a chord the chord is
+    interpolated.
+    """
+    if fid <= 1.0 / d:
+        return 0.0
+    f, r, hull = _tv_hull(d)
+    pos = int(np.searchsorted(f[hull], fid))
+    a, b = hull[max(pos - 1, 0)], hull[min(pos, len(hull) - 1)]
+    if b - a <= 1:
+        return float(tv_r(np.array([fid]), d)[0])
+    w = (fid - f[a]) / (f[b] - f[a])
+    return float((1.0 - w) * r[a] + w * r[b])
 
 
 def concurrence(rho):

@@ -90,6 +90,37 @@ def test_non_finite_state_exit_2(nan_file, argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "extra,option",
+    [
+        (("--family", "transpose_mix", "--t-max", "nan"), "t-max"),
+        (("--family", "transpose_mix", "--t-max", "inf"), "t-max"),
+        (("--family", "glauber_flip", "--t-max", "1", "--beta", "nan"), "beta"),
+        (("--family", "depolarizing_flow", "--t-max", "1", "--rate", "inf"), "rate"),
+        (("--family", "transpose_mix", "--t-max", "1", "--speed", "nan"), "speed"),
+    ],
+    ids=["t-max-nan", "t-max-inf", "beta-nan", "rate-inf", "speed-nan"],
+)
+def test_non_finite_evolve_input_exit_2(bell_file, extra, option):
+    proc = run_cli("evolve", "--in", str(bell_file), *extra, "--steps", "2", check=False)
+    assert proc.returncode == 2
+    assert option in proc.stderr and "finite" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [("measure", "eof"), ("measure", "dcoef-sup")])
+def test_non_positive_dimensions_exit_2(tmp_path, argv):
+    path = tmp_path / "neg.json"
+    mat = np.eye(4) / 4
+    path.write_text(
+        json.dumps({"d1": -2, "d2": -2, "re": mat.tolist(), "im": np.zeros((4, 4)).tolist()})
+    )
+    proc = run_cli(*argv, "--in", str(path), check=False)
+    assert proc.returncode == 2
+    assert "split -2x-2 has a dimension below 1" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 @pytest.mark.parametrize(
     "argv",

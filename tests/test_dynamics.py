@@ -42,6 +42,26 @@ class TestFamilyCatalog:
         with pytest.raises(ValueError):
             dynamics.family_catalog("depolarizing_flow", d=2, rate=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name,params,key",
+        [
+            ("depolarizing_flow", {"d": 2}, "rate"),
+            ("transpose_mix", {"d": 2}, "speed"),
+            ("glauber_flip", {"H": np.diag([1.0, -1.0])}, "beta"),
+            ("glauber_flip", {"H": np.diag([1.0, -1.0])}, "rate"),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, name, params, key, bad):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            dynamics.family_catalog(name, **params, **{key: bad})
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_time_rejected(self, t):
+        fam = dynamics.family_catalog("transpose_mix", d=2, speed=1.0)
+        with pytest.raises(ValueError, match="time must be finite"):
+            fam(t)
+
     def test_glauber_is_cptp_and_fixes_gibbs(self):
         h = np.diag([1.0, -1.0])
         beta = 0.8
@@ -186,6 +206,12 @@ class TestEvolveTrack:
         fam = dynamics.family_catalog("identity", d=2)
         with pytest.raises(ValueError):
             dynamics.evolve_track(states.bell_state(1), fam, [0.0, 1.0, 0.5])
+
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, math.nan], [0.0, 0.5, math.inf]])
+    def test_grid_must_be_finite(self, grid):
+        fam = dynamics.family_catalog("transpose_mix", d=2, speed=1.0)
+        with pytest.raises(ValueError, match="time grid must be finite"):
+            dynamics.evolve_track(states.bell_state(1), fam, grid)
 
     def test_dimension_mismatch(self):
         fam = dynamics.family_catalog("identity", d=3)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entkit import kernels, measures, states
-from entkit.kernels import _grids
 
 from oracles import random_hermitian
 
@@ -24,16 +23,6 @@ def _entropy_bits(rows, d1, d2):
     nu = lam / p[:, None]
     safe = np.where(nu > 1e-300, nu, 1.0)
     return -(lam * np.log2(safe)).sum(axis=1)
-
-
-def _rotated_objective(wa, wb, thetas, phis, d1, d2):
-    """Objective of every (theta, phi) candidate from explicitly rotated rows."""
-    c = np.cos(thetas)[:, None, None]
-    s = np.sin(thetas)[:, None, None]
-    z = np.exp(1j * phis)[None, :, None]
-    ra = (c * wa - s * z * wb).reshape(-1, wa.shape[0])
-    rb = (s * z.conj() * wa + c * wb).reshape(-1, wa.shape[0])
-    return _entropy_bits(ra, d1, d2) + _entropy_bits(rb, d1, d2)
 
 
 class TestEighContract:
@@ -57,52 +46,68 @@ def test_column_scores_match_eigvalsh(d1, d2):
     assert np.abs(ew - _entropy_bits(rows, d1, d2)).max() < 1e-12
 
 
-@pytest.mark.parametrize("d1,d2", SPLITS)
-def test_gram_block_objective_matches_rotated_rows(d1, d2):
-    rng = np.random.default_rng(37 + 10 * d1 + d2)
-    d = min(d1, d2)
-    rows = _random_rows(rng, 4, d1 * d2)
-    pairs_a, pairs_b = np.triu_indices(4, 1)
-    bases = kernels._pair_bases(rows, pairs_a, pairs_b, d1, d2)
-    # the coarse grid, from the table built at import, for all six pairs at once
-    got = kernels._pair_objective(kernels._COARSE, bases, d)
-    assert got.shape == (6, _grids.THETAS.size * _grids.PHIS.size)
-    # a 3 x 3 refinement stencil around an off-grid point
-    th = rng.uniform(0.05, np.pi / 2 - 0.05) + np.array([-0.01, 0.0, 0.01])
-    ph = rng.uniform(0.0, 2 * np.pi) + np.array([-0.02, 0.0, 0.02])
-    got_fine = kernels._pair_objective(kernels._stencil(th, ph), bases, d)
-    for i, (a, b) in enumerate(zip(pairs_a, pairs_b)):
-        want = _rotated_objective(rows[a], rows[b], _grids.THETAS, _grids.PHIS, d1, d2)
-        assert np.abs(got[i] - want).max() < 1e-12
-        want = _rotated_objective(rows[a], rows[b], th, ph, d1, d2)
-        assert np.abs(got_fine[i] - want).max() < 1e-12
-        single = kernels._pair_bases(rows, [a], [b], d1, d2)
-        assert np.array_equal(single, bases[i : i + 1])
+def _cg_run(state, k, seed, steps):
+    """Run ``steps`` CG steps from a random K x r isometry; yield after each.
+
+    Yields (u, line, gain, objective before the step).
+    """
+    d1, d2 = state.split
+    base = measures._spectral_rows(state)
+    u = next(measures._random_isometries(k, base.shape[0], seed, 0, 1))
+    value, grad = kernels._value_gradient(u, base, d1, d2)
+    direction = -grad
+    line = np.array([value, 1.0])
+    for _ in range(steps):
+        before = line[0]
+        gain = kernels.eof_sweep(u, grad, direction, line, base, d1, d2)
+        yield u, line, gain, before
 
 
-def test_sweeps_monotone():
-    w = states.werner_state(0.7)
-    base = measures._spectral_rows(w)
-    rng = np.random.default_rng(31)
-    g = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-    q, _ = np.linalg.qr(g)
-    rows = np.ascontiguousarray(q @ base)
-    _, ew = kernels.column_scores(rows, 2, 2)
-    prev = ew.sum()
-    for _ in range(10):
-        kernels.eof_sweep(rows, ew, 2, 2)
-        total = ew.sum()
-        assert total <= prev + 1e-12
-        prev = total
-    # the cache tracks the rows, and the rotations keep the barycenter
-    assert np.abs(ew - kernels.column_scores(rows, 2, 2)[1]).max() < 1e-12
-    bary = rows.T @ rows.conj()
-    assert np.abs(bary - w.mat).max() < 1e-10
+def test_gradient_matches_finite_differences():
+    state = states.random_density(2, 3, rank=3, seed=4)
+    base = measures._spectral_rows(state)
+    rng = np.random.default_rng(8)
+    u = next(measures._random_isometries(7, 3, 5, 0, 1))
+    value, grad = kernels._value_gradient(u, base, 2, 3)
+    assert abs(value - _entropy_bits(u @ base, 2, 3).sum()) < 1e-12
+    # the gradient is tangent: u^+ grad is anti-hermitian
+    s = u.conj().T @ grad
+    assert np.abs(s + s.conj().T).max() < 1e-12
+    z = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    eta = kernels._tangent(u, z)
+    h = 1e-6
+    fd = [
+        _entropy_bits(kernels._retract(u + sign * h * eta) @ base, 2, 3).sum()
+        for sign in (1.0, -1.0)
+    ]
+    slope = (fd[0] - fd[1]) / (2 * h)
+    assert abs(slope - np.vdot(grad, eta).real) < 1e-6 * max(1.0, abs(slope))
 
 
 @settings(max_examples=15, deadline=None)
 @given(
-    split=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+    split=st.sampled_from(SPLITS),
+    rank=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_sweeps_monotone(split, rank, seed):
+    d1, d2 = split
+    state = states.random_density(d1, d2, rank=rank, seed=seed)
+    base = measures._spectral_rows(state)
+    prev = None
+    for u, line, gain, before in _cg_run(state, 2 * rank, seed, 10):
+        assert gain >= 0.0
+        assert abs(line[0] - (before - gain)) <= 1e-12
+        # the tracked value is the objective of the rows, which never rises
+        total = _entropy_bits(u @ base, d1, d2).sum()
+        assert abs(line[0] - total) < 1e-10
+        assert prev is None or total <= prev + 1e-12
+        prev = total
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    split=st.sampled_from(SPLITS),
     rank=st.integers(min_value=2, max_value=4),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
@@ -110,14 +115,10 @@ def test_sweeps_keep_barycenter(split, rank, seed):
     d1, d2 = split
     state = states.random_density(d1, d2, rank=rank, seed=seed)
     base = measures._spectral_rows(state)
-    rows, _ = measures._grow_split(base, 2 * base.shape[0], np.ones(base.shape[0]))
-    rows = np.ascontiguousarray(rows)
-    _, ew = kernels.column_scores(rows, d1, d2)
-    before = ew.sum()
-    for _ in range(2):
-        assert kernels.eof_sweep(rows, ew, d1, d2) >= 0.0
-    assert ew.sum() <= before + 1e-12
-    assert np.abs(rows.T @ rows.conj() - state.mat).max() < 1e-10
+    for u, _, _, _ in _cg_run(state, 2 * rank, seed, 3):
+        assert np.abs(u.conj().T @ u - np.eye(rank)).max() <= 1e-12
+        rows = u @ base
+        assert np.abs(rows.T @ rows.conj() - state.mat).max() < 1e-10
 
 
 @settings(max_examples=5, deadline=None)

@@ -449,6 +449,11 @@ class TestHierarchy:
 
 
 class TestCatalog:
+    @pytest.mark.parametrize("d_in,d_out", [(-2, -2), (0, 4), (4, 0)])
+    def test_rejects_non_positive_dimensions(self, d_in, d_out):
+        with pytest.raises(ValueError, match=f"split {d_in}x{d_out} has a dimension below 1"):
+            maps.ChoiMatrix(np.eye(4), d_in, d_out)
+
     def test_transpose_is_swap(self):
         assert np.array_equal(maps.catalog("transpose", d=2).mat, swap_matrix(2))
 

@@ -15,6 +15,8 @@ from oracles import (
     pure_concurrence,
     random_hermitian,
     trace_out_reference,
+    tv_isotropic_eof,
+    tv_r,
     werner_dd_eof,
     werner_dd_matrix,
     wootters_eof,
@@ -526,7 +528,8 @@ def test_dcoef_sup_pair_reproduces_value():
 
 
 # ---------------------------------------------------------------------------
-# eof_upper against closed forms: Wootters (2 x 2) and Vollbrecht-Werner (d x d)
+# eof_upper against closed forms: Wootters (2 x 2), Vollbrecht-Werner (d x d)
+# and Terhal-Vollbrecht (isotropic)
 # ---------------------------------------------------------------------------
 
 
@@ -560,8 +563,8 @@ def _assert_sound_eof(rep, state, members_at=None):
 
 def _assert_wootters_exact(state):
     rep = measures.eof_upper(state)
-    exact = wootters_eof(state.mat)  # reads up to ~3e-8 low on rank-2 states
-    assert exact - 1e-9 <= rep.value <= exact + 1e-7
+    exact = wootters_eof(state.mat)
+    assert exact - 1e-9 <= rep.value <= exact + 1e-9
     assert rep.converged and rep.restarts_used == 0
     _assert_sound_eof(rep, state, members_at=concurrence(state.mat))
     return rep
@@ -613,10 +616,57 @@ def test_eof_rank3_separable_needs_four_members():
 
 @pytest.mark.parametrize("a", [0.3, 0.6, 0.9])
 def test_eof_werner_3x3_above_vollbrecht_werner(a):
+    """Above the closed form, and within 1% of it where it is non-zero.
+
+    At a = 0.3 the state is separable and the bound is the value the
+    pair-rotation search reached.
+    """
     state = states.DensityMatrix(werner_dd_matrix(a, 3), 3, 3)
     rep = measures.eof_upper(state, K=9, restarts=2, seed=0)
-    assert rep.value >= werner_dd_eof(a) - 1e-9
+    exact = werner_dd_eof(a)
+    assert exact - 1e-9 <= rep.value <= (1.01 * exact if exact > 0.0 else 0.00756)
     _assert_sound_eof(rep, state)
+
+
+@pytest.mark.parametrize("i,f", list(enumerate([0.4, 0.5, 0.7])))
+def test_eof_isotropic_3x3_near_terhal_vollbrecht(i, f):
+    state = states.isotropic_state(f, 3)
+    rep = measures.eof_upper(state, K=9, restarts=4, seed=21 + i)
+    exact = tv_isotropic_eof(f, 3)
+    assert exact - 1e-9 <= rep.value <= 1.01 * exact
+    _assert_sound_eof(rep, state)
+
+
+@pytest.mark.parametrize("seed,pair_search", [(0, 0.064399), (1, 0.062690), (2, 0.095223)])
+def test_eof_random_2x3_no_looser_than_pair_search(seed, pair_search):
+    """Full-rank 2 x 3 states: at most the pair-rotation search's values."""
+    state = states.random_density(2, 3, seed=seed)
+    rep = measures.eof_upper(state, restarts=4, seed=seed)
+    assert rep.value <= pair_search
+    _assert_sound_eof(rep, state)
+
+
+@pytest.mark.parametrize("split", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_eof_separable_without_certificate_is_zero(split, seed):
+    # the search starts from no product decomposition; the gradient of a
+    # member whose marginal turns pure stays finite
+    mat = states.random_separable(*split, m=2, seed=10 + seed).mat
+    state = states.DensityMatrix(mat, *split)
+    rep = measures.eof_upper(state, restarts=4, seed=seed)
+    assert rep.value <= 1e-8
+    _assert_sound_eof(rep, state)
+
+
+def test_tv_oracle_self_check():
+    for d in (2, 3, 4):
+        assert tv_isotropic_eof(0.5 / d, d) == 0.0
+        assert tv_isotropic_eof(1.0 / d, d) == 0.0
+        assert abs(tv_isotropic_eof(1.0, d) - np.log2(d)) < 1e-9
+        # R is convex up to F = 4 (d - 1) / d^2, so the hull follows it there,
+        # up to the sampling of the hull next to that end
+        for f in np.linspace(1.0 / d, 4.0 * (d - 1) / d**2, 7):
+            assert abs(tv_isotropic_eof(f, d) - tv_r(np.array([f]), d)[0]) < 1e-9
 
 
 def test_werner_dd_oracle_is_wootters_at_d2():

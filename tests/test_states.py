@@ -20,6 +20,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             states.DensityMatrix(np.eye(4), 2, 2)
 
+    @pytest.mark.parametrize("d1,d2", [(-2, -2), (0, 4), (4, 0), (-1, -4)])
+    def test_rejects_non_positive_dimensions(self, d1, d2):
+        with pytest.raises(ValueError, match=f"split {d1}x{d2} has a dimension below 1"):
+            states.DensityMatrix(np.eye(4) / 4, d1, d2)
+
+    @pytest.mark.parametrize("d1,d2", [(4, 1), (1, 4)])
+    def test_trivial_leg_is_valid(self, d1, d2):
+        assert states.DensityMatrix(np.eye(4) / 4, d1, d2).split == (d1, d2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         mat = np.eye(4, dtype=complex) / 4
