@@ -295,11 +295,9 @@ def _count(text):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="global random seed")
-    common.add_argument("--tol", type=_tolerance, default=1e-9, help="verdict tolerance")
     common.add_argument("--out", type=str, default=None, help="output file path")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
+    verdict = argparse.ArgumentParser(add_help=False)
+    verdict.add_argument("--tol", type=_tolerance, default=1e-9, help="verdict tolerance")
 
     parser = argparse.ArgumentParser(
         prog="entkit",
@@ -323,7 +321,7 @@ def _build_parser():
     p_state.add_argument("--rank", type=int, default=None)
     p_state.set_defaults(func=_cmd_state)
 
-    p_meas = sub.add_parser("measure", parents=[common], help="run a measure")
+    p_meas = sub.add_parser("measure", parents=[common, verdict], help="run a measure")
     p_meas.add_argument("which", choices=("ppt", "negativity", "eof", "dcoef-sup"))
     p_meas.add_argument("--in", dest="infile", type=str, required=True)
     p_meas.add_argument("--K", type=int, default=None)
@@ -332,7 +330,7 @@ def _build_parser():
     p_meas.add_argument("--strict", action="store_true")
     p_meas.set_defaults(func=_cmd_measure)
 
-    p_map = sub.add_parser("map", parents=[common], help="check or apply a map")
+    p_map = sub.add_parser("map", parents=[common, verdict], help="check or apply a map")
     p_map.add_argument("action", choices=("check", "apply"))
     p_map.add_argument("--catalog", type=str, default=None)
     p_map.add_argument("--in", dest="infile", type=str, default=None)
@@ -357,6 +355,9 @@ def _build_parser():
     p_evo.add_argument("--K", type=int, default=None)
     p_evo.add_argument("--restarts", type=_count, default=8)
     p_evo.add_argument("--iters", type=_count, default=40)
+    p_evo.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="output format"
+    )
     p_evo.set_defaults(func=_cmd_evolve)
     return parser
 

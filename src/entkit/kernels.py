@@ -1,10 +1,9 @@
-"""Numpy kernels for the ensemble searches.
+"""Numpy kernels of the entanglement-of-formation search.
 
-A hermitian eigensolver, the per-member weighted marginal entropies, the
-Riemannian conjugate-gradient step of the entanglement-of-formation
-optimizer and the grid-and-refine pair-rotation driver of the ``dcoef``
-search.  Ensembles are stored as (K, n) arrays whose rows are subnormalized
-pure-state vectors on a d1 x d2 split.
+A hermitian eigensolver, the per-member weighted marginal entropies and the
+Riemannian conjugate-gradient step of the EOF optimizer, plus the weight
+and entropy floors they apply.  Ensembles are stored as (K, n) arrays whose
+rows are subnormalized pure-state vectors on a d1 x d2 split.
 
 The EOF step follows Audenaert, Verstraete & De Moor, PRA 64, 052304
 (2001).  Every size-K pure ensemble of a state is X = U B, with B the
@@ -19,8 +18,10 @@ component G_U - U sym(U^+ G_U).
 
 import numpy as np
 
-from . import _grids
-
+# Ensemble members lighter than this carry no objective weight.
+WEIGHT_FLOOR = 1e-14
+# Normalised eigenvalues at or below this floor contribute zero entropy.
+ENTROPY_FLOOR = 1e-12
 # Eigenvalues are clipped here inside the logarithm of the gradient, which
 # would otherwise blow up as a marginal becomes pure.
 _LOG_FLOOR = 1e-15
@@ -61,9 +62,9 @@ def column_scores(ens, d1, d2):
     r = _blocks(np.ascontiguousarray(ens, dtype=np.complex128), d1, d2)
     lam = np.maximum(np.linalg.eigvalsh(r @ r.conj().transpose(0, 2, 1)), 0.0)
     p = lam.sum(axis=1)
-    heavy = p > _grids.WEIGHT_FLOOR
+    heavy = p > WEIGHT_FLOOR
     nu = lam / np.where(heavy, p, 1.0)[:, None]
-    nu[nu <= _grids.ENTROPY_FLOOR] = 1.0  # no entropy below the floor
+    nu[nu <= ENTROPY_FLOOR] = 1.0  # no entropy below the floor
     ew = -np.einsum("ij,ij->i", lam, np.log2(nu, out=nu))
     ew[~heavy] = 0.0
     return p, ew
@@ -151,49 +152,3 @@ def eof_sweep(u, grad, direction, line, base, d1, d2):
     grad[:] = new_grad
     line[:] = new, min(4.0 * t, _MAX_STEP)
     return value - new
-
-
-def _best_rotation(score, coarse, base):
-    """(theta, phi) of the best pair rotation, or None if it gains too little.
-
-    ``coarse`` holds the objective at the coarse grid points, theta-major.
-    The best of them is refined over REFINE_ROUNDS 3 x 3 stencils of halving
-    steps; ``score(cand_th, cand_ph)`` returns the objective at the 9 points
-    of one stencil, theta-major, for two lists of 3 floats.  The first
-    minimum wins ties.  The result must beat ``base``, the unrotated
-    objective, by ACCEPT_EPS.
-    """
-    idx = int(np.argmin(coarse))
-    best = coarse[idx]
-    if best >= base - _grids.ACCEPT_EPS:
-        return None
-    n_phi = _grids.PHIS.shape[0]
-    th = float(_grids.THETAS[idx // n_phi])
-    ph = float(_grids.PHIS[idx % n_phi])
-    dth = _grids.THETA_STEP0
-    dph = _grids.PHI_STEP0
-    lo, hi = 1e-9, np.pi / 2 - 1e-9
-    for _ in range(_grids.REFINE_ROUNDS):
-        cand_th = [min(max(t, lo), hi) for t in (th - dth, th, th + dth)]
-        cand_ph = [ph - dph, ph, ph + dph]
-        vals = score(cand_th, cand_ph)
-        idx = min(range(9), key=vals.__getitem__)
-        if vals[idx] < best:
-            best = vals[idx]
-            th = cand_th[idx // 3]
-            ph = cand_ph[idx % 3]
-        dth *= 0.5
-        dph *= 0.5
-    if best >= base - _grids.ACCEPT_EPS:
-        return None
-    return th, ph
-
-
-def _rotate(rows, a, b, th, ph):
-    """Apply the rotation (theta, phi) to rows a and b in place."""
-    c = np.cos(th)
-    s = np.sin(th)
-    z = np.exp(1j * ph)
-    wa = rows[a].copy()
-    rows[a] = c * wa - s * z * rows[b]
-    rows[b] = s * z.conjugate() * wa + c * rows[b]

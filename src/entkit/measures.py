@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore, states
-from . import kernels
-from .kernels import _grids
+from . import kernels, matcore, states
 
 RANK_FLOOR = 1e-12
 WITNESS_TOL = 1e-10
@@ -140,32 +138,26 @@ def _weights(rows):
     return np.einsum("ij,ij->i", rows, rows.conj()).real
 
 
-def _grow_split(rows, size, scores):
-    """Pad the ensemble to ``size`` by halving its heaviest contributors.
+def _grow_split(rows, size):
+    """Pad the ensemble to ``size`` by halving its heaviest members.
 
     Splits are objective-neutral (parallel twins), so growth never hurts;
-    subsequent sweeps exploit the extra members.  ``scores`` ranks donors
-    (typically the weighted entropies); ties and zeros fall back to weight.
+    subsequent sweeps exploit the extra members.  Ties go to the first
+    member.  Returns the rows and, per new slot, the member it split.
     """
     old = rows.shape[0]
     if size <= old:
         return rows, []
     out = np.zeros((size, rows.shape[1]), dtype=np.complex128)
     out[:old] = rows
-    score = np.zeros(size)
-    score[:old] = scores
     weight = np.zeros(size)
     weight[:old] = _weights(rows)
     donors = []
     half = np.sqrt(0.5)
     for slot in range(old, size):
-        cand = score[:slot]
-        donor = int(np.argmax(cand))
-        if cand[donor] <= 0.0:
-            donor = int(np.argmax(weight[:slot]))
+        donor = int(np.argmax(weight[:slot]))
         out[slot] = half * out[donor]
         out[donor] = half * out[donor]
-        score[slot] = score[donor] = score[donor] / 2.0
         weight[slot] = weight[donor] = weight[donor] / 2.0
         donors.append(donor)
     return out, donors
@@ -382,9 +374,11 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     (``kernels.eof_sweep``) and is converged once a step gains less than
     ``tol`` or the value reaches EARLY_STOP_VALUE.  The starts are the
     refined certificate of a state that carries one, the spectral ensemble
-    (U = [I; 0]) and up to ``restarts`` random isometries.  The value is
-    recomputed from the final rows.  Rank-one states short-circuit to the
-    exact value S(tr_2 psi).
+    (U = I) and up to ``restarts`` random K x rank isometries.  The two
+    structured starts run at their own size: zero rows padded onto U would
+    get a zero gradient and stay zero.  The value is recomputed from the
+    final rows.  Rank-one states short-circuit to the exact value
+    S(tr_2 psi).
 
     Two-qubit states get the exact value from Wootters' optimal
     decomposition, whose members all have the state's concurrence; the
@@ -421,8 +415,7 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     n_structured = len(starts)
 
     def search(start):
-        u = np.zeros((K, rank), dtype=np.complex128)
-        u[: start.shape[0]] = start
+        u = start.astype(np.complex128)
         value, grad = kernels._value_gradient(u, base, d1, d2)
         direction = -grad
         line = np.array([value, 1.0])
@@ -453,17 +446,31 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
 def _group_terms(tot):
     """u v / p for each (p, u, v) on the last axis of ``tot``, zero below the floor."""
     p = tot[..., 0]
-    heavy = p > _grids.WEIGHT_FLOOR
+    heavy = p > kernels.WEIGHT_FLOOR
     return np.where(heavy, tot[..., 1] * tot[..., 2] / np.where(heavy, p, 1.0), 0.0)
 
 
-# The coarse grid as Bloch vectors z = (cos 2 theta, sin 2 theta cos phi,
-# sin 2 theta sin phi), theta-major as ``kernels._best_rotation`` reads it.
-_TH, _PH = np.meshgrid(_grids.THETAS, _grids.PHIS, indexing="ij")
+# Coarse grid of the pair rotations (theta, phi): theta = 1..8 steps in
+# (0, pi/2), phi = 0..7 steps over the full circle, theta-major.  theta = 0
+# is the identity rotation and serves as the baseline, theta = pi/2 merely
+# swaps the two members.  _COARSE_Z holds the points as Bloch vectors
+# z = (cos 2 theta, sin 2 theta cos phi, sin 2 theta sin phi).
+_THETA_STEP = (np.pi / 2.0) / 9.0
+_PHI_STEP = 2.0 * np.pi / 8.0
+_TH = np.repeat(np.arange(1, 9) * _THETA_STEP, 8)
+_PH = np.tile(np.arange(8) * _PHI_STEP, 8)
 _COARSE_Z = np.stack(
     [np.cos(2 * _TH), np.sin(2 * _TH) * np.cos(_PH), np.sin(2 * _TH) * np.sin(_PH)],
     axis=-1,
-).reshape(-1, 3)
+)
+
+# Rounds of 3 x 3 refinement around the best coarse point; the steps start
+# at half the grid spacing and halve each round.
+_REFINE_ROUNDS = 6
+
+# A rotation or merge is applied only if it beats the objective by this
+# margin; guards against float-noise churn.
+_ACCEPT_EPS = 1e-14
 
 # Pairs whose coarse tables are scored in one batch; an accepted rotation
 # discards the scores of the pairs after it, so larger batches waste more.
@@ -481,7 +488,7 @@ def _frame_signed(target, rest, own_a, own_b, n):
     pa, ua, va = own_a.tolist()
     pb, ub, vb = own_b.tolist()
     (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = n.tolist()
-    floor = _grids.WEIGHT_FLOOR
+    floor = kernels.WEIGHT_FLOOR
 
     def signed(z0, z1, z2):
         dp = n00 * z0 + n01 * z1 + n02 * z2
@@ -497,19 +504,39 @@ def _frame_signed(target, rest, own_a, own_b, n):
     return signed
 
 
-def _stencil_score(signed):
-    """``kernels._best_rotation`` scorer: |signed| on a 3 x 3 stencil, theta-major."""
+def _refine_rotation(signed, coarse, base):
+    """(theta, phi) of the best pair rotation, or None if it gains too little.
 
-    def score(cand_th, cand_ph):
+    ``signed`` is the pair's closure from ``_frame_signed``, ``coarse`` its
+    magnitude at the coarse points and ``base`` the unrotated objective.
+    The best coarse point is refined over _REFINE_ROUNDS 3 x 3 stencils of
+    halving steps, theta-major; the first minimum wins ties.  None unless
+    the best coarse point beats ``base`` by _ACCEPT_EPS.
+    """
+    idx = int(np.argmin(coarse))
+    best = coarse[idx]
+    if best >= base - _ACCEPT_EPS:
+        return None
+    th, ph = float(_TH[idx]), float(_PH[idx])
+    dth, dph = 0.5 * _THETA_STEP, 0.5 * _PHI_STEP
+    lo, hi = 1e-9, np.pi / 2 - 1e-9
+    for _ in range(_REFINE_ROUNDS):
+        cand_th = [min(max(t, lo), hi) for t in (th - dth, th, th + dth)]
+        cand_ph = [ph - dph, ph, ph + dph]
         ang = np.array([2 * t for t in cand_th] + cand_ph)  # 2 theta, then phi
         cos, sin = np.cos(ang).tolist(), np.sin(ang).tolist()
-        return [
+        vals = [
             abs(signed(c2, s2 * cp, s2 * sp))
             for c2, s2 in zip(cos[:3], sin[:3])
             for cp, sp in zip(cos[3:], sin[3:])
         ]
-
-    return score
+        k = min(range(9), key=vals.__getitem__)
+        if vals[k] < best:
+            best = vals[k]
+            th, ph = cand_th[k // 3], cand_ph[k % 3]
+        dth *= 0.5
+        dph *= 0.5
+    return th, ph
 
 
 def _root_theta(signed, th, ph):
@@ -589,7 +616,7 @@ class _GroupedEnsemble:
         old = self.rows.shape[0]
         if size <= old:
             return
-        self.rows, donors = _grow_split(self.rows, size, self.terms[:, 0])
+        self.rows, donors = _grow_split(self.rows, size)
         self.gid = np.append(self.gid, np.zeros(len(donors), dtype=np.int64))
         for slot, donor in enumerate(donors, old):
             self.gid[slot] = self.gid[donor]
@@ -620,6 +647,16 @@ class _GroupedEnsemble:
         n = np.stack([0.5 * (ta - tb), -cross.real, -cross.imag], axis=2)
         return m, n
 
+    @staticmethod
+    def _rotate(rows, a, b, th, ph):
+        """Apply the rotation (theta, phi) of ``_frames`` to rows a and b in place."""
+        c = np.cos(th)
+        s = np.sin(th)
+        z = np.exp(1j * ph)
+        wa = rows[a].copy()
+        rows[a] = c * wa - s * z * rows[b]
+        rows[b] = s * z.conjugate() * wa + c * rows[b]
+
     def rotation_sweep(self):
         """One pass of cross-group two-member rotations; returns the gain.
 
@@ -649,9 +686,9 @@ class _GroupedEnsemble:
             signed = self.target - (cl + _group_terms(own_b[:, None] - nz))
             base = self.objective
             flip = signed * (self.target - self.classical) < 0.0
-            act = np.abs(signed).min(axis=1) < base - _grids.ACCEPT_EPS
+            act = np.abs(signed).min(axis=1) < base - _ACCEPT_EPS
             act |= flip.any(axis=1)
-            act &= self.terms[a, 0] + self.terms[b, 0] >= 2 * _grids.WEIGHT_FLOOR
+            act &= self.terms[a, 0] + self.terms[b, 0] >= 2 * kernels.WEIGHT_FLOOR
             hits = np.flatnonzero(act)
             if hits.size == 0:
                 i += a.shape[0]
@@ -660,15 +697,14 @@ class _GroupedEnsemble:
             i += j + 1
             f = _frame_signed(self.target, float(rest[j]), own_a[j], own_b[j], n[j])
             if flip[j].any():
-                t, q = divmod(int(np.argmax(flip[j])), _grids.PHIS.shape[0])
-                ph = _grids.PHIS[q]
-                rot = _root_theta(f, _grids.THETAS[t], ph), ph
+                k = int(np.argmax(flip[j]))
+                rot = _root_theta(f, _TH[k], _PH[k]), _PH[k]
             else:
-                rot = kernels._best_rotation(_stencil_score(f), np.abs(signed[j]), base)
+                rot = _refine_rotation(f, np.abs(signed[j]), base)
                 if rot is None:
                     continue
             a, b = int(a[j]), int(b[j])
-            kernels._rotate(self.rows, a, b, *rot)
+            self._rotate(self.rows, a, b, *rot)
             self.terms[[a, b]] = self._member_terms(self.rows[[a, b]])
             self._refresh_groups()
             gained += base - self.objective
@@ -688,7 +724,7 @@ class _GroupedEnsemble:
             obj = np.abs(self.target - (self.classical - t_old + t_new))
             best = int(np.argmin(obj))
             base = self.objective
-            if obj[best] >= base - _grids.ACCEPT_EPS:
+            if obj[best] >= base - _ACCEPT_EPS:
                 break
             self.gid[self.gid == gb[best]] = ga[best]
             self.gid[self.gid > gb[best]] -= 1

@@ -155,6 +155,23 @@ def test_negative_count_exit_2(bell_file, argv, option):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("state", "info", "--format", "csv"), "--format"),
+        (("evolve", "--family", "depolarizing_flow", "--t-max", "1", "--steps", "2",
+          "--tol", "1e-3"), "--tol"),
+    ],
+    ids=["state-format", "evolve-tol"],
+)
+def test_option_of_another_subcommand_exit_2(bell_file, argv, option):
+    # --format belongs to evolve only, --tol to measure and map only
+    proc = run_cli(*argv, "--in", str(bell_file), check=False)
+    assert proc.returncode == 2
+    assert option in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestMeasureCommands:
     def test_ppt_on_bell(self, bell_file):
         proc = run_cli("measure", "ppt", "--in", str(bell_file))

@@ -84,6 +84,30 @@ def test_gradient_matches_finite_differences():
     assert abs(slope - np.vdot(grad, eta).real) < 1e-6 * max(1.0, abs(slope))
 
 
+@pytest.mark.parametrize("d1,d2", SPLITS)
+def test_zero_padded_rows_stay_zero(d1, d2):
+    # eof_upper runs its structured starts unpadded: zero rows added to U
+    # have zero gradient and stay exactly zero, so they change nothing
+    state = states.random_density(d1, d2, rank=3, seed=d1 + 5 * d2)
+    base = measures._spectral_rows(state)
+    rank = base.shape[0]
+    small = next(measures._random_isometries(rank + 1, rank, 7, 0, 1))
+    runs = []
+    for k in (rank + 1, rank * rank):
+        u = np.zeros((k, rank), dtype=np.complex128)
+        u[: small.shape[0]] = small
+        value, grad = kernels._value_gradient(u, base, d1, d2)
+        direction = -grad
+        line = np.array([value, 1.0])
+        for _ in range(8):
+            kernels.eof_sweep(u, grad, direction, line, base, d1, d2)
+        runs.append((u, line))
+    (u, line), (padded, padded_line) = runs
+    assert np.all(padded[u.shape[0] :] == 0.0)
+    assert np.abs(padded[: u.shape[0]] - u).max() < 1e-12
+    assert abs(padded_line[0] - line[0]) < 1e-12
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     split=st.sampled_from(SPLITS),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from entkit import kernels, maps, matcore, measures, states
+from entkit import maps, matcore, measures, states
 
 from oracles import (
     SX,
@@ -406,10 +406,55 @@ def test_bloch_frame_matches_rotated_rows(split, seed, th, ph):
     s2 = np.sin(2 * th)
     z = np.array([np.cos(2 * th), s2 * np.cos(ph), s2 * np.sin(ph)])
     rotated = rows.copy()
-    kernels._rotate(rotated, 0, 1, th, ph)
+    ens._rotate(rotated, 0, 1, th, ph)
     terms = ens._member_terms(rotated)
     assert np.abs(terms[0] - (m[0] + n[0] @ z)).max() < 1e-12
     assert np.abs(terms[1] - (m[0] - n[0] @ z)).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("shift", [None, 0.0, 5e-15, 2e-14, 1e-3])
+def test_refine_rotation_accepts_exactly_a_gain(seed, shift):
+    # a random 3 x 3 frame with both groups heavy; base is the identity
+    # rotation's |signed| (shift None) or the best coarse value plus
+    # ``shift``, so the margin 1e-14 decides some of the cases
+    rng = np.random.default_rng(seed)
+    n = rng.standard_normal((3, 3))
+    own_a, own_b = rng.standard_normal((2, 3))
+    own_a[0] = own_b[0] = 2.0 + np.abs(n[0]).sum()
+    target, rest = rng.standard_normal(2)
+    signed = measures._frame_signed(target, rest, own_a, own_b, n)
+    seen = []
+
+    def recorded(*z):
+        val = signed(*z)
+        seen.append(abs(val))
+        return val
+
+    coarse = np.abs([signed(*z) for z in measures._COARSE_Z.tolist()])
+    base = abs(signed(1.0, 0.0, 0.0)) if shift is None else coarse.min() + shift
+    rot = measures._refine_rotation(recorded, coarse, base)
+    # None exactly when no coarse point beats the margin; then no stencil runs
+    assert (rot is None) == (coarse.min() >= base - 1e-14)
+    if rot is None:
+        assert seen == []
+    else:
+        th, ph = rot
+        z = np.cos(2 * th), np.sin(2 * th) * np.cos(ph), np.sin(2 * th) * np.sin(ph)
+        assert abs(signed(*z)) <= coarse.min() + 1e-15
+
+
+def test_refine_rotation_ties_go_to_the_first_minimum():
+    # a constant |signed| makes every stencil point tie: at the best coarse
+    # value the search stays at the first coarse minimum, below it the
+    # search moves once, to the first stencil point
+    coarse = np.full(measures._COARSE_Z.shape[0], 0.5)
+    coarse[[5, 9, 40]] = 0.25
+    rot = measures._refine_rotation(lambda *z: 0.25, coarse, 1.0)
+    assert rot == (float(measures._TH[5]), float(measures._PH[5]))
+    rot = measures._refine_rotation(lambda *z: -0.125, coarse, 1.0)
+    step_th, step_ph = 0.5 * measures._THETA_STEP, 0.5 * measures._PHI_STEP
+    assert rot == (float(measures._TH[5]) - step_th, float(measures._PH[5]) - step_ph)
 
 
 def _certificate(rep):
