@@ -7,6 +7,7 @@ output.  Exit codes: 0 success, 2 input error, 3 non-convergence under
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -292,12 +293,27 @@ def _count(text):
     return val
 
 
+@functools.cache  # built once per process: in-process sessions call main often
 def _build_parser():
+    # each action is its own subparser and takes only the options it reads,
+    # so any other option is a usage error (exit 2) instead of being ignored
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="global random seed")
     common.add_argument("--out", type=str, default=None, help="output file path")
     verdict = argparse.ArgumentParser(add_help=False)
     verdict.add_argument("--tol", type=_tolerance, default=1e-9, help="verdict tolerance")
+    state_in = argparse.ArgumentParser(add_help=False)
+    state_in.add_argument("--in", dest="infile", type=str, required=True)
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--K", type=int, default=None)
+    search.add_argument("--restarts", type=_count, default=32)
+    search.add_argument("--iters", type=_count, default=60)
+    search.add_argument("--strict", action="store_true")
+    choi_src = argparse.ArgumentParser(add_help=False)
+    choi_src.add_argument("--catalog", type=str, default=None)
+    choi_src.add_argument("--in", dest="infile", type=str, default=None)
+    choi_src.add_argument("--d", type=int, default=None)
+    choi_src.add_argument("--lam", type=float, default=None)
 
     parser = argparse.ArgumentParser(
         prog="entkit",
@@ -305,42 +321,41 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_state = sub.add_parser("state", parents=[common], help="build or inspect states")
-    p_state.add_argument("action", choices=("make", "info"))
-    p_state.add_argument("--family", type=str, default=None)
-    p_state.add_argument("--in", dest="infile", type=str, default=None)
-    p_state.add_argument("--in1", type=str, default=None)
-    p_state.add_argument("--in2", type=str, default=None)
-    p_state.add_argument("--p", type=float, default=None)
-    p_state.add_argument("--f", type=float, default=None)
-    p_state.add_argument("--k", type=int, default=None)
-    p_state.add_argument("--d", type=int, default=None)
-    p_state.add_argument("--d1", type=int, default=None)
-    p_state.add_argument("--d2", type=int, default=None)
-    p_state.add_argument("--m", type=int, default=None)
-    p_state.add_argument("--rank", type=int, default=None)
+    p_state = sub.add_parser("state", help="build or inspect states")
     p_state.set_defaults(func=_cmd_state)
+    state_act = p_state.add_subparsers(dest="action", required=True)
+    s_make = state_act.add_parser("make", parents=[common])
+    s_make.add_argument("--family", type=str, default=None)
+    s_make.add_argument("--in1", type=str, default=None)
+    s_make.add_argument("--in2", type=str, default=None)
+    s_make.add_argument("--p", type=float, default=None)
+    s_make.add_argument("--f", type=float, default=None)
+    s_make.add_argument("--k", type=int, default=None)
+    s_make.add_argument("--d", type=int, default=None)
+    s_make.add_argument("--d1", type=int, default=None)
+    s_make.add_argument("--d2", type=int, default=None)
+    s_make.add_argument("--m", type=int, default=None)
+    s_make.add_argument("--rank", type=int, default=None)
+    s_info = state_act.add_parser("info", parents=[common])
+    s_info.add_argument("--in", dest="infile", type=str, default=None)
 
-    p_meas = sub.add_parser("measure", parents=[common, verdict], help="run a measure")
-    p_meas.add_argument("which", choices=("ppt", "negativity", "eof", "dcoef-sup"))
-    p_meas.add_argument("--in", dest="infile", type=str, required=True)
-    p_meas.add_argument("--K", type=int, default=None)
-    p_meas.add_argument("--restarts", type=_count, default=32)
-    p_meas.add_argument("--iters", type=_count, default=60)
-    p_meas.add_argument("--strict", action="store_true")
+    p_meas = sub.add_parser("measure", help="run a measure")
     p_meas.set_defaults(func=_cmd_measure)
+    which = p_meas.add_subparsers(dest="which", required=True)
+    which.add_parser("ppt", parents=[common, state_in, verdict])
+    which.add_parser("negativity", parents=[common, state_in])
+    which.add_parser("eof", parents=[common, state_in, search])
+    which.add_parser("dcoef-sup", parents=[common, state_in, search])
 
-    p_map = sub.add_parser("map", parents=[common, verdict], help="check or apply a map")
-    p_map.add_argument("action", choices=("check", "apply"))
-    p_map.add_argument("--catalog", type=str, default=None)
-    p_map.add_argument("--in", dest="infile", type=str, default=None)
-    p_map.add_argument("--state", type=str, default=None)
-    p_map.add_argument("--d", type=int, default=None)
-    p_map.add_argument("--lam", type=float, default=None)
-    p_map.add_argument("--restarts", type=_count, default=64)
-    p_map.add_argument("--iters", type=_count, default=200)
-    p_map.add_argument("--max-iter", dest="max_iter", type=_count, default=5000)
+    p_map = sub.add_parser("map", help="check or apply a map")
     p_map.set_defaults(func=_cmd_map)
+    map_act = p_map.add_subparsers(dest="action", required=True)
+    m_check = map_act.add_parser("check", parents=[common, choi_src, verdict])
+    m_check.add_argument("--restarts", type=_count, default=64)
+    m_check.add_argument("--iters", type=_count, default=200)
+    m_check.add_argument("--max-iter", dest="max_iter", type=_count, default=5000)
+    m_apply = map_act.add_parser("apply", parents=[common, choi_src])
+    m_apply.add_argument("--state", type=str, default=None)
 
     p_evo = sub.add_parser("evolve", parents=[common], help="track a map family")
     p_evo.add_argument("--in", dest="infile", type=str, required=True)

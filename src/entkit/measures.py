@@ -583,7 +583,7 @@ class _GroupedEnsemble:
     """
 
     def __init__(self, rows, gid, big1, big2, target):
-        self.rows = np.ascontiguousarray(rows, dtype=np.complex128)
+        self.rows = np.array(rows, dtype=np.complex128)  # owned: sweeps rotate it
         self.gid = np.unique(gid, return_inverse=True)[1]
         self.big1 = big1
         self.big2 = big2
@@ -743,6 +743,76 @@ def _hermitian_observable(a, d, name):
     return (m + m.conj().T) / 2.0
 
 
+def _dcoef_setup(state, K):
+    """Pair-independent part of dcoef: (spectral rows, K, refined certificate)."""
+    base = _spectral_rows(state)
+    rank = base.shape[0]
+    if rank <= 1:  # no search: dcoef has a closed form
+        return base, K, None
+    K = rank * rank if K is None else K
+    if K < rank:
+        raise ValueError(f"ensemble size {K} below state rank {rank}: infeasible")
+    if state.certificate is None:
+        return base, K, None
+    return base, K, _refine_product_certificate(state.certificate, *state.split, K)
+
+
+def _dcoef_search(state, setup, a1, a2, restarts, iters, tol=1e-12, seed=0):
+    """dcoef at one pair from ``_dcoef_setup``: (value, rows, gid, converged, used).
+
+    Rank one has a closed form and rows None.  A one-group start is not grown:
+    rotations within a group and growth keep its objective.
+    """
+    d1, d2 = state.split
+    base, K, refined = setup
+    big1 = matcore.kron(a1, np.eye(d2))
+    big2 = matcore.kron(np.eye(d1), a2)
+    target = float(np.trace(state.mat @ matcore.kron(a1, a2)).real)
+    rank = base.shape[0]
+    if rank <= 1:
+        r1, r2 = (matcore.partial_trace(state.mat, state.split, keep=k) for k in (1, 2))
+        value = float(abs(target - np.trace(r1 @ a1).real * np.trace(r2 @ a2).real))
+        return value, None, None, True, 0
+    spectral_gid = np.arange(rank, dtype=np.int64)
+    starts = [(base, np.zeros(rank, dtype=np.int64)), refined, (base, spectral_gid)]
+    starts = [s for s in starts if s is not None]  # one group, refined, spectral
+
+    def search(start):
+        ens = _GroupedEnsemble(*start, big1, big2, target)
+        cap = K if ens.tot.shape[0] > 1 else ens.rows.shape[0]
+        for size in _ladder_sizes(ens.rows.shape[0], cap):
+            ens.grow(size)
+            converged = False
+            if ens.objective > EARLY_STOP_VALUE:
+                for _ in range(iters):
+                    if ens.rotation_sweep() + ens.merge_pass() < tol:
+                        converged = True
+                        break
+            if ens.objective <= EARLY_STOP_VALUE:
+                converged = True
+                break
+        return ens.objective, (ens.rows, ens.gid), converged
+
+    randoms = _random_isometries(rank, rank, seed, 3, restarts)
+    randoms = ((u @ base, spectral_gid) for u in randoms)
+    value, (rows, gid), converged, used = _multistart(
+        itertools.chain(starts, randoms), len(starts), search
+    )
+    err = matcore.frobenius_norm(rows.T @ rows.conj() - state.mat)
+    if err > 1e-9:
+        raise ValueError(f"dcoef ensemble misses its state by {err:.3e}")
+    return value, rows, gid, converged, used
+
+
+def _dcoef_report(state, value, rows, gid, converged, used, pair=None):
+    """Report of a dcoef search; rows None certify the state by itself."""
+    if rows is None:
+        cert = states.Ensemble(np.array([1.0]), (state,))
+    else:
+        cert = _ensemble_from_rows(rows, state.d1, state.d2, state, gid)
+    return MeasureReport(float(value), cert, converged, used, pair)
+
+
 def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
     """Upper bound on the local quantum-correlation coefficient d(phi, a1, a2).
 
@@ -756,73 +826,16 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
     pairs, so zero on all of them up to p = 1/sqrt(5).  Small values never
     certify separability; the report remains a one-sided upper bound.
 
-    For a fixed grouping the classical value is continuous over the
-    unitary recombinations, so the reachable values form an interval and
-    the infimum is the distance from the target to it.  When a pair
-    rotation carries target - c across zero, the search bisects onto the
-    crossing, so zero values come out exact up to rounding and stop the
-    restarts early.
+    The classical values of a fixed grouping form an interval, so the
+    infimum is the distance from the target to it; a pair rotation that
+    carries target - c across zero is bisected onto the crossing, so zeros
+    come out exact up to rounding and stop the restarts early.
     """
-    d1, d2 = state.split
-    a1 = _hermitian_observable(a1, d1, "a1")
-    a2 = _hermitian_observable(a2, d2, "a2")
-    big1 = matcore.kron(a1, np.eye(d2))
-    big2 = matcore.kron(np.eye(d1), a2)
-    target = float(np.trace(state.mat @ matcore.kron(a1, a2)).real)
-
-    base = _spectral_rows(state)
-    rank = base.shape[0]
-    if rank <= 1:
-        r1 = matcore.partial_trace(state.mat, state.split, keep=1)
-        r2 = matcore.partial_trace(state.mat, state.split, keep=2)
-        value = float(abs(target - np.trace(r1 @ a1).real * np.trace(r2 @ a2).real))
-        cert = states.Ensemble(np.array([1.0]), (state,))
-        return MeasureReport(value, cert, True, 0)
-    if K is None:
-        K = rank * rank
-    if K < rank:
-        raise ValueError(f"ensemble size {K} below state rank {rank}: infeasible")
-
-    starts = [(base.copy(), np.zeros(rank, dtype=np.int64))]  # trivial: one group
-    if state.certificate is not None:
-        refined = _refine_product_certificate(state.certificate, d1, d2, K)
-        if refined is not None:
-            starts.append(refined)
-    starts.append((base.copy(), np.arange(rank, dtype=np.int64)))  # spectral
-    n_structured = len(starts)
-    spectral_gid = np.arange(rank, dtype=np.int64)
-
-    def search(start):
-        rows, gid = start
-        ens = _GroupedEnsemble(rows, gid, big1, big2, target)
-        converged = False
-        for size in _ladder_sizes(rows.shape[0], K):
-            ens.grow(size)
-            converged = False
-            if ens.objective > EARLY_STOP_VALUE:
-                for _ in range(iters):
-                    if ens.rotation_sweep() + ens.merge_pass() < tol:
-                        converged = True
-                        break
-            if ens.objective <= EARLY_STOP_VALUE:
-                converged = True
-                break
-        return ens.objective, (ens.rows.copy(), ens.gid.copy()), converged
-
-    best_value, best_snapshot, best_converged, used = _multistart(
-        itertools.chain(
-            starts,
-            (
-                (u @ base, spectral_gid)
-                for u in _random_isometries(rank, rank, seed, 3, restarts)
-            ),
-        ),
-        n_structured,
-        search,
-    )
-    rows, gid = best_snapshot
-    cert = _ensemble_from_rows(rows, d1, d2, state, gid)
-    return MeasureReport(float(best_value), cert, best_converged, used)
+    a1 = _hermitian_observable(a1, state.d1, "a1")
+    a2 = _hermitian_observable(a2, state.d2, "a2")
+    setup = _dcoef_setup(state, K)
+    found = _dcoef_search(state, setup, a1, a2, restarts, iters, tol, seed)
+    return _dcoef_report(state, *found)
 
 
 def gell_mann_basis(d):
@@ -863,9 +876,11 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     that bound and the rest are skipped once it falls below the best value.
     Each pair keeps the seed child it has in basis order, and ties go to the
     first pair in basis order, so the result is that of scanning every pair;
-    ``converged`` and ``restarts_used`` cover the visited pairs.  The
-    report's ``pair`` names the winning observables.
+    ``converged`` and ``restarts_used`` cover the visited pairs.  The set-up
+    of dcoef runs once per call, and the certificate is built once, for the
+    winning pair, whose indices the report's ``pair`` holds.
     """
+    setup = _dcoef_setup(state, K)
     basis1 = gell_mann_basis(state.d1)
     basis2 = gell_mann_basis(state.d2)
     pairs = list(itertools.product(range(len(basis1)), range(len(basis2))))
@@ -882,17 +897,14 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     total_restarts = 0
     all_converged = True
     for k in np.argsort(-bound, kind="stable").tolist():
-        if best is not None and bound[k] + _PRUNE_SLACK <= best.value:
+        if best is not None and bound[k] + _PRUNE_SLACK <= best[0]:
             break
         i, j = pairs[k]
-        rep = dcoef(
-            state, basis1[i], basis2[j], K=K, restarts=restarts, iters=iters,
-            seed=children[k],
+        value, rows, gid, converged, used = _dcoef_search(
+            state, setup, basis1[i], basis2[j], restarts, iters, seed=children[k]
         )
-        total_restarts += rep.restarts_used
-        all_converged = all_converged and rep.converged
-        if best is None or (rep.value, -k) > (best.value, -best_k):
-            best, best_k = rep, k
-    return MeasureReport(
-        best.value, best.certificate, all_converged, total_restarts, pairs[best_k]
-    )
+        total_restarts += used
+        all_converged = all_converged and converged
+        if best is None or (value, -k) > (best[0], -best_k):
+            best, best_k = (value, rows, gid), k
+    return _dcoef_report(state, *best, all_converged, total_restarts, pairs[best_k])

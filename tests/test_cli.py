@@ -155,17 +155,41 @@ def test_negative_count_exit_2(bell_file, argv, option):
     assert proc.stdout == ""
 
 
+UNREAD_OPTIONS = [
+    ("state-format", ("state", "info", "--format", "csv"), "--format"),
+    ("evolve-tol", ("evolve", "--family", "depolarizing_flow", "--t-max", "1",
+                    "--steps", "2", "--tol", "1e-3"), "--tol"),
+    ("eof-tol", ("measure", "eof", "--tol", "0.5"), "--tol"),
+    ("dcoef-sup-tol", ("measure", "dcoef-sup", "--tol", "0.5"), "--tol"),
+    ("negativity-tol", ("measure", "negativity", "--tol", "0.5"), "--tol"),
+] + [
+    (f"{which}-{flag[2:]}", ("measure", which, flag, *value), flag)
+    for which in ("ppt", "negativity")
+    for flag, value in (("--K", ("4",)), ("--restarts", ("2",)), ("--iters", ("3",)),
+                        ("--strict", ()))
+] + [
+    (f"map-apply-{flag[2:]}", ("map", "apply", "--catalog", "transpose", "--d", "4",
+                               "--state", "STATE", flag, "1"), flag)
+    for flag in ("--restarts", "--iters", "--max-iter", "--tol")
+] + [
+    ("map-check-state", ("map", "check", "--catalog", "transpose", "--d", "2",
+                         "--state", "STATE"), "--state"),
+] + [
+    (f"state-info-{flag[2:]}", ("state", "info", flag, value), flag)
+    for flag, value in (("--family", "werner"), ("--p", "0.3"), ("--rank", "2"))
+] + [
+    ("state-make-in", ("state", "make", "--family", "werner", "--p", "0.3"), "--in"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv,option",
-    [
-        (("state", "info", "--format", "csv"), "--format"),
-        (("evolve", "--family", "depolarizing_flow", "--t-max", "1", "--steps", "2",
-          "--tol", "1e-3"), "--tol"),
-    ],
-    ids=["state-format", "evolve-tol"],
+    "argv,option", [c[1:] for c in UNREAD_OPTIONS], ids=[c[0] for c in UNREAD_OPTIONS]
 )
 def test_option_of_another_subcommand_exit_2(bell_file, argv, option):
-    # --format belongs to evolve only, --tol to measure and map only
+    # --format belongs to evolve only, --tol to measure ppt and map check
+    # only, the search budgets to measure eof / dcoef-sup and map check only,
+    # --state to map apply only, the family parameters to state make only
+    argv = [str(bell_file) if a == "STATE" else a for a in argv]
     proc = run_cli(*argv, "--in", str(bell_file), check=False)
     assert proc.returncode == 2
     assert option in proc.stderr

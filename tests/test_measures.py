@@ -528,14 +528,14 @@ def test_dcoef_sup_pruning_keeps_the_maximum(name, make, budget, monkeypatch):
     ]
 
     calls = []
-    dcoef = measures.dcoef
+    search = measures._dcoef_search
 
-    def counted(st_, a1, a2, **kwargs):
-        rep = dcoef(st_, a1, a2, **kwargs)
-        calls.append((a1, a2, rep.value))
-        return rep
+    def counted(st_, setup, a1, a2, *args, **kwargs):
+        found = search(st_, setup, a1, a2, *args, **kwargs)
+        calls.append((a1, a2, found[0]))
+        return found
 
-    monkeypatch.setattr(measures, "dcoef", counted)
+    monkeypatch.setattr(measures, "_dcoef_search", counted)
     rep = measures.dcoef_sup(state, seed=3, **budget)
 
     # the maximum of the full scan, bit for bit, at its first pair in basis order
@@ -543,7 +543,7 @@ def test_dcoef_sup_pruning_keeps_the_maximum(name, make, budget, monkeypatch):
     k = int(np.argmax(direct))
     assert rep.pair == (k // len(basis2), k % len(basis2))
     assert rep.to_json()["pair"] == list(rep.pair)
-    # one dcoef call per visited pair, in decreasing order of the one-group
+    # one pair search per visited pair, in decreasing order of the one-group
     # bound; every skipped pair has a bound no greater than the value found
     bounds = _one_group_bounds(state)
     visited = []
@@ -557,6 +557,96 @@ def test_dcoef_sup_pruning_keeps_the_maximum(name, make, budget, monkeypatch):
     skipped = sorted(set(range(len(direct))) - set(visited))
     assert skipped  # every case here prunes some pairs
     assert bounds[skipped].max() <= rep.value
+
+
+def test_dcoef_sup_sets_up_and_certifies_once(monkeypatch):
+    counts = {}
+    for name in ("_spectral_rows", "_refine_product_certificate", "_ensemble_from_rows"):
+        def counted(*args, _name=name, _fn=getattr(measures, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(measures, name, counted)
+    state = states.random_separable(2, 2, m=4, seed=3)
+    rep = measures.dcoef_sup(state, K=16, restarts=2, seed=1)
+    assert rep.pair is not None
+    assert counts == {
+        "_spectral_rows": 1, "_refine_product_certificate": 1, "_ensemble_from_rows": 1
+    }
+
+
+SUP_CASES = [
+    ("werner(0.7)", lambda: states.werner_state(0.7), dict(K=8, restarts=2)),
+    ("isotropic(0.3, 3)", lambda: states.isotropic_state(0.3, 3), dict(restarts=4, iters=0)),
+    ("random(2, 3)", lambda: states.random_density(2, 3, rank=2, seed=21), dict(K=8, restarts=2)),
+    ("random(2, 2)", lambda: states.random_density(2, 2, rank=4, seed=9), dict(restarts=1, iters=3)),
+    ("separable(2, 2)", lambda: states.random_separable(2, 2, m=4, seed=5), dict(K=16, restarts=2)),
+    ("bell", lambda: states.bell_state(1), dict(K=8, restarts=2)),
+]
+
+
+@pytest.mark.parametrize("name,make,budget", SUP_CASES, ids=[n for n, _, _ in SUP_CASES])
+def test_dcoef_sup_matches_dcoef_at_its_pair(name, make, budget):
+    state = make()
+    rep = measures.dcoef_sup(state, seed=4, **budget)
+    i, j = rep.pair
+    basis1 = measures.gell_mann_basis(state.d1)
+    basis2 = measures.gell_mann_basis(state.d2)
+    children = np.random.SeedSequence(4).spawn(len(basis1) * len(basis2))
+    direct = measures.dcoef(
+        state, basis1[i], basis2[j], seed=children[i * len(basis2) + j], **budget
+    )
+    assert rep.value == direct.value
+    assert np.array_equal(rep.certificate.weights, direct.certificate.weights)
+    assert len(rep.certificate.components) == len(direct.certificate.components)
+    for got, want in zip(rep.certificate.components, direct.certificate.components):
+        assert np.array_equal(got.mat, want.mat)
+
+
+@pytest.mark.parametrize("iters", [0, 60])
+def test_still_starts_keep_the_ladder_converged_flag(iters, monkeypatch):
+    # the per-start search is taken from _multistart and run on single starts
+    multistart = measures._multistart
+    captured = []
+
+    def capture(starts, n_structured, search):
+        captured.append(search)
+        return multistart(starts, n_structured, search)
+
+    monkeypatch.setattr(measures, "_multistart", capture)
+    state = states.werner_state(0.9)
+    setup = measures._dcoef_setup(state, 16)
+    measures._dcoef_search(state, setup, SX, SX, 0, iters, 1e-12, 0)
+    # one group: sweeps cannot move it, so it converges iff a sweep runs
+    one_group = (setup[0], np.zeros(4, dtype=np.int64))
+    value, (rows, gid), converged = captured[0](one_group)
+    assert abs(value - 0.9) < 1e-12
+    assert converged is (iters > 0)
+    assert rows.shape[0] == 4  # not grown up to K = 16
+    # the refined certificate of a separable state starts at zero
+    sep = states.random_separable(2, 2, m=4, seed=2)
+    rep = measures.dcoef(sep, SX, SZ, iters=iters, restarts=0)
+    assert rep.value <= 1e-10 and rep.converged and rep.restarts_used == 2
+
+
+def test_every_pair_search_checks_its_rows(monkeypatch):
+    # dcoef_sup builds one certificate, but the rows of every visited pair
+    # must still reproduce the state
+    multistart = measures._multistart
+
+    def skewed(*args):
+        value, (rows, gid), converged, used = multistart(*args)
+        return value, (1.01 * rows, gid), converged, used
+
+    monkeypatch.setattr(measures, "_multistart", skewed)
+    with pytest.raises(ValueError, match="dcoef ensemble misses its state"):
+        measures.dcoef_sup(states.werner_state(0.9), K=8, restarts=1)
+
+
+def test_dcoef_sup_below_rank_raises():
+    state = states.random_density(2, 3, rank=4, seed=3)
+    with pytest.raises(ValueError, match="^ensemble size 3 below state rank 4: infeasible$"):
+        measures.dcoef_sup(state, K=3)
 
 
 def test_dcoef_sup_pair_reproduces_value():
