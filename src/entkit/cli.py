@@ -144,14 +144,23 @@ def _cmd_measure(args):
 # ---------------------------------------------------------------------------
 
 
+def _refuse_unread(when, given):
+    # an option that the other options leave unread is an input error
+    named = [flag for flag, value in given.items() if value is not None]
+    if named:
+        raise ValueError(f"{', '.join(named)} not read {when}")
+
+
 def _get_choi(args):
     if args.catalog:
+        _refuse_unread("with --catalog", {"--in": args.infile})
         params = {}
         if args.d is not None:
             params["d"] = args.d
         if args.lam is not None:
             params["lam"] = args.lam
         return maps.catalog(args.catalog, **params)
+    _refuse_unread("without --catalog", {"--d": args.d, "--lam": args.lam})
     if args.infile:
         return _load_choi(args.infile)
     raise ValueError("need --catalog NAME or --in CHOI_FILE")
@@ -226,6 +235,12 @@ def _cmd_map(args):
 
 
 def _cmd_evolve(args):
+    wanted = {m.strip() for m in args.measures.split(",") if m.strip()}
+    if not wanted:
+        _refuse_unread("without --measures",
+                       {"--K": args.K, "--restarts": args.restarts, "--iters": args.iters})
+    if args.family != "glauber_flip":
+        _refuse_unread(f"by family {args.family}", {"--beta": args.beta, "--hz": args.hz})
     state = _load_state(args.infile)
     params = {"d": state.d1}
     if args.rate is not None:
@@ -238,14 +253,13 @@ def _cmd_evolve(args):
             params["rate"] = 1.0
         if state.d1 != 2:
             raise ValueError("glauber_flip via the CLI assumes a qubit on leg 1")
-        params["H"] = args.hz * np.diag([1.0, -1.0])
+        params["H"] = (1.0 if args.hz is None else args.hz) * np.diag([1.0, -1.0])
     family = dynamics.family_catalog(args.family, **params)
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
     if not (np.isfinite(args.t_max) and args.t_max > 0):
         raise ValueError(f"t-max must be finite and > 0, got {args.t_max}")
     grid = np.linspace(0.0, args.t_max, args.steps + 1)
-    wanted = {m.strip() for m in args.measures.split(",") if m.strip()}
     unknown = wanted - {"eof", "dcoef"}
     if unknown:
         raise ValueError(f"unknown evolve measures: {sorted(unknown)}")
@@ -256,8 +270,8 @@ def _cmd_evolve(args):
         measure_eof="eof" in wanted,
         measure_dcoef="dcoef" in wanted,
         K=args.K,
-        restarts=args.restarts,
-        iters=args.iters,
+        restarts=8 if args.restarts is None else args.restarts,
+        iters=40 if args.iters is None else args.iters,
         seed=args.seed,
     )
     sys.stdout.write(
@@ -363,13 +377,13 @@ def _build_parser():
     p_evo.add_argument("--rate", type=float, default=None)
     p_evo.add_argument("--speed", type=float, default=None)
     p_evo.add_argument("--beta", type=float, default=None)
-    p_evo.add_argument("--hz", type=float, default=1.0)
+    p_evo.add_argument("--hz", type=float, default=None)  # glauber_flip: 1.0
     p_evo.add_argument("--t-max", dest="t_max", type=float, required=True)
     p_evo.add_argument("--steps", type=int, required=True)
     p_evo.add_argument("--measures", type=str, default="")
     p_evo.add_argument("--K", type=int, default=None)
-    p_evo.add_argument("--restarts", type=_count, default=8)
-    p_evo.add_argument("--iters", type=_count, default=40)
+    p_evo.add_argument("--restarts", type=_count, default=None)  # with --measures: 8
+    p_evo.add_argument("--iters", type=_count, default=None)  # with --measures: 40
     p_evo.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )

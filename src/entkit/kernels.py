@@ -3,7 +3,8 @@
 A hermitian eigensolver, the per-member weighted marginal entropies and the
 Riemannian conjugate-gradient step of the EOF optimizer, plus the weight
 and entropy floors they apply.  Ensembles are stored as (K, n) arrays whose
-rows are subnormalized pure-state vectors on a d1 x d2 split.
+rows are subnormalized pure-state vectors on a d1 x d2 split.  The step
+also takes a stack (S, K, r) of starts, and returns their summed gain.
 
 The EOF step follows Audenaert, Verstraete & De Moor, PRA 64, 052304
 (2001).  Every size-K pure ensemble of a state is X = U B, with B the
@@ -45,13 +46,20 @@ def eigh(h):
 
 
 def _blocks(rows, d1, d2):
-    """Rows as (K, d, d') matrices whose R R^+ carries the marginal spectrum.
+    """Rows (..., K, n) as (..., K, d, d') matrices whose R R^+ carries the marginal spectrum.
 
     d = min(d1, d2): the leg-1 marginal R R^+ of a d1 x d2 matrix R has the
     nonzero spectrum of R^+ R, whose complex conjugate is R^T (R^T)^+.
     """
-    r = rows.reshape(rows.shape[0], d1, d2)
-    return r if d1 <= d2 else r.transpose(0, 2, 1)
+    r = rows.reshape(rows.shape[:-1] + (d1, d2))
+    return r if d1 <= d2 else r.swapaxes(-1, -2)
+
+
+def _inner(a, b):
+    """Re <a, b> per matrix of a stack (..., K, r), summed in np.vdot's order."""
+    n = a.shape[-2] * a.shape[-1]
+    a, b = a.reshape(a.shape[:-2] + (1, n)), b.reshape(b.shape[:-2] + (n, 1))
+    return (a.conj() @ b)[..., 0, 0].real
 
 
 def column_scores(ens, d1, d2):
@@ -60,7 +68,7 @@ def column_scores(ens, d1, d2):
     Members below the weight floor report zero entropy.
     """
     r = _blocks(np.ascontiguousarray(ens, dtype=np.complex128), d1, d2)
-    lam = np.maximum(np.linalg.eigvalsh(r @ r.conj().transpose(0, 2, 1)), 0.0)
+    lam = np.maximum(np.linalg.eigvalsh(r @ r.conj().swapaxes(-1, -2)), 0.0)
     p = lam.sum(axis=1)
     heavy = p > WEIGHT_FLOOR
     nu = lam / np.where(heavy, p, 1.0)[:, None]
@@ -71,39 +79,38 @@ def column_scores(ens, d1, d2):
 
 
 def _objective(u, base, d1, d2):
-    """Objective at the isometry ``u`` and the parts its gradient needs.
+    """Objective at the isometry ``u`` (..., K, r) and the parts its gradient needs.
 
     One stacked eigendecomposition of the marginals gives both.  Returns
-    the value in bits and (R, V, log p - log lam) per member.
+    the value in bits per isometry and (R, V, log p - log lam) per member.
     """
     r = _blocks(u @ base, d1, d2)
-    lam, v = eigh(r @ r.conj().transpose(0, 2, 1))
+    lam, v = eigh(r @ r.conj().swapaxes(-1, -2))
     lam = np.maximum(lam, 0.0)
-    p = lam.sum(axis=1)
+    p = lam.sum(axis=-1)
     log_lam = np.log(np.maximum(lam, _LOG_FLOOR))
     log_p = np.log(np.maximum(p, _LOG_FLOOR))
-    value = (p @ log_p - np.einsum("ij,ij->", lam, log_lam)) / np.log(2.0)
-    return float(value), (r, v, log_p[:, None] - log_lam)
+    value = _inner(p[..., None], log_p[..., None]) - np.einsum("...ij,...ij->...", lam, log_lam)
+    return value / np.log(2.0), (r, v, log_p[..., None] - log_lam)
 
 
 def _tangent(u, z):
     """Component of ``z`` tangent to the Stiefel manifold at ``u``: z - u sym(u^+ z)."""
-    s = u.conj().T @ z
-    return z - u @ (0.5 * (s + s.conj().T))
+    s = u.conj().swapaxes(-1, -2) @ z
+    return z - u @ (0.5 * (s + s.conj().swapaxes(-1, -2)))
 
 
 def _gradient(u, base, d1, d2, parts):
     """Riemannian gradient at ``u`` from the parts returned by ``_objective``."""
     r, v, log_ratio = parts
-    vh = v.conj().transpose(0, 2, 1)
-    g = (v * log_ratio[:, None, :]) @ (vh @ r) * (2.0 / np.log(2.0))
+    g = (v * log_ratio[..., None, :]) @ (v.conj().swapaxes(-1, -2) @ r) * (2.0 / np.log(2.0))
     if d1 > d2:
-        g = g.transpose(0, 2, 1)
-    return _tangent(u, g.reshape(u.shape[0], -1) @ base.conj().T)
+        g = g.swapaxes(-1, -2)
+    return _tangent(u, g.reshape(u.shape[:-1] + (d1 * d2,)) @ base.conj().T)
 
 
 def _value_gradient(u, base, d1, d2):
-    """Objective and Riemannian gradient at the isometry ``u`` (K, r)."""
+    """Objective and Riemannian gradient at the isometry ``u`` (..., K, r)."""
     value, parts = _objective(u, base, d1, d2)
     return value, _gradient(u, base, d1, d2, parts)
 
@@ -111,44 +118,50 @@ def _value_gradient(u, base, d1, d2):
 def _retract(y):
     """Q factor of y with a positive real diagonal in R: the QR retraction."""
     q, r = np.linalg.qr(y)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def eof_sweep(u, grad, direction, line, base, d1, d2):
-    """One Riemannian conjugate-gradient step on the isometry ``u``, in place.
+    """One Riemannian conjugate-gradient step per isometry of ``u``, in place.
 
-    Minimizes the objective of the rows u @ base.  ``u`` (K, r), its
-    Riemannian gradient ``grad`` and the search direction ``direction``
-    are updated in place, as is ``line``, which holds the objective at u and
-    the next trial step length.  The step backtracks from the trial length
-    by halving until the Armijo condition holds, moves to the retracted
-    point, sets the next trial length to 4 times the accepted one (at most
-    4), and takes the Polak-Ribiere+ direction with the old direction and
-    gradient projected onto the new tangent space.  Returns the objective
-    decrease, 0.0 at a zero gradient or when no step length down to 1e-12
-    decreases it enough.
+    ``u`` is one isometry (K, r) or a stack (S, K, r) of independent starts,
+    each minimizing the objective of its rows u @ base.  ``u``, its
+    Riemannian gradient ``grad``, the search direction ``direction`` and
+    ``line`` ((2,) or (S, 2): the objective at u and the next trial step
+    length) are updated in place.  Each start backtracks from its trial
+    length by halving until the Armijo condition holds, evaluating only the
+    starts still backtracking, moves to the retracted point, sets its next
+    trial length to 4 times the accepted one (at most 4), and takes the
+    Polak-Ribiere+ direction with the old direction and gradient projected
+    onto the new tangent space.  A start does not move at a zero gradient or
+    when no step length down to 1e-12 decreases it enough.  Returns the
+    objective decrease summed over the stack.
     """
-    value, t = line
-    slope = np.vdot(grad, direction).real
-    if slope >= 0.0:  # not a descent direction: steepest descent
-        direction[:] = -grad
-        slope = -np.vdot(grad, grad).real
-        if slope == 0.0:
-            return 0.0
-    while True:
-        trial = _retract(u + t * direction)
+    if u.ndim == 2:  # one isometry: a stack of one, through views
+        u, grad, direction, line = u[None], grad[None], direction[None], line[None]
+    value, t = line[:, 0].copy(), line[:, 1].copy()
+    slope = _inner(grad, direction)
+    reset = slope >= 0.0  # not a descent direction: steepest descent
+    direction[reset] = -grad[reset]
+    slope[reset] = -_inner(grad[reset], grad[reset])
+    pending = np.flatnonzero(slope < 0.0)  # a zero gradient does not step
+    while pending.size:
+        step = t[pending]
+        trial = _retract(u[pending] + step[:, None, None] * direction[pending])
         new, parts = _objective(trial, base, d1, d2)
-        if new <= value + _ARMIJO * t * slope:
-            break
-        t *= 0.5
-        if t < _MIN_STEP:
-            return 0.0
-    new_grad = _gradient(trial, base, d1, d2, parts)
-    beta = np.vdot(new_grad, new_grad - _tangent(trial, grad)).real
-    beta = max(0.0, beta / np.vdot(grad, grad).real)
-    direction[:] = beta * _tangent(trial, direction) - new_grad
-    u[:] = trial
-    grad[:] = new_grad
-    line[:] = new, min(4.0 * t, _MAX_STEP)
-    return value - new
+        ok = new <= value[pending] + _ARMIJO * step * slope[pending]
+        if ok.any():
+            done, trial, new = pending[ok], trial[ok], new[ok]
+            parts = tuple(a[ok] for a in parts)
+            new_grad = _gradient(trial, base, d1, d2, parts)
+            old_grad = grad[done]
+            beta = _inner(new_grad, new_grad - _tangent(trial, old_grad))
+            beta = np.maximum(0.0, beta / _inner(old_grad, old_grad))[:, None, None]
+            direction[done] = beta * _tangent(trial, direction[done]) - new_grad
+            u[done], grad[done], line[done, 0] = trial, new_grad, new
+            line[done, 1] = np.minimum(4.0 * step[ok], _MAX_STEP)
+        pending = pending[~ok]
+        t[pending] *= 0.5
+        pending = pending[t[pending] >= _MIN_STEP]
+    return float((value - line[:, 0]).sum())

@@ -168,8 +168,8 @@ def _random_isometries(k, rank, seed, skip, count):
 
     Start i orthonormalizes a complex Gaussian matrix drawn from the
     (skip + i)-th child of ``seed``.  Children and starts are made only when
-    the search loop reaches them, so stopping early skips their QR
-    factorizations without changing the starts that do run.
+    taken (by eof_upper one window at a time), so stopping early skips their
+    QR factorizations without changing the starts that do run.
     """
     seq = _as_seed_sequence(seed)
     seq.spawn(skip)
@@ -363,6 +363,35 @@ def _wootters_rows(base):
     return h @ x
 
 
+def _eof_lockstep(u, value, grad, base, d1, d2, iters, tol):
+    """Step a stack of starts in lockstep; (value, rows, converged) per start.
+
+    Each start stops and is scored as it would be alone.  Once one ends at or
+    below EARLY_STOP_VALUE, where the multistart loop stops, the starts after
+    it leave the stack and are not returned.
+    """
+    direction, n = -grad, u.shape[0]
+    line, ended = np.stack([value, np.ones(n)], axis=1), value <= EARLY_STOP_VALUE
+    out, index = [None] * n, np.arange(n)  # index: start of each row of the stack
+    for step in range(iters + 1):
+        done = ended | (step == iters)
+        for j in np.flatnonzero(done):
+            if index[j] < n:
+                rows = u[j] @ base
+                value = float(kernels.column_scores(rows, d1, d2)[1].sum())
+                out[index[j]] = (value, rows, bool(ended[j]))
+                if value <= EARLY_STOP_VALUE:
+                    n = index[j] + 1
+        keep = ~done & (index < n)
+        u, grad, direction, line, index = (a[keep] for a in (u, grad, direction, line, index))
+        if not index.size:
+            break
+        before = line[:, 0].copy()
+        kernels.eof_sweep(u, grad, direction, line, base, d1, d2)
+        ended = (before - line[:, 0] < tol) | (line[:, 0] <= EARLY_STOP_VALUE)
+    return out[:n]
+
+
 def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     """Upper bound on the entanglement of formation, in bits.
 
@@ -374,11 +403,11 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     (``kernels.eof_sweep``) and is converged once a step gains less than
     ``tol`` or the value reaches EARLY_STOP_VALUE.  The starts are the
     refined certificate of a state that carries one, the spectral ensemble
-    (U = I) and up to ``restarts`` random K x rank isometries.  The two
-    structured starts run at their own size: zero rows padded onto U would
-    get a zero gradient and stay zero.  The value is recomputed from the
-    final rows.  Rank-one states short-circuit to the exact value
-    S(tr_2 psi).
+    (U = I) and up to ``restarts`` random K x rank isometries, drawn a window
+    of RESTART_PATIENCE at a time.  They step together as one stack, the
+    structured ones padded with zero rows (which stay zero), and the report
+    is what running them one by one gives.  The value is recomputed from
+    the final rows.  Rank-one states short-circuit to the exact value.
 
     Two-qubit states get the exact value from Wootters' optimal
     decomposition, whose members all have the state's concurrence; the
@@ -409,31 +438,29 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     if state.certificate is not None:
         refined = _refine_product_certificate(state.certificate, d1, d2, K)
         if refined is not None:
-            # rows = u @ base and base @ base^+ = diag(lam) give u
-            starts.append((refined[0] @ base.conj().T) / _weights(base))
-    starts.append(np.eye(rank))
-    n_structured = len(starts)
+            # rows = u @ base and base @ base^+ = diag(lam) give u; zero rows pad it
+            u = (refined[0] @ base.conj().T) / _weights(base)
+            starts.append(np.pad(u, ((0, K - u.shape[0]), (0, 0))))
+    starts.append(np.eye(K, rank))
 
-    def search(start):
-        u = start.astype(np.complex128)
-        value, grad = kernels._value_gradient(u, base, d1, d2)
-        direction = -grad
-        line = np.array([value, 1.0])
-        converged = value <= EARLY_STOP_VALUE
-        for _ in range(iters):
-            if converged:
-                break
-            gain = kernels.eof_sweep(u, grad, direction, line, base, d1, d2)
-            converged = gain < tol or line[0] <= EARLY_STOP_VALUE
-        rows = u @ base
-        value = float(kernels.column_scores(rows, d1, d2)[1].sum())
-        return value, rows, converged
+    def evaluated(us):  # (u, value, grad) of a stack of starts
+        u = np.array(us, dtype=np.complex128).reshape(-1, K, rank)
+        return (u, *kernels._value_gradient(u, base, d1, d2))
 
-    best_value, best_rows, best_converged, used = _multistart(
-        itertools.chain(starts, _random_isometries(K, rank, seed, 2, restarts)),
-        n_structured,
-        search,
-    )
+    def results():  # per start in start order, one window of starts at a time
+        randoms = _random_isometries(K, rank, seed, 2, restarts)
+        window = evaluated(starts)
+        if window[1].min() > EARLY_STOP_VALUE:  # else no random start is drawn
+            extra = evaluated(list(itertools.islice(randoms, RESTART_PATIENCE)))
+            window = tuple(np.concatenate(p) for p in zip(window, extra))
+        while window[0].shape[0]:
+            found = _eof_lockstep(*window, base, d1, d2, iters, tol)
+            yield from found
+            if len(found) < window[0].shape[0]:
+                return
+            window = evaluated(list(itertools.islice(randoms, RESTART_PATIENCE)))
+
+    best_value, best_rows, best_converged, used = _multistart(results(), len(starts), lambda r: r)
     cert = _ensemble_from_rows(best_rows, d1, d2, state)
     return MeasureReport(max(0.0, best_value), cert, best_converged, used)
 

@@ -179,6 +179,23 @@ UNREAD_OPTIONS = [
     for flag, value in (("--family", "werner"), ("--p", "0.3"), ("--rank", "2"))
 ] + [
     ("state-make-in", ("state", "make", "--family", "werner", "--p", "0.3"), "--in"),
+] + [
+    (f"evolve-{flag[2:]}-without-measures", ("evolve", "--family", "depolarizing_flow",
+                                             "--t-max", "1", "--steps", "2", flag, "3"), flag)
+    for flag in ("--K", "--restarts", "--iters")
+] + [
+    (f"evolve-{flag[2:]}-{family}", ("evolve", "--family", family, "--rate", "1",
+                                     "--t-max", "1", "--steps", "2", flag, "1.0"), flag)
+    for flag, family in (("--beta", "depolarizing_flow"), ("--hz", "depolarizing_flow"),
+                         ("--beta", "transpose_mix"), ("--hz", "identity"))
+] + [
+    (f"map-{action}-in-with-catalog", ("map", action, "--catalog", "transpose", "--d", "2",
+                                       *extra), "--in")
+    for action, extra in (("check", ()), ("apply", ("--state", "STATE")))
+] + [
+    (f"map-{action}-{flag[2:]}-without-catalog", ("map", action, flag, value, *extra), flag)
+    for action, extra in (("check", ()), ("apply", ("--state", "STATE")))
+    for flag, value in (("--d", "2"), ("--lam", "0.5"))
 ]
 
 
@@ -188,7 +205,10 @@ UNREAD_OPTIONS = [
 def test_option_of_another_subcommand_exit_2(bell_file, argv, option):
     # --format belongs to evolve only, --tol to measure ppt and map check
     # only, the search budgets to measure eof / dcoef-sup and map check only,
-    # --state to map apply only, the family parameters to state make only
+    # --state to map apply only, the family parameters to state make only;
+    # evolve reads the search budgets only with --measures and --beta / --hz
+    # only for glauber_flip, map reads --in only without --catalog and --d /
+    # --lam only with it
     argv = [str(bell_file) if a == "STATE" else a for a in argv]
     proc = run_cli(*argv, "--in", str(bell_file), check=False)
     assert proc.returncode == 2

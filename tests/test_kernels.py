@@ -86,8 +86,8 @@ def test_gradient_matches_finite_differences():
 
 @pytest.mark.parametrize("d1,d2", SPLITS)
 def test_zero_padded_rows_stay_zero(d1, d2):
-    # eof_upper runs its structured starts unpadded: zero rows added to U
-    # have zero gradient and stay exactly zero, so they change nothing
+    # eof_upper pads its structured starts to K rows to stack them: zero
+    # rows added to U have zero gradient and stay exactly zero
     state = states.random_density(d1, d2, rank=3, seed=d1 + 5 * d2)
     base = measures._spectral_rows(state)
     rank = base.shape[0]
@@ -153,3 +153,40 @@ def test_fixed_seed_reports_repeat(seed):
         first = measure(state, K=4, restarts=2, iters=5, seed=seed)
         second = measure(state, K=4, restarts=2, iters=5, seed=seed)
         assert first.to_json() == second.to_json()
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 3), (3, 2), (3, 3)])
+@settings(max_examples=12, deadline=None)
+@given(
+    count=st.integers(min_value=2, max_value=6),
+    rank=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    data=st.data(),
+)
+def test_stacked_sweep_matches_single_starts(d1, d2, count, rank, seed, data):
+    # each start of a stack steps as it would alone, also a start at a zero
+    # gradient (it stays) and one whose direction ascends (steepest descent)
+    state = states.random_density(d1, d2, rank=rank, seed=seed)
+    base = measures._spectral_rows(state)
+    zero, ascent = data.draw(st.permutations(range(count)))[:2]
+    starts = []
+    for i, u in enumerate(measures._random_isometries(rank + 2, rank, seed, 0, count)):
+        value, grad = kernels._value_gradient(u, base, d1, d2)
+        direction, line = -grad, np.array([value, 1.0])
+        kernels.eof_sweep(u, grad, direction, line, base, d1, d2)  # a conjugate direction
+        line[1] = 4.0 / (1 + i)  # each start its own trial step
+        if i == zero:
+            grad[:], direction[:] = 0.0, 0.0
+        if i == ascent:
+            direction[:] = grad
+        starts.append((u, grad, direction, line))
+    stack = [np.array(a) for a in zip(*starts)]
+    total = kernels.eof_sweep(*stack, base, d1, d2)
+    frozen = starts[zero][0].copy()
+    gains = [kernels.eof_sweep(*start, base, d1, d2) for start in starts]
+    assert np.array_equal(starts[zero][0], frozen) and gains[zero] == 0.0
+    assert gains[ascent] > 0.0
+    assert abs(total - sum(gains)) <= 1e-12
+    for got, start in zip(zip(*stack), starts):
+        for a, b in zip(got, start):
+            assert np.abs(a - b).max() <= 1e-12

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from entkit import maps, matcore, measures, states
+from entkit import kernels, maps, matcore, measures, states
 
 from oracles import (
     SX,
@@ -807,3 +807,222 @@ def test_tv_oracle_self_check():
 def test_werner_dd_oracle_is_wootters_at_d2():
     for a in np.linspace(0.0, 1.0, 21):
         assert abs(werner_dd_eof(a) - wootters_eof(werner_dd_matrix(a, 2))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# eof_upper against the sequential search it steps in lockstep
+# ---------------------------------------------------------------------------
+
+
+def _ref_spectral(mat):
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    keep = w > 1e-12
+    return (v[:, keep] * np.sqrt(w[keep])).T
+
+
+def _ref_refined(weights, comps, d1, d2, cap):
+    """Pure split of a separable certificate: product components along their factors."""
+    rows = []
+    for lam, comp in zip(weights, comps):
+        r1, r2 = (trace_out_reference(comp, d1, d2, keep=k) for k in (1, 2))
+        if np.linalg.norm(np.kron(r1, r2) - comp) > 1e-10:
+            rows += list(np.sqrt(lam) * _ref_spectral(comp))
+        else:
+            rows += [np.sqrt(lam) * np.kron(a, b)
+                     for a in _ref_spectral(r1) for b in _ref_spectral(r2)]
+    return np.array(rows) if len(rows) <= cap else None
+
+
+def _ref_blocks(rows, d1, d2):
+    r = rows.reshape(-1, d1, d2)
+    return r if d1 <= d2 else r.transpose(0, 2, 1)
+
+
+def _ref_tangent(u, z):
+    s = u.conj().T @ z
+    return z - u @ (0.5 * (s + s.conj().T))
+
+
+def _ref_value_gradient(u, base, d1, d2):
+    r = _ref_blocks(u @ base, d1, d2)
+    lam, v = np.linalg.eigh(r @ r.conj().transpose(0, 2, 1))
+    lam = np.maximum(lam, 0.0)
+    p = lam.sum(axis=1)
+    log_lam, log_p = np.log(np.maximum(lam, 1e-15)), np.log(np.maximum(p, 1e-15))
+    value = (p @ log_p - np.einsum("ij,ij->", lam, log_lam)) / np.log(2.0)
+    g = (v * (log_p[:, None] - log_lam)[:, None, :]) @ (v.conj().transpose(0, 2, 1) @ r)
+    g = g * (2.0 / np.log(2.0))
+    if d1 > d2:
+        g = g.transpose(0, 2, 1)
+    return value, _ref_tangent(u, g.reshape(u.shape[0], -1) @ base.conj().T)
+
+
+def _ref_retract(y):
+    q, r = np.linalg.qr(y)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _ref_step(u, grad, direction, value, t, base, d1, d2):
+    """One Armijo / Polak-Ribiere+ step: (u, grad, direction, value, t, gain)."""
+    slope = np.vdot(grad, direction).real
+    if slope >= 0.0:
+        direction, slope = -grad, -np.vdot(grad, grad).real
+    trial_t = t
+    while slope < 0.0 and trial_t >= 1e-12:
+        trial = _ref_retract(u + trial_t * direction)
+        new, new_grad = _ref_value_gradient(trial, base, d1, d2)
+        if new <= value + 0.3 * trial_t * slope:
+            beta = np.vdot(new_grad, new_grad - _ref_tangent(trial, grad)).real
+            beta = max(0.0, beta / np.vdot(grad, grad).real)
+            direction = beta * _ref_tangent(trial, direction) - new_grad
+            return trial, new_grad, direction, new, min(4.0 * trial_t, 4.0), value - new
+        trial_t *= 0.5
+    return u, grad, direction, value, t, 0.0
+
+
+def _ref_entropy(rows, d1, d2):
+    r = _ref_blocks(rows, d1, d2)
+    lam = np.maximum(np.linalg.eigvalsh(r @ r.conj().transpose(0, 2, 1)), 0.0)
+    p = lam.sum(axis=1)
+    nu = lam / np.where(p > 1e-14, p, 1.0)[:, None]
+    nu[nu <= 1e-12] = 1.0
+    return float(-np.einsum("ij,ij->i", lam, np.log2(nu))[p > 1e-14].sum())
+
+
+def eof_upper_reference(state, K, restarts=32, iters=60, tol=1e-10, seed=0):
+    """eof_upper beyond two qubits, one start after another; numpy only.
+
+    Returns (value, rows, converged, restarts used).
+    """
+    d1, d2 = state.split
+    base = _ref_spectral(state.mat)
+    rank = base.shape[0]
+    starts = []
+    if state.certificate is not None:
+        cert = state.certificate
+        refined = _ref_refined(cert.weights, [c.mat for c in cert.components], d1, d2, K)
+        if refined is not None:
+            starts.append((refined @ base.conj().T) / (np.abs(base) ** 2).sum(axis=1))
+    starts.append(np.eye(rank))
+    seq = np.random.SeedSequence(seed)
+    seq.spawn(2)
+    for _ in range(restarts):
+        rng = np.random.default_rng(seq.spawn(1)[0])
+        g = rng.standard_normal((K, rank)) + 1j * rng.standard_normal((K, rank))
+        starts.append(np.linalg.qr(g)[0])
+    n_structured = len(starts) - restarts
+    best, best_rows, best_converged, used, since = np.inf, None, False, 0, 0
+    for idx, u in enumerate(starts):
+        used += 1
+        u = u.astype(np.complex128)
+        value, grad = _ref_value_gradient(u, base, d1, d2)
+        direction, t, converged = -grad, 1.0, value <= 1e-10
+        for _ in range(iters):
+            if converged:
+                break
+            u, grad, direction, value, t, gain = _ref_step(
+                u, grad, direction, value, t, base, d1, d2
+            )
+            converged = gain < tol or value <= 1e-10
+        rows = u @ base
+        value = _ref_entropy(rows, d1, d2)
+        if value < best - 1e-15:
+            best, best_rows, best_converged, since = value, rows, converged, 0
+        elif idx >= n_structured:
+            since += 1
+        if best <= 1e-10 or (idx >= n_structured and since >= 8):
+            break
+    return max(0.0, best), best_rows, best_converged, used
+
+
+def _separable(split, seed, certified=False):
+    state = states.random_separable(*split, m=2, seed=seed)
+    return state if certified else states.DensityMatrix(state.mat, *split)
+
+
+LOCKSTEP_CASES = (
+    [(f"isotropic({f})", lambda f=f: states.isotropic_state(f, 3), dict(K=9, restarts=4))
+     for f in (0.35, 0.4, 0.5, 0.6, 0.7, 0.9)]
+    + [(f"random_2x3-{s}", lambda s=s: states.random_density(2, 3, seed=s), dict(K=6))
+       for s in range(6)]
+    + [(f"random_3x3-rank{r}", lambda r=r: states.random_density(3, 3, rank=r, seed=r),
+        dict(restarts=4)) for r in (3, 5)]
+    + [(f"separable_{d1}x{d2}-{s}", lambda s=s, sp=(d1, d2): _separable(sp, s),
+        dict(restarts=4, seed=s - 10)) for d1, d2 in ((2, 3), (3, 2)) for s in range(10, 20)]
+    + [(f"certified_{d1}x{d2}-{s}", lambda s=s, sp=(d1, d2): _separable(sp, s, True),
+        dict(restarts=32)) for d1, d2 in ((2, 3), (3, 3)) for s in (0, 1)]
+    + [(f"isotropic(0.5)-{name}", lambda: states.isotropic_state(0.5, 3), dict(K=9, **kw))
+       for name, kw in (("restarts0", dict(restarts=0)), ("iters0", dict(restarts=4, iters=0)),
+                        ("iters1", dict(restarts=4, iters=1)))]
+    + [(f"separable_2x3-10-{name}", lambda: _separable((2, 3), 10), kw)
+       for name, kw in (("restarts0", dict(restarts=0)), ("iters0", dict(restarts=4, iters=0)),
+                        ("iters1", dict(restarts=4, iters=1)))]
+    + [("certified_2x3-0-iters0", lambda: _separable((2, 3), 0, True), dict(iters=0))]
+)
+
+
+@pytest.mark.parametrize(
+    "make,kwargs", [c[1:] for c in LOCKSTEP_CASES], ids=[c[0] for c in LOCKSTEP_CASES]
+)
+def test_eof_matches_sequential_reference(make, kwargs):
+    state = make()
+    rep = measures.eof_upper(state, **kwargs)
+    k = kwargs.pop("K", state.rank() ** 2)
+    value, _, converged, used = eof_upper_reference(state, k, **kwargs)
+    assert rep.restarts_used == used
+    assert rep.converged == converged
+    assert abs(rep.value - value) < 1e-6
+    _assert_sound_eof(rep, state)
+
+
+def _counting_isometries(monkeypatch):
+    drawn = []
+    real = measures._random_isometries
+
+    def counting(*args):
+        for u in real(*args):
+            drawn.append(u)
+            yield u
+
+    monkeypatch.setattr(measures, "_random_isometries", counting)
+    return drawn
+
+
+@pytest.mark.parametrize("split", [(2, 3), (3, 3)])
+def test_certified_start_draws_no_random_isometry(split, monkeypatch):
+    drawn = _counting_isometries(monkeypatch)
+    rep = measures.eof_upper(_separable(split, 3, certified=True), restarts=32)
+    assert rep.value <= measures.EARLY_STOP_VALUE
+    assert rep.converged and rep.restarts_used == 1
+    assert drawn == []
+
+
+def test_random_isometries_drawn_one_window_at_a_time(monkeypatch):
+    # patience stops the search long before 40 random starts; the random
+    # isometries are drawn in whole windows, at most one window ahead
+    drawn = _counting_isometries(monkeypatch)
+    rep = measures.eof_upper(states.random_density(2, 3, seed=4), K=6, restarts=40)
+    assert rep.restarts_used - 1 <= len(drawn) <= rep.restarts_used - 1 + measures.RESTART_PATIENCE
+    assert len(drawn) % measures.RESTART_PATIENCE == 0 and len(drawn) < 40
+
+
+def test_no_start_after_a_zero_is_stepped(monkeypatch):
+    # the first random start reaches zero; the later ones of its window leave
+    # the stack at that step, while the spectral start before it runs on
+    sweep = kernels.eof_sweep
+    calls = []
+
+    def recording(u, grad, direction, line, *args):
+        gain = sweep(u, grad, direction, line, *args)
+        calls.append(line[:, 0].copy())
+        return gain
+
+    monkeypatch.setattr(kernels, "eof_sweep", recording)
+    state = _separable((2, 3), 10)
+    rep = measures.eof_upper(state, restarts=4, seed=0)
+    assert rep.restarts_used == eof_upper_reference(state, 36, restarts=4, seed=0)[3] == 2
+    first = next(c for c, line in enumerate(calls) if (line <= measures.EARLY_STOP_VALUE).any())
+    row = int(np.flatnonzero(calls[first] <= measures.EARLY_STOP_VALUE)[0])
+    assert calls[first].shape[0] == 5 and row == 1
+    assert all(line.shape[0] <= row for line in calls[first + 1 :])
