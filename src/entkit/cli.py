@@ -239,8 +239,14 @@ def _cmd_evolve(args):
     if not wanted:
         _refuse_unread("without --measures",
                        {"--K": args.K, "--restarts": args.restarts, "--iters": args.iters})
+    unread = {}
     if args.family != "glauber_flip":
-        _refuse_unread(f"by family {args.family}", {"--beta": args.beta, "--hz": args.hz})
+        unread.update({"--beta": args.beta, "--hz": args.hz})
+    if args.family not in ("depolarizing_flow", "glauber_flip"):
+        unread["--rate"] = args.rate
+    if args.family != "transpose_mix":
+        unread["--speed"] = args.speed
+    _refuse_unread(f"by family {args.family}", unread)
     state = _load_state(args.infile)
     params = {"d": state.d1}
     if args.rate is not None:

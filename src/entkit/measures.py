@@ -477,6 +477,13 @@ def _group_terms(tot):
     return np.where(heavy, tot[..., 1] * tot[..., 2] / np.where(heavy, p, 1.0), 0.0)
 
 
+def _group_sums(gid, table):
+    """(G, n) totals of the rows of the (K, n) ``table`` over the groups ``gid``."""
+    n = table.shape[1]
+    idx = n * gid[:, None] + np.arange(n)
+    return np.bincount(idx.ravel(), weights=table.ravel()).reshape(-1, n)
+
+
 # Coarse grid of the pair rotations (theta, phi): theta = 1..8 steps in
 # (0, pi/2), phi = 0..7 steps over the full circle, theta-major.  theta = 0
 # is the identity rotation and serves as the baseline, theta = pi/2 merely
@@ -630,8 +637,7 @@ class _GroupedEnsemble:
 
     def _refresh_groups(self):
         """Recompute the group totals and the classical value from the members."""
-        idx = 3 * self.gid[:, None] + np.arange(3)
-        self.tot = np.bincount(idx.ravel(), weights=self.terms.ravel()).reshape(-1, 3)
+        self.tot = _group_sums(self.gid, self.terms)
         self.group_terms = _group_terms(self.tot)
         self.classical = float(self.group_terms.sum())
 
@@ -825,10 +831,75 @@ def _dcoef_search(state, setup, a1, a2, restarts, iters, tol=1e-12, seed=0):
     value, (rows, gid), converged, used = _multistart(
         itertools.chain(starts, randoms), len(starts), search
     )
+    _check_rows(state, rows)
+    return value, rows, gid, converged, used
+
+
+def _check_rows(state, rows):
     err = matcore.frobenius_norm(rows.T @ rows.conj() - state.mat)
     if err > 1e-9:
         raise ValueError(f"dcoef ensemble misses its state by {err:.3e}")
-    return value, rows, gid, converged, used
+
+
+def _joint_table(state, e, f):
+    """tr[rho (e_a ox f_b)] for stacks e (n_e, d1, d1) and f (n_f, d2, d2)."""
+    rho = state.mat.reshape(state.d1, state.d2, state.d1, state.d2)
+    return np.einsum("ikjl,aji,blk->ab", rho, e, f).real
+
+
+def _start_values(rows, gid, e, f, joint):
+    """dcoef objective of the grouped ensemble (rows, gid) at every pair (e_a, f_b).
+
+    Per row, <x|e_a ox 1|x> and <x|1 ox f_b|x> come from the row's leg
+    marginals.  Every sum runs over the last axis of a C-ordered array, so
+    an entry does not depend on how many observables are stacked with it.
+    """
+    d1, d2 = e.shape[1], f.shape[1]
+    y = rows.reshape(-1, d1, d2)
+    g1 = (y.conj() @ y.transpose(0, 2, 1)).reshape(-1, 1, d1 * d1)
+    g2 = (y.conj().transpose(0, 2, 1) @ y).reshape(-1, 1, d2 * d2)
+    u = (e.reshape(1, -1, d1 * d1) * g1).real.sum(axis=-1)
+    v = (f.reshape(1, -1, d2 * d2) * g2).real.sum(axis=-1)
+    tot = _group_sums(gid, np.concatenate([_weights(rows)[:, None], u, v], axis=1))
+    p, ut, vt = tot[:, 0], tot[:, 1 : 1 + e.shape[0]].T, tot[:, 1 + e.shape[0] :].T
+    heavy = p > kernels.WEIGHT_FLOOR
+    uv = ut[:, None, :] * vt[None, :, :]
+    # (n_e, n_f, G) group terms, C-ordered whatever the layout of tot
+    terms = np.ascontiguousarray(np.where(heavy, uv / np.where(heavy, p, 1.0), 0.0))
+    return np.abs(joint - terms.sum(axis=-1))
+
+
+def _settle(state, setup, e, f, joint):
+    """dcoef at every pair (e_a, f_b) that its closed-form starts settle.
+
+    The one-group start (one group: no sweep or merge moves it) and the
+    refined certificate are scored at every pair at once and fed through
+    ``_multistart``; a pair is settled when that stops at EARLY_STOP_VALUE,
+    where the search would stop too.  Returns, in pair order (a-major), the
+    ``_dcoef_search`` tuple of each settled pair and None for the others.
+    The rows of each start are checked once.
+    """
+    base, K, refined = setup
+    rank = base.shape[0]
+    out = [None] * (e.shape[0] * f.shape[0])
+    if rank <= 1:
+        return out
+    starts = [(base, np.zeros(rank, dtype=np.int64))]
+    if refined is not None:
+        starts.append((refined[0], np.unique(refined[1], return_inverse=True)[1]))
+    values = np.array([_start_values(*start, e, f, joint).ravel() for start in starts])
+    # only a pair with a start at EARLY_STOP_VALUE can stop there
+    for k in np.flatnonzero(values.min(axis=0) <= EARLY_STOP_VALUE).tolist():
+        # a start at EARLY_STOP_VALUE is converged, as in the search; the
+        # flag of one above it is never reported, as its pair is searched
+        column = values[:, k].tolist()
+        scored = [(v, start, v <= EARLY_STOP_VALUE) for v, start in zip(column, starts)]
+        value, (rows, gid), converged, used = _multistart(scored, len(starts), lambda r: r)
+        if value <= EARLY_STOP_VALUE:
+            out[k] = value, rows, gid, converged, used
+    for rows in {id(found[1]): found[1] for found in out if found}.values():
+        _check_rows(state, rows)
+    return out
 
 
 def _dcoef_report(state, value, rows, gid, converged, used, pair=None):
@@ -856,12 +927,18 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
     The classical values of a fixed grouping form an interval, so the
     infimum is the distance from the target to it; a pair rotation that
     carries target - c across zero is bisected onto the crossing, so zeros
-    come out exact up to rounding and stop the restarts early.
+    come out exact up to rounding and stop the restarts early.  When the
+    one-group start or the refined certificate is already at
+    EARLY_STOP_VALUE, the report is that start's closed form and no search
+    runs (``restarts_used`` 1 or 2).
     """
     a1 = _hermitian_observable(a1, state.d1, "a1")
     a2 = _hermitian_observable(a2, state.d2, "a2")
     setup = _dcoef_setup(state, K)
-    found = _dcoef_search(state, setup, a1, a2, restarts, iters, tol, seed)
+    e, f = a1[None], a2[None]
+    found = _settle(state, setup, e, f, _joint_table(state, e, f))[0]
+    if found is None:
+        found = _dcoef_search(state, setup, a1, a2, restarts, iters, tol, seed)
     return _dcoef_report(state, *found)
 
 
@@ -906,6 +983,14 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     ``converged`` and ``restarts_used`` cover the visited pairs.  The set-up
     of dcoef runs once per call, and the certificate is built once, for the
     winning pair, whose indices the report's ``pair`` holds.
+
+    The closed-form starts of dcoef (one group, and the refined certificate
+    of a state that carries one) are scored for every pair in one
+    contraction.  A pair where one of them reaches EARLY_STOP_VALUE, as
+    every pair of a certified separable state does once its refined
+    certificate fits in K members, is settled without a search; it still
+    counts its 1 or 2 starts in ``restarts_used``, and its value is bit for
+    bit the one ``dcoef`` gives.
     """
     setup = _dcoef_setup(state, K)
     basis1 = gell_mann_basis(state.d1)
@@ -915,11 +1000,11 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     e, f = np.array(basis1), np.array(basis2)
     r1 = matcore.partial_trace(state.mat, state.split, keep=1)
     r2 = matcore.partial_trace(state.mat, state.split, keep=2)
-    rho = state.mat.reshape(state.d1, state.d2, state.d1, state.d2)
-    joint = np.einsum("ikjl,aji,blk->ab", rho, e, f).real
+    joint = _joint_table(state, e, f)
     mean1 = np.einsum("ij,aji->a", r1, e).real
     mean2 = np.einsum("ij,aji->a", r2, f).real
     bound = np.abs(joint - np.outer(mean1, mean2)).ravel()
+    settled = _settle(state, setup, e, f, joint)
     best, best_k = None, None
     total_restarts = 0
     all_converged = True
@@ -927,7 +1012,7 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
         if best is not None and bound[k] + _PRUNE_SLACK <= best[0]:
             break
         i, j = pairs[k]
-        value, rows, gid, converged, used = _dcoef_search(
+        value, rows, gid, converged, used = settled[k] or _dcoef_search(
             state, setup, basis1[i], basis2[j], restarts, iters, seed=children[k]
         )
         total_restarts += used

@@ -189,6 +189,15 @@ UNREAD_OPTIONS = [
     for flag, family in (("--beta", "depolarizing_flow"), ("--hz", "depolarizing_flow"),
                          ("--beta", "transpose_mix"), ("--hz", "identity"))
 ] + [
+    (f"evolve-{option[2:]}-{family}", ("evolve", "--family", family, *extra,
+                                       "--t-max", "1", "--steps", "2"), option)
+    for family, extra, option in (
+        ("transpose_mix", ("--speed", "1", "--rate", "5"), "--rate"),
+        ("depolarizing_flow", ("--rate", "1", "--speed", "7"), "--speed"),
+        ("identity", ("--rate", "3", "--speed", "2"), "--rate, --speed"),
+        ("glauber_flip", ("--rate", "1", "--speed", "2"), "--speed"),
+    )
+] + [
     (f"map-{action}-in-with-catalog", ("map", action, "--catalog", "transpose", "--d", "2",
                                        *extra), "--in")
     for action, extra in (("check", ()), ("apply", ("--state", "STATE")))
@@ -206,9 +215,10 @@ def test_option_of_another_subcommand_exit_2(bell_file, argv, option):
     # --format belongs to evolve only, --tol to measure ppt and map check
     # only, the search budgets to measure eof / dcoef-sup and map check only,
     # --state to map apply only, the family parameters to state make only;
-    # evolve reads the search budgets only with --measures and --beta / --hz
-    # only for glauber_flip, map reads --in only without --catalog and --d /
-    # --lam only with it
+    # evolve reads the search budgets only with --measures, --beta / --hz
+    # only for glauber_flip, --rate only for depolarizing_flow and
+    # glauber_flip and --speed only for transpose_mix; map reads --in only
+    # without --catalog and --d / --lam only with it
     argv = [str(bell_file) if a == "STATE" else a for a in argv]
     proc = run_cli(*argv, "--in", str(bell_file), check=False)
     assert proc.returncode == 2

@@ -582,6 +582,14 @@ SUP_CASES = [
     ("random(2, 2)", lambda: states.random_density(2, 2, rank=4, seed=9), dict(restarts=1, iters=3)),
     ("separable(2, 2)", lambda: states.random_separable(2, 2, m=4, seed=5), dict(K=16, restarts=2)),
     ("bell", lambda: states.bell_state(1), dict(K=8, restarts=2)),
+] + [
+    # certified states whose every pair is settled: dcoef settles as dcoef_sup
+    # does; m=12 gives 12 groups, enough for numpy's pairwise summation
+    (f"separable({d1}, {d2}, m={m}, seed={s})",
+     lambda d1=d1, d2=d2, m=m, s=s: states.random_separable(d1, d2, m=m, seed=s),
+     dict(K=K, restarts=2))
+    for d1, d2, m, s, K in ((2, 2, 4, 8, 16), (2, 2, 4, 12, 16), (2, 3, 2, 33, 16),
+                            (2, 2, 12, 1, 64))
 ]
 
 
@@ -601,6 +609,55 @@ def test_dcoef_sup_matches_dcoef_at_its_pair(name, make, budget):
     assert len(rep.certificate.components) == len(direct.certificate.components)
     for got, want in zip(rep.certificate.components, direct.certificate.components):
         assert np.array_equal(got.mat, want.mat)
+
+
+def test_certified_fixtures_are_settled_without_a_search(monkeypatch):
+    # the 20 separable fixtures of acceptance criterion 3 at their benchmark
+    # budget: the refined certificate settles every Gell-Mann pair, so no
+    # grouped ensemble is built; restarts_used still counts two starts per
+    # pair (18 = 9 pairs x 2, 48 = 24 x 2), as a search stopping there does
+    def refused(*args):
+        raise AssertionError("a settled pair built a grouped ensemble")
+
+    monkeypatch.setattr(measures, "_GroupedEnsemble", refused)
+    fixtures = [states.random_separable(2, 2, m=4, seed=s) for s in range(10)]
+    fixtures += [states.random_separable(2, 3, m=2, seed=10 + s) for s in range(10)]
+    for i, state in enumerate(fixtures):
+        rep = measures.dcoef_sup(state, K=16, restarts=32, seed=200 + i)
+        assert rep.value <= 1e-15
+        assert rep.restarts_used == (18 if i < 10 else 48)
+        assert rep.converged is True
+        weights, comps = _certificate(rep)
+        assert np.abs(sum(w * c for w, c in zip(weights, comps)) - state.mat).max() < 1e-9
+
+
+def test_settled_pairs_check_each_row_set_once(monkeypatch):
+    checked = []
+    check = measures._check_rows
+
+    def counted(state, rows):
+        checked.append(rows)
+        return check(state, rows)
+
+    monkeypatch.setattr(measures, "_check_rows", counted)
+    # a certified state: the refined certificate, the second start, settles
+    # every pair
+    state = states.random_separable(2, 3, m=2, seed=10)
+    setup = measures._dcoef_setup(state, 16)
+    e, f = np.array([SX, SZ]), np.array(measures.gell_mann_basis(3))
+    settled = measures._settle(state, setup, e, f, measures._joint_table(state, e, f))
+    assert all(found is not None and found[4] == 2 for found in settled)
+    assert len(checked) == 1 and checked[0] is setup[2][0]
+    # werner(0.9): the one-group start settles the uncorrelated Pauli pairs
+    # at once; the pairs on the diagonal are left to the search
+    checked.clear()
+    state = states.werner_state(0.9)
+    setup = measures._dcoef_setup(state, 8)
+    e = np.array(measures.gell_mann_basis(2))
+    settled = measures._settle(state, setup, e, e, measures._joint_table(state, e, e))
+    assert [found is None for found in settled] == np.eye(3, dtype=bool).ravel().tolist()
+    assert all(found[4] == 1 and found[1] is setup[0] for found in settled if found)
+    assert len(checked) == 1 and checked[0] is setup[0]
 
 
 @pytest.mark.parametrize("iters", [0, 60])
