@@ -21,7 +21,8 @@ import numpy as np
 
 # Ensemble members lighter than this carry no objective weight.
 WEIGHT_FLOOR = 1e-14
-# Normalised eigenvalues at or below this floor contribute zero entropy.
+# Normalised eigenvalues at or below this floor contribute zero entropy, here
+# and in states.entropy_of_eigenvalues.
 ENTROPY_FLOOR = 1e-12
 # Eigenvalues are clipped here inside the logarithm of the gradient, which
 # would otherwise blow up as a marginal becomes pure.

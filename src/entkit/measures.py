@@ -21,10 +21,6 @@ WITNESS_TOL = 1e-10
 EARLY_STOP_VALUE = 1e-10
 RESTART_PATIENCE = 8
 
-# dcoef_sup skips a pair only when its one-group bound is below the best
-# value by more than rounding: the bound and dcoef sum in different orders.
-_PRUNE_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class PptReport:
@@ -180,19 +176,19 @@ def _random_isometries(k, rank, seed, skip, count):
         yield u
 
 
-def _multistart(starts, n_structured, search):
-    """Run ``search`` on each start; keep the best (value, snapshot, converged).
+def _multistart(results, n_structured):
+    """Keep the best of the lazy (value, snapshot, converged) start results.
 
-    The first ``n_structured`` starts always run.  The loop stops once the
-    best value reaches ``EARLY_STOP_VALUE``, or after ``RESTART_PATIENCE``
-    random starts in a row fail to improve it.  Returns the best value,
-    snapshot and converged flag, and the number of starts used.
+    The first ``n_structured`` are always taken.  The loop stops once the best
+    value reaches ``EARLY_STOP_VALUE``, or after ``RESTART_PATIENCE`` random
+    starts in a row fail to beat it by 1e-15; it never returns more than the
+    first start.  Returns the best value, snapshot and converged flag, and
+    the number of starts used.
     """
     best_value, best_snapshot, best_converged = np.inf, None, False
     used = since_improved = 0
-    for idx, start in enumerate(starts):
+    for idx, (value, snapshot, converged) in enumerate(results):
         used += 1
-        value, snapshot, converged = search(start)
         if value < best_value - 1e-15:
             best_value, best_snapshot, best_converged = value, snapshot, converged
             since_improved = 0
@@ -460,7 +456,7 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
                 return
             window = evaluated(list(itertools.islice(randoms, RESTART_PATIENCE)))
 
-    best_value, best_rows, best_converged, used = _multistart(results(), len(starts), lambda r: r)
+    best_value, best_rows, best_converged, used = _multistart(results(), len(starts))
     cert = _ensemble_from_rows(best_rows, d1, d2, state)
     return MeasureReport(max(0.0, best_value), cert, best_converged, used)
 
@@ -777,61 +773,78 @@ def _hermitian_observable(a, d, name):
 
 
 def _dcoef_setup(state, K):
-    """Pair-independent part of dcoef: (spectral rows, K, refined certificate)."""
+    """Pair-independent part of dcoef: (spectral rows, K, closed-form starts).
+
+    The closed-form starts, each (rows, gid), are the one-group start (the
+    spectral rows as one group, i.e. the state itself) and the refined
+    certificate of a state that carries one.  Above rank one, the rows of
+    each are checked here, once per call.
+    """
     base = _spectral_rows(state)
     rank = base.shape[0]
-    if rank <= 1:  # no search: dcoef has a closed form
-        return base, K, None
+    starts = [(base, np.zeros(rank, dtype=np.int64))]
+    if rank <= 1:  # no search: the one group is the only ensemble
+        return base, K, starts
     K = rank * rank if K is None else K
     if K < rank:
         raise ValueError(f"ensemble size {K} below state rank {rank}: infeasible")
-    if state.certificate is None:
-        return base, K, None
-    return base, K, _refine_product_certificate(state.certificate, *state.split, K)
+    _check_rows(state, base)
+    if state.certificate is not None:
+        refined = _refine_product_certificate(state.certificate, *state.split, K)
+        if refined is not None:
+            _check_rows(state, refined[0])
+            starts.append((refined[0], np.unique(refined[1], return_inverse=True)[1]))
+    return base, K, starts
 
 
-def _dcoef_search(state, setup, a1, a2, restarts, iters, tol=1e-12, seed=0):
+def _dcoef_search(state, setup, a1, a2, restarts, iters, tol, seed, closed):
     """dcoef at one pair from ``_dcoef_setup``: (value, rows, gid, converged, used).
 
-    Rank one has a closed form and rows None.  A one-group start is not grown:
-    rotations within a group and growth keep its objective.
+    ``closed`` holds the pair's values of the closed-form starts, which enter
+    ``_multistart`` unsearched: the one-group start converged as a sweep
+    would leave it, the refined certificate unless above EARLY_STOP_VALUE.
+    A searched winner has its rows checked.  Rank one has no search, rows None.
     """
-    d1, d2 = state.split
-    base, K, refined = setup
-    big1 = matcore.kron(a1, np.eye(d2))
-    big2 = matcore.kron(np.eye(d1), a2)
-    target = float(np.trace(state.mat @ matcore.kron(a1, a2)).real)
+    base, K, starts = setup
     rank = base.shape[0]
     if rank <= 1:
-        r1, r2 = (matcore.partial_trace(state.mat, state.split, keep=k) for k in (1, 2))
-        value = float(abs(target - np.trace(r1 @ a1).real * np.trace(r2 @ a2).real))
-        return value, None, None, True, 0
-    spectral_gid = np.arange(rank, dtype=np.int64)
-    starts = [(base, np.zeros(rank, dtype=np.int64)), refined, (base, spectral_gid)]
-    starts = [s for s in starts if s is not None]  # one group, refined, spectral
+        return float(closed[0]), None, None, True, 0
 
-    def search(start):
-        ens = _GroupedEnsemble(*start, big1, big2, target)
-        cap = K if ens.tot.shape[0] > 1 else ens.rows.shape[0]
-        for size in _ladder_sizes(ens.rows.shape[0], cap):
-            ens.grow(size)
-            converged = False
-            if ens.objective > EARLY_STOP_VALUE:
-                for _ in range(iters):
-                    if ens.rotation_sweep() + ens.merge_pass() < tol:
-                        converged = True
-                        break
-            if ens.objective <= EARLY_STOP_VALUE:
-                converged = True
-                break
-        return ens.objective, (ens.rows, ens.gid), converged
+    def results():  # the observables are built only once a search runs
+        one = float(closed[0])
+        yield one, starts[0], bool(one <= EARLY_STOP_VALUE or (iters > 0 and tol > 0))
+        searched = []
+        for value, start in zip(closed[1:].tolist(), starts[1:]):
+            if value <= EARLY_STOP_VALUE:
+                yield value, start, True
+            else:
+                searched.append(start)
+        big1 = matcore.kron(a1, np.eye(state.d2))
+        big2 = matcore.kron(np.eye(state.d1), a2)
+        target = float(np.trace(state.mat @ matcore.kron(a1, a2)).real)
+        spectral_gid = np.arange(rank, dtype=np.int64)
+        searched.append((base, spectral_gid))
+        randoms = _random_isometries(rank, rank, seed, 3, restarts)
+        for rows, gid in itertools.chain(searched, ((u @ base, spectral_gid) for u in randoms)):
+            ens = _GroupedEnsemble(rows, gid, big1, big2, target)
+            # rotations within a group and growth keep a one-group objective
+            cap = K if ens.tot.shape[0] > 1 else ens.rows.shape[0]
+            for size in _ladder_sizes(ens.rows.shape[0], cap):
+                ens.grow(size)
+                converged = False
+                if ens.objective > EARLY_STOP_VALUE:
+                    for _ in range(iters):
+                        if ens.rotation_sweep() + ens.merge_pass() < tol:
+                            converged = True
+                            break
+                if ens.objective <= EARLY_STOP_VALUE:
+                    converged = True
+                    break
+            yield ens.objective, (ens.rows, ens.gid), converged
 
-    randoms = _random_isometries(rank, rank, seed, 3, restarts)
-    randoms = ((u @ base, spectral_gid) for u in randoms)
-    value, (rows, gid), converged, used = _multistart(
-        itertools.chain(starts, randoms), len(starts), search
-    )
-    _check_rows(state, rows)
+    value, (rows, gid), converged, used = _multistart(results(), len(starts) + 1)
+    if all(rows is not start[0] for start in starts):
+        _check_rows(state, rows)
     return value, rows, gid, converged, used
 
 
@@ -869,37 +882,34 @@ def _start_values(rows, gid, e, f, joint):
     return np.abs(joint - terms.sum(axis=-1))
 
 
-def _settle(state, setup, e, f, joint):
-    """dcoef at every pair (e_a, f_b) that its closed-form starts settle.
+def _dcoef_pairs(state, setup, e, f, seeds, restarts, iters, tol):
+    """Largest dcoef over the pairs (e_a, f_b): the search tuple, and the index k.
 
-    The one-group start (one group: no sweep or merge moves it) and the
-    refined certificate are scored at every pair at once and fed through
-    ``_multistart``; a pair is settled when that stops at EARLY_STOP_VALUE,
-    where the search would stop too.  Returns, in pair order (a-major), the
-    ``_dcoef_search`` tuple of each settled pair and None for the others.
-    The rows of each start are checked once.
+    Pair k = a * n_f + b takes ``seeds[k]``.  The closed-form starts of
+    ``setup`` are scored at every pair in one contraction.  A pair's
+    one-group value, its first start, bounds its dcoef, so pairs are visited
+    in decreasing order of it and the rest are skipped once it is below a
+    best value above EARLY_STOP_VALUE.  Values at or below EARLY_STOP_VALUE
+    tie as zero, and ties go to the lowest k, so the result is that of
+    visiting every pair; its converged flag and start count cover the
+    visited pairs.
     """
-    base, K, refined = setup
-    rank = base.shape[0]
-    out = [None] * (e.shape[0] * f.shape[0])
-    if rank <= 1:
-        return out
-    starts = [(base, np.zeros(rank, dtype=np.int64))]
-    if refined is not None:
-        starts.append((refined[0], np.unique(refined[1], return_inverse=True)[1]))
-    values = np.array([_start_values(*start, e, f, joint).ravel() for start in starts])
-    # only a pair with a start at EARLY_STOP_VALUE can stop there
-    for k in np.flatnonzero(values.min(axis=0) <= EARLY_STOP_VALUE).tolist():
-        # a start at EARLY_STOP_VALUE is converged, as in the search; the
-        # flag of one above it is never reported, as its pair is searched
-        column = values[:, k].tolist()
-        scored = [(v, start, v <= EARLY_STOP_VALUE) for v, start in zip(column, starts)]
-        value, (rows, gid), converged, used = _multistart(scored, len(starts), lambda r: r)
-        if value <= EARLY_STOP_VALUE:
-            out[k] = value, rows, gid, converged, used
-    for rows in {id(found[1]): found[1] for found in out if found}.values():
-        _check_rows(state, rows)
-    return out
+    joint = _joint_table(state, e, f)
+    closed = np.array([_start_values(*start, e, f, joint).ravel() for start in setup[2]])
+    n_f = f.shape[0]
+    best, converged, used = None, True, 0
+    for k in np.argsort(-closed[0], kind="stable").tolist():
+        if best is not None and closed[0, k] < best[0][0]:  # a zero best, keyed 0.0, prunes none
+            break
+        found = _dcoef_search(
+            state, setup, e[k // n_f], f[k % n_f], restarts, iters, tol, seeds[k], closed[:, k]
+        )
+        converged = converged and found[3]
+        used += found[4]
+        key = (found[0] if found[0] > EARLY_STOP_VALUE else 0.0, -k)
+        if best is None or key > best[0]:
+            best = key, found
+    return (*best[1][:3], converged, used), -best[0][1]
 
 
 def _dcoef_report(state, value, rows, gid, converged, used, pair=None):
@@ -927,18 +937,16 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
     The classical values of a fixed grouping form an interval, so the
     infimum is the distance from the target to it; a pair rotation that
     carries target - c across zero is bisected onto the crossing, so zeros
-    come out exact up to rounding and stop the restarts early.  When the
-    one-group start or the refined certificate is already at
-    EARLY_STOP_VALUE, the report is that start's closed form and no search
-    runs (``restarts_used`` 1 or 2).
+    come out exact up to rounding and stop the restarts early.  The
+    one-group ensemble and the refined certificate have closed-form values
+    and run no search when at EARLY_STOP_VALUE (``restarts_used`` 1 or 2);
+    the spectral ensemble and ``restarts`` random ones follow.  A rank-one
+    state is its own certificate, with ``restarts_used`` 0.
     """
     a1 = _hermitian_observable(a1, state.d1, "a1")
     a2 = _hermitian_observable(a2, state.d2, "a2")
     setup = _dcoef_setup(state, K)
-    e, f = a1[None], a2[None]
-    found = _settle(state, setup, e, f, _joint_table(state, e, f))[0]
-    if found is None:
-        found = _dcoef_search(state, setup, a1, a2, restarts, iters, tol, seed)
+    found, _ = _dcoef_pairs(state, setup, a1[None], a2[None], [seed], restarts, iters, tol)
     return _dcoef_report(state, *found)
 
 
@@ -976,47 +984,19 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     1/3 < p <= 1/sqrt(5)), so near-zero values never certify separability.
 
     dcoef(e, f) is at most its one-group value |tr rho(e ox f) -
-    tr(rho_1 e) tr(rho_2 f)|, so pairs are visited in decreasing order of
-    that bound and the rest are skipped once it falls below the best value.
-    Each pair keeps the seed child it has in basis order, and ties go to the
-    first pair in basis order, so the result is that of scanning every pair;
-    ``converged`` and ``restarts_used`` cover the visited pairs.  The set-up
-    of dcoef runs once per call, and the certificate is built once, for the
-    winning pair, whose indices the report's ``pair`` holds.
-
-    The closed-form starts of dcoef (one group, and the refined certificate
-    of a state that carries one) are scored for every pair in one
-    contraction.  A pair where one of them reaches EARLY_STOP_VALUE, as
-    every pair of a certified separable state does once its refined
-    certificate fits in K members, is settled without a search; it still
-    counts its 1 or 2 starts in ``restarts_used``, and its value is bit for
-    bit the one ``dcoef`` gives.
+    tr(rho_1 e) tr(rho_2 f)|, so pairs are visited in decreasing order of it
+    and skipped once it is below a best value above EARLY_STOP_VALUE.  Each
+    pair keeps the seed child it has in basis order, values at or below
+    EARLY_STOP_VALUE tie as zero, and ties go to the first pair in basis
+    order, so the result is that of scanning every pair, and bit for bit
+    what ``dcoef`` gives at the winning pair, which ``pair`` names;
+    ``converged`` and ``restarts_used`` cover the visited pairs, a pair that
+    a closed-form start settles counting its 1 or 2 starts, as in dcoef.
+    The set-up and the certificate are built once per call.
     """
     setup = _dcoef_setup(state, K)
-    basis1 = gell_mann_basis(state.d1)
-    basis2 = gell_mann_basis(state.d2)
-    pairs = list(itertools.product(range(len(basis1)), range(len(basis2))))
-    children = _as_seed_sequence(seed).spawn(len(pairs))
-    e, f = np.array(basis1), np.array(basis2)
-    r1 = matcore.partial_trace(state.mat, state.split, keep=1)
-    r2 = matcore.partial_trace(state.mat, state.split, keep=2)
-    joint = _joint_table(state, e, f)
-    mean1 = np.einsum("ij,aji->a", r1, e).real
-    mean2 = np.einsum("ij,aji->a", r2, f).real
-    bound = np.abs(joint - np.outer(mean1, mean2)).ravel()
-    settled = _settle(state, setup, e, f, joint)
-    best, best_k = None, None
-    total_restarts = 0
-    all_converged = True
-    for k in np.argsort(-bound, kind="stable").tolist():
-        if best is not None and bound[k] + _PRUNE_SLACK <= best[0]:
-            break
-        i, j = pairs[k]
-        value, rows, gid, converged, used = settled[k] or _dcoef_search(
-            state, setup, basis1[i], basis2[j], restarts, iters, seed=children[k]
-        )
-        total_restarts += used
-        all_converged = all_converged and converged
-        if best is None or (value, -k) > (best[0], -best_k):
-            best, best_k = (value, rows, gid), k
-    return _dcoef_report(state, *best, all_converged, total_restarts, pairs[best_k])
+    e = np.array(gell_mann_basis(state.d1))
+    f = np.array(gell_mann_basis(state.d2))
+    seeds = _as_seed_sequence(seed).spawn(e.shape[0] * f.shape[0])
+    found, k = _dcoef_pairs(state, setup, e, f, seeds, restarts, iters, 1e-12)
+    return _dcoef_report(state, *found, divmod(k, f.shape[0]))

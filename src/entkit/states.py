@@ -4,11 +4,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matcore
+from . import kernels, matcore
 
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
-ENTROPY_FLOOR = 1e-12
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -136,7 +135,7 @@ def restrict(state, leg):
 def entropy_of_eigenvalues(w):
     """Shannon entropy in bits of a spectrum, flooring tiny eigenvalues."""
     w = np.asarray(w, dtype=np.float64)
-    nz = w[w > ENTROPY_FLOOR]
+    nz = w[w > kernels.ENTROPY_FLOOR]
     if nz.size == 0:
         return 0.0
     return float(-(nz * np.log2(nz)).sum())

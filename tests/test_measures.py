@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -625,13 +627,14 @@ def test_certified_fixtures_are_settled_without_a_search(monkeypatch):
     for i, state in enumerate(fixtures):
         rep = measures.dcoef_sup(state, K=16, restarts=32, seed=200 + i)
         assert rep.value <= 1e-15
+        assert rep.pair == (0, 0)  # zero values tie, won by the first pair
         assert rep.restarts_used == (18 if i < 10 else 48)
         assert rep.converged is True
         weights, comps = _certificate(rep)
         assert np.abs(sum(w * c for w, c in zip(weights, comps)) - state.mat).max() < 1e-9
 
 
-def test_settled_pairs_check_each_row_set_once(monkeypatch):
+def test_closed_form_row_sets_are_checked_once_per_call(monkeypatch):
     checked = []
     check = measures._check_rows
 
@@ -641,49 +644,80 @@ def test_settled_pairs_check_each_row_set_once(monkeypatch):
 
     monkeypatch.setattr(measures, "_check_rows", counted)
     # a certified state: the refined certificate, the second start, settles
-    # every pair
+    # every pair; the two closed-form row sets are checked once each
     state = states.random_separable(2, 3, m=2, seed=10)
-    setup = measures._dcoef_setup(state, 16)
-    e, f = np.array([SX, SZ]), np.array(measures.gell_mann_basis(3))
-    settled = measures._settle(state, setup, e, f, measures._joint_table(state, e, f))
-    assert all(found is not None and found[4] == 2 for found in settled)
-    assert len(checked) == 1 and checked[0] is setup[2][0]
-    # werner(0.9): the one-group start settles the uncorrelated Pauli pairs
-    # at once; the pairs on the diagonal are left to the search
+    rep = measures.dcoef_sup(state, K=16, restarts=2, seed=1)
+    assert rep.restarts_used == 48
+    base = measures._spectral_rows(state)
+    refined = measures._refine_product_certificate(state.certificate, 2, 3, 16)[0]
+    assert len(checked) == 2
+    assert np.array_equal(checked[0], base) and np.array_equal(checked[1], refined)
+    # werner(0.9): the spectral rows once, then the winner of each searched
+    # pair (the three on the diagonal; the one-group bound prunes the rest)
     checked.clear()
     state = states.werner_state(0.9)
-    setup = measures._dcoef_setup(state, 8)
-    e = np.array(measures.gell_mann_basis(2))
-    settled = measures._settle(state, setup, e, e, measures._joint_table(state, e, e))
-    assert [found is None for found in settled] == np.eye(3, dtype=bool).ravel().tolist()
-    assert all(found[4] == 1 and found[1] is setup[0] for found in settled if found)
-    assert len(checked) == 1 and checked[0] is setup[0]
+    rep = measures.dcoef_sup(state, K=8, restarts=2, seed=1)
+    base = measures._spectral_rows(state)
+    assert len(checked) == 4 and np.array_equal(checked[0], base)
+    assert not any(rows.shape == base.shape and np.allclose(rows, base) for rows in checked[1:])
+    # an uncorrelated Pauli pair stops at the one-group start: one start, no
+    # search, and only the closed-form rows are checked
+    checked.clear()
+    rep = measures.dcoef(state, SX, SZ, K=8, restarts=2)
+    assert rep.value <= 1e-10 and rep.restarts_used == 1 and rep.converged is True
+    assert len(checked) == 1 and np.array_equal(checked[0], base)
 
 
-@pytest.mark.parametrize("iters", [0, 60])
-def test_still_starts_keep_the_ladder_converged_flag(iters, monkeypatch):
-    # the per-start search is taken from _multistart and run on single starts
+def _record_groups(monkeypatch):
+    """Group counts of the grouped ensembles built from now on, in order."""
+    groups = []
+
+    class Counted(measures._GroupedEnsemble):
+        def __init__(self, *args):
+            super().__init__(*args)
+            groups.append(self.tot.shape[0])
+
+    monkeypatch.setattr(measures, "_GroupedEnsemble", Counted)
+    return groups
+
+
+@pytest.mark.parametrize("iters,tol", [(0, 1e-12), (60, 1e-12), (60, 0.0)])
+def test_one_group_start_enters_with_the_ladder_converged_flag(iters, tol, monkeypatch):
+    # the first result the search feeds to _multistart is the one-group start
     multistart = measures._multistart
-    captured = []
+    first = []
 
-    def capture(starts, n_structured, search):
-        captured.append(search)
-        return multistart(starts, n_structured, search)
+    def capture(results, n_structured):
+        results = iter(results)
+        first.append(next(results))
+        return multistart(itertools.chain(first[-1:], results), n_structured)
 
     monkeypatch.setattr(measures, "_multistart", capture)
+    groups = _record_groups(monkeypatch)
     state = states.werner_state(0.9)
-    setup = measures._dcoef_setup(state, 16)
-    measures._dcoef_search(state, setup, SX, SX, 0, iters, 1e-12, 0)
+    rep = measures.dcoef(state, SX, SX, K=16, restarts=0, iters=iters, tol=tol)
     # one group: sweeps cannot move it, so it converges iff a sweep runs
-    one_group = (setup[0], np.zeros(4, dtype=np.int64))
-    value, (rows, gid), converged = captured[0](one_group)
+    value, (rows, gid), converged = first[0]
     assert abs(value - 0.9) < 1e-12
-    assert converged is (iters > 0)
-    assert rows.shape[0] == 4  # not grown up to K = 16
+    assert converged is (iters > 0 and tol > 0)
+    assert rows.shape[0] == 4 and not gid.any()  # not grown up to K = 16
+    assert groups == [4]  # only the spectral start is searched
+    if iters == 0:  # a still spectral start does not beat it
+        assert rep.value == value and rep.converged is False
+        assert rep.restarts_used == 2 and len(rep.certificate.components) == 1
     # the refined certificate of a separable state starts at zero
     sep = states.random_separable(2, 2, m=4, seed=2)
-    rep = measures.dcoef(sep, SX, SZ, iters=iters, restarts=0)
-    assert rep.value <= 1e-10 and rep.converged and rep.restarts_used == 2
+    rep = measures.dcoef(sep, SX, SZ, iters=iters, tol=tol, restarts=0)
+    assert rep.value <= 1e-10 and rep.converged is True and rep.restarts_used == 2
+
+
+def test_searched_pairs_build_no_one_group_ensemble(monkeypatch):
+    # the one-group start takes its closed-form value: no grouped ensemble
+    # is built for it (one per searched pair used to be, 3 here)
+    groups = _record_groups(monkeypatch)
+    rep = measures.dcoef_sup(states.werner_state(0.9), K=16, restarts=32, seed=12)
+    assert rep.value > 0.8
+    assert groups and min(groups) > 1
 
 
 def test_every_pair_search_checks_its_rows(monkeypatch):
