@@ -305,12 +305,17 @@ def _tolerance(text):
     return val
 
 
-def _count(text):
+def _count(text, least=0):
     # an iteration or restart budget; negative ones are usage errors too
     val = int(text)
-    if val < 0:
-        raise argparse.ArgumentTypeError(f"count must be >= 0, got {text!r}")
+    if val < least:
+        raise argparse.ArgumentTypeError(f"count must be >= {least}, got {text!r}")
     return val
+
+
+def _positive_count(text):
+    # a budget that needs at least one step to produce any result
+    return _count(text, least=1)
 
 
 @functools.cache  # built once per process: in-process sessions call main often
@@ -373,7 +378,7 @@ def _build_parser():
     m_check = map_act.add_parser("check", parents=[common, choi_src, verdict])
     m_check.add_argument("--restarts", type=_count, default=64)
     m_check.add_argument("--iters", type=_count, default=200)
-    m_check.add_argument("--max-iter", dest="max_iter", type=_count, default=5000)
+    m_check.add_argument("--max-iter", dest="max_iter", type=_positive_count, default=5000)
     m_apply = map_act.add_parser("apply", parents=[common, choi_src])
     m_apply.add_argument("--state", type=str, default=None)
 

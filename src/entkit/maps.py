@@ -209,14 +209,15 @@ def is_block_positive(choi, restarts=40, iters=200, tol=1e-9, seed=0):
 
 @dataclass(frozen=True, eq=False)
 class DecomposabilityReport:
-    """Outcome of the Dykstra search for a split C = A + B.
+    """Outcome of the Douglas-Rachford search for a split C = A + B.
 
     ``decomposable`` is True with the split in ``part_cp`` (A, PSD) and
     ``part_co_cp`` (B, PSD partial transpose); False with a PPT witness in
     ``witness``: W and W^PT are PSD, ||W||_F = 1 and tr(W C) < 0, which no
     decomposable C allows; None when the budget ran out with neither.
-    ``residual`` is the Frobenius gap between the two projected iterates at
-    the last iteration run, an upper bound on the distance from C to the
+    ``residual`` is ||(C - A)^PT_-||_F, the Frobenius norm of the negative
+    part keeping the last iteration's (A, C - A) from a valid split (0 when
+    C or C^PT is PSD), an upper bound on the distance from C to the
     decomposable cone; with a witness, -tr(W C) is a lower bound on it.
     """
 
@@ -252,15 +253,21 @@ def _ppt_witness(gap, dims):
 def is_decomposable(choi, max_iter=DEFAULT_DECOMP_ITERS, tol=DEFAULT_DECOMP_TOL):
     """Search for a split C = A + B with A PSD and B^PT PSD.
 
-    Runs Dykstra's alternating projections between the PSD cone and the
-    shifted co-CP cone.  A residual (Frobenius gap between the two
-    projected iterates) below ``tol`` yields the split.  When no split
-    exists the gap y - x tends to a PPT operator W with tr(W C) < 0
-    (Bauschke & Borwein 1994); at iterations 1, 2, 4, 8, ... and at the
-    last one the gap is shifted into a PPT witness, and
-    -tr(W C) > 10 * tol with ||W||_F = 1 certifies non-decomposability
-    (Woronowicz 1976).  Without a split or a witness the verdict is None.
+    Runs Douglas-Rachford splitting between the PSD cone and the shifted
+    co-CP set {A : (C - A)^PT >= 0}: from z = C, each iteration takes
+    y = P_psd(z), x = P_shift(2y - z) and z <- z + x - y, which converges
+    for any two closed convex sets (Lions & Mercier, SIAM J. Numer. Anal.
+    16, 964 (1979)).  The residual ||y - P_shift(y)||_F measures how far the
+    split (y, C - y) is from valid; below ``tol`` it is returned.  When no
+    split exists the gap y - x tends to the gap vector between the two sets
+    (Bauschke & Moursi, Math. Program. 164, 263 (2017)), a PPT operator W
+    with tr(W C) < 0; at iterations 1, 2, 4, 8, ... and at the last one the
+    gap is shifted into a PPT witness, and -tr(W C) > 10 * tol with
+    ||W||_F = 1 certifies non-decomposability (Woronowicz 1976); with
+    neither the verdict is None.  ``max_iter`` must be >= 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     cmat = choi.mat
     dims = (choi.d_in, choi.d_out)
     scale = max(1.0, matcore.frobenius_norm(cmat))
@@ -271,23 +278,16 @@ def is_decomposable(choi, max_iter=DEFAULT_DECOMP_ITERS, tol=DEFAULT_DECOMP_TOL)
     if matcore.min_eigenvalue(pt) >= -1e-10 * scale:
         return DecomposabilityReport(True, 0.0, 0, np.zeros_like(cmat), cmat)
 
-    x = cmat.copy()
-    p = np.zeros_like(cmat)
-    q = np.zeros_like(cmat)
-    residual = np.inf
-    iterations = 0
+    z = cmat
     for iterations in range(1, max_iter + 1):
-        y = matcore.psd_project(x + p)
-        p = x + p - y
-        x_new = _project_co_cp_shifted(y + q, cmat, dims)
-        q = y + q - x_new
-        residual = matcore.frobenius_norm(y - x_new)
-        x = x_new
+        y = matcore.psd_project(z)
+        x = _project_co_cp_shifted(2.0 * y - z, cmat, dims)
+        z = z + x - y
+        residual = matcore.frobenius_norm(y - _project_co_cp_shifted(y, cmat, dims))
         if residual < tol:
-            a = y
-            return DecomposabilityReport(True, residual, iterations, a, cmat - a)
+            return DecomposabilityReport(True, residual, iterations, y, cmat - y)
         if iterations & (iterations - 1) == 0 or iterations == max_iter:
-            w = _ppt_witness(y - x_new, dims)
+            w = _ppt_witness(y - x, dims)
             if -float(np.vdot(cmat, w).real) > 10.0 * tol:
                 return DecomposabilityReport(
                     False, residual, iterations, None, None, witness=w

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own code paths: partial
 transposes are explicit index permutations, eigenproblems go through
 numpy.linalg directly, and the entanglement of formation uses the
 closed forms of Wootters (two qubits), Terhal-Vollbrecht (isotropic states)
-and Vollbrecht-Werner (d x d Werner states).
+and Vollbrecht-Werner (d x d Werner states).  Positivity and
+decomposability of the generalized Choi maps follow Cho, Kye & Lee.
 """
 
 import functools
@@ -247,3 +248,29 @@ def random_psd(rng, n, rank=None):
     rank = n if rank is None else rank
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     return g @ g.conj().T
+
+
+def generalized_choi_map(a, b, c):
+    """Choi matrix of the Cho-Kye-Lee map Phi[a, b, c] on M3, input leg first.
+
+    Phi(X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,
+    b x11 + c x22 + a x33) - X; Phi[2, 1, 0] is Choi's map.
+    """
+    coef = (a, b, c)
+    c4 = np.zeros((3, 3, 3, 3), dtype=complex)  # C[i, k, j, l]: E_ij -> (k, l)
+    for i in range(3):
+        for j in range(3):
+            c4[i, i, j, j] -= 1.0
+        for k in range(3):
+            c4[i, k, i, k] += coef[(i - k) % 3]
+    return c4.reshape(9, 9)
+
+
+def generalized_choi_positive(a, b, c):
+    """Cho, Kye & Lee, Linear Algebra Appl. 171, 213 (1992): Phi[a, b, c] >= 0."""
+    return a >= 1 and a + b + c >= 3 and (not 1 <= a <= 2 or b * c >= (2 - a) ** 2)
+
+
+def generalized_choi_decomposable(a, b, c):
+    """Cho, Kye & Lee (1992): when Phi[a, b, c] is a decomposable map."""
+    return a >= 1 and (not 1 <= a <= 3 or b * c >= (3 - a) ** 2 / 4)

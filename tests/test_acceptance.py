@@ -261,7 +261,8 @@ def test_criterion_6_numerical_substrate():
         assert np.abs(again - m).max() <= 1e-12
         assert abs(np.linalg.norm(pt) - np.linalg.norm(m)) <= 1e-12
 
-        # strictly decomposable random mixture: Dykstra reaches 1e-8 in 2000
+        # strictly decomposable random mixture: the Douglas-Rachford split
+        # search reaches 1e-8 within 2000 iterations
         dd = 9
         a0 = random_psd(rng, dd)
         a0 /= np.trace(a0).real
@@ -272,7 +273,7 @@ def test_criterion_6_numerical_substrate():
         b0 = 0.9 * np.outer(omega, omega.conj()) + 0.1 * np.eye(dd) / dd
         cmat = 0.5 * a0 + 0.5 * matcore.partial_transpose(b0, (3, 3), leg=2)
         choi = maps.ChoiMatrix(cmat, 3, 3)
-        assert matcore.min_eigenvalue(choi.mat) < -1e-6  # Dykstra really runs
+        assert matcore.min_eigenvalue(choi.mat) < -1e-6  # the split search really runs
         rep = maps.is_decomposable(choi, max_iter=2000, tol=1e-8)
         assert rep.decomposable is True
         assert rep.residual < 1e-8

@@ -22,6 +22,15 @@ def run_cli(*args, check=True):
     return proc
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"output JSON holds {name}, which is not valid JSON")
+
+
+def load_json(text):
+    # NaN and Infinity are Python extensions that strict JSON readers refuse
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def parse_kv(text):
     # key=value summary line (the first stdout line; payloads may follow)
     out = {}
@@ -40,7 +49,7 @@ def bell_file(tmp_path):
 
 class TestStateCommands:
     def test_make_bell(self, bell_file):
-        obj = json.loads(bell_file.read_text())
+        obj = load_json(bell_file.read_text())
         assert set(obj) == {"d1", "d2", "re", "im"}
         st = states.state_from_json(obj)
         assert abs(np.trace(st.mat).real - 1.0) < 1e-9
@@ -48,7 +57,7 @@ class TestStateCommands:
 
     def test_info_bell(self, bell_file):
         proc = run_cli("state", "info", "--in", str(bell_file))
-        rep = json.loads(proc.stdout)
+        rep = load_json(proc.stdout)
         assert rep["rank"] == 1
         assert abs(rep["entropy_bits"]) < 1e-9
         assert abs(rep["marginal_entropy_1"] - 1.0) < 1e-9
@@ -64,7 +73,7 @@ class TestStateCommands:
         run_cli("state", "make", "--family", "max_mixed", "--d1", "2", "--d2", "1", "--out", str(a))
         run_cli("state", "make", "--family", "max_mixed", "--d1", "3", "--d2", "1", "--out", str(b))
         proc = run_cli("state", "make", "--family", "product", "--in1", str(a), "--in2", str(b))
-        st = states.state_from_json(json.loads(proc.stdout))
+        st = states.state_from_json(load_json(proc.stdout))
         assert st.split == (2, 3)
 
 
@@ -280,7 +289,7 @@ class TestMeasureCommands:
     def test_report_file(self, bell_file, tmp_path):
         out = tmp_path / "rep.json"
         run_cli("measure", "eof", "--in", str(bell_file), "--out", str(out))
-        rep = json.loads(out.read_text())
+        rep = load_json(out.read_text())
         assert abs(rep["value"] - 1.0) < 1e-6
         assert rep["converged"] is True
 
@@ -307,6 +316,26 @@ class TestMapCommands:
         assert float(kv["residual"]) >= 1e-3
         assert kv["block_positive"] == "true"
 
+    @pytest.mark.parametrize("catalog", ["choi_map", "transpose"])
+    def test_check_report_file(self, tmp_path, catalog):
+        out = tmp_path / "check.json"
+        run_cli("map", "check", "--catalog", catalog, "--restarts", "2", "--out", str(out))
+        rep = load_json(out.read_text())
+        assert rep["decomposable"] is (catalog == "transpose")
+        assert rep["iterations"] >= 0
+
+    def test_check_zero_iteration_budget_exit_2(self, tmp_path):
+        # refused before any search runs, so no report and no residual
+        out = tmp_path / "check.json"
+        proc = run_cli(
+            "map", "check", "--catalog", "choi_map", "--max-iter", "0",
+            "--restarts", "2", "--out", str(out), check=False,
+        )
+        assert proc.returncode == 2
+        assert "--max-iter" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_check_from_file(self, tmp_path):
         path = tmp_path / "choi.json"
         path.write_text(json.dumps(maps.catalog("identity", d=2).to_json()))
@@ -325,7 +354,7 @@ class TestMapCommands:
             "map", "apply", "--catalog", "depolarizing", "--d", "4", "--lam", "0.5",
             "--state", str(bell_file), "--out", str(out),
         )
-        obj = json.loads(out.read_text())
+        obj = load_json(out.read_text())
         got = np.asarray(obj["re"]) + 1j * np.asarray(obj["im"])
         bell = states.bell_state(1)
         expected = maps.apply_map(
@@ -402,6 +431,7 @@ class TestDeterminism:
             )
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+        load_json(outs[0])
         w.write_text(outs[0])
 
         stdout = []
@@ -416,3 +446,4 @@ class TestDeterminism:
             files.append(rep.read_text())
         assert stdout[0] == stdout[1]
         assert files[0] == files[1]
+        load_json(files[0])

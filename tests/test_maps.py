@@ -6,7 +6,14 @@ from numpy.testing import assert_allclose
 
 from entkit import maps, matcore, states
 
-from oracles import random_hermitian, random_psd
+from oracles import (
+    generalized_choi_decomposable,
+    generalized_choi_map,
+    generalized_choi_positive,
+    pt_reference,
+    random_hermitian,
+    random_psd,
+)
 
 
 def swap_matrix(d):
@@ -236,6 +243,29 @@ def breuer_hall(d):
     )
 
 
+def assert_valid_split(rep, choi, tol):
+    """The split C = A + B with A >= 0 and B^PT >= 0, checked with numpy."""
+    a, b = rep.part_cp, rep.part_co_cp
+    b_pt = pt_reference(b, choi.d_in, choi.d_out, leg=2)
+    assert rep.residual < tol
+    assert np.abs(a + b - choi.mat).max() < 1e-12
+    assert np.abs(a - a.conj().T).max() < 1e-12
+    assert np.linalg.eigvalsh(a).min() >= -1e-12
+    assert np.linalg.eigvalsh((b_pt + b_pt.conj().T) / 2).min() >= -tol
+
+
+def assert_ppt_witness(rep, choi):
+    """W >= 0, W^PT >= 0 and tr(W C) < 0, checked with numpy."""
+    w = rep.witness
+    w_pt = pt_reference(w, choi.d_in, choi.d_out, leg=2)
+    assert np.abs(w - w.conj().T).max() < 1e-12
+    assert np.linalg.eigvalsh(w).min() >= -1e-12
+    assert np.linalg.eigvalsh(w_pt).min() >= -1e-12
+    overlap = np.trace(w @ choi.mat).real
+    assert overlap < -1e-3
+    assert -overlap / np.linalg.norm(w) <= rep.residual + 1e-12
+
+
 def see_saw_reference(c, d_in, d_out, restarts, iters, tol, seed):
     """The see-saw run one restart after another, stopping after the first
     restart whose value is below -tol; numpy only."""
@@ -370,13 +400,37 @@ class TestDecomposability:
         # -tr(W C) / ||W|| and the residual bracket the distance to the cone
         assert -overlap / np.linalg.norm(w) <= rep.residual + 1e-12
 
-    @pytest.mark.parametrize("max_iter", [1, 10, 30])
+    @pytest.mark.parametrize("max_iter", [1, 3, 4, 10, 30])
     def test_short_budget_is_indeterminate(self, max_iter):
-        # a decomposable map must never come back False, however short the run
-        rep = maps.is_decomposable(strict_mixture(0), max_iter=max_iter, tol=1e-8)
-        assert rep.decomposable is None
+        # a decomposable map must never come back False, however short the
+        # run; budgets below the certifying iteration end with None, longer
+        # ones with a split
+        choi = strict_mixture(0)
+        certifying = maps.is_decomposable(choi, max_iter=2000, tol=1e-8).iterations
+        rep = maps.is_decomposable(choi, max_iter=max_iter, tol=1e-8)
+        assert rep.decomposable is not False
         assert rep.witness is None
-        assert rep.iterations == max_iter
+        if max_iter < certifying:
+            assert rep.decomposable is None
+            assert rep.iterations == max_iter
+        else:
+            assert rep.decomposable is True
+            assert rep.iterations == certifying
+            assert_valid_split(rep, choi, 1e-8)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_strict_mixtures_certified_quickly(self, seed):
+        # an interior split is found within a handful of iterations
+        choi = strict_mixture(seed)
+        rep = maps.is_decomposable(choi, max_iter=2000, tol=1e-8)
+        assert rep.decomposable is True
+        assert rep.iterations <= 16
+        assert_valid_split(rep, choi, 1e-8)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_budget_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            maps.is_decomposable(strict_mixture(0), max_iter=max_iter)
 
     def test_strict_mixture_converges(self):
         rep = maps.is_decomposable(strict_mixture(0), max_iter=2000, tol=1e-8)
@@ -421,6 +475,35 @@ class TestDecomposability:
             assert rep.decomposable is True
             count += 1
         assert count == 30
+
+
+# Cho-Kye-Lee maps on a grid, the positive ones at least 0.02 from the
+# decomposability boundary bc = (3 - a)^2 / 4
+CKL_GRID = [
+    (a, b, c)
+    for a in (1.0, 1.25, 1.5, 2.0, 2.5, 2.9)
+    for b in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0)
+    for c in (0.0, 0.3, 0.6, 1.0, 2.0)
+    if generalized_choi_positive(a, b, c) and abs(b * c - (3 - a) ** 2 / 4) >= 0.02
+]
+
+
+class TestGeneralizedChoiMaps:
+    def test_catalog_choi_map_is_phi_210(self):
+        assert np.array_equal(maps.catalog("choi_map").mat, generalized_choi_map(2, 1, 0))
+
+    def test_grid_size(self):
+        assert len(CKL_GRID) == 82
+
+    @pytest.mark.parametrize("a,b,c", CKL_GRID)
+    def test_verdict_matches_cho_kye_lee(self, a, b, c):
+        choi = maps.ChoiMatrix(generalized_choi_map(a, b, c), 3, 3)
+        rep = maps.is_decomposable(choi)
+        assert rep.decomposable is generalized_choi_decomposable(a, b, c)
+        if rep.decomposable:
+            assert_valid_split(rep, choi, maps.DEFAULT_DECOMP_TOL)
+        else:
+            assert_ppt_witness(rep, choi)
 
 
 class TestHierarchy:
