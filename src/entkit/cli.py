@@ -181,12 +181,14 @@ def _cmd_map(args):
             _kv_line(
                 [
                     ("block_positive", block.block_positive),
+                    ("certificate", block.certificate),
                     ("cp", cp.ok),
                     ("co_cp", cocp.ok),
                     ("decomposable", verdict),
                     ("cp_min_eig", cp.min_eig),
                     ("co_cp_min_eig", cocp.min_eig),
                     ("product_min", block.min_value),
+                    ("product_lower", block.lower),
                     ("residual", dec.residual),
                 ]
             )
@@ -197,12 +199,14 @@ def _cmd_map(args):
                 _dump_json(
                     {
                         "block_positive": block.block_positive,
+                        "certificate": block.certificate,
                         "cp": cp.ok,
                         "co_cp": cocp.ok,
                         "decomposable": verdict if isinstance(verdict, bool) else None,
                         "cp_min_eig": cp.min_eig,
                         "co_cp_min_eig": cocp.min_eig,
                         "product_min": block.min_value,
+                        "product_lower": block.lower,
                         "residual": dec.residual,
                         "iterations": dec.iterations,
                     }

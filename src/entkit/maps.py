@@ -140,10 +140,22 @@ def is_co_cp(choi, tol=1e-9):
 
 @dataclass(frozen=True, eq=False)
 class BlockPositivityReport:
+    """Outcome of a block-positivity check; see ``is_block_positive``.
+
+    ``certificate`` names what proves a positive verdict without a search
+    (``"cp"`` or ``"co_cp"``, else None) and ``lower`` is the certified lower
+    bound on the product minimum that comes with it.  ``min_value``,
+    ``witness`` and ``restarts_used`` describe the see-saw: the smallest
+    value it found, the product vectors reaching it on a negative verdict,
+    and the restarts it ran (None, None and 0 when it did not run).
+    """
+
     block_positive: bool
-    min_value: float
+    min_value: float | None
     witness: tuple | None
     restarts_used: int
+    certificate: str | None = None
+    lower: float | None = None
 
 
 def _lowest_eigvecs(vecs, table, d):
@@ -157,6 +169,36 @@ def _lowest_eigvecs(vecs, table, d):
 
 
 def is_block_positive(choi, restarts=40, iters=200, tol=1e-9, seed=0):
+    """Whether <x ox y| C |x ox y> >= -tol for all unit product vectors.
+
+    A certificate is tried first.  If C is PSD (``is_cp``) or its partial
+    transpose is (``is_co_cp``), the map is positive: the product value is
+    at least lambda_min(C), and equals <x ox conj(y)| C^PT |x ox conj(y)>,
+    which is at least lambda_min(C^PT).  The report then has
+    ``block_positive=True``, ``certificate`` "cp" or "co_cp", ``lower`` that
+    lambda_min, and no search: ``min_value`` and ``witness`` None and
+    ``restarts_used`` 0.
+
+    Otherwise a see-saw search runs (``certificate`` and ``lower`` None):
+    ``restarts`` random starts, each alternating lowest-eigenvector steps
+    on x and on y for up to ``iters`` steps, stopping after the first
+    restart whose value is below -tol.  ``min_value`` is the smallest value
+    found, an upper bound on the product minimum; ``restarts_used`` counts
+    the restarts run; on a negative verdict ``witness`` holds the pair
+    (x, y) reaching ``min_value``, which certifies it.  A positive verdict
+    from the search is heuristic evidence whose strength grows with
+    ``restarts``.
+    """
+    for kind, check in (("cp", is_cp), ("co_cp", is_co_cp)):
+        rep = check(choi, tol)
+        if rep.ok:
+            return BlockPositivityReport(
+                True, None, None, 0, certificate=kind, lower=rep.min_eig
+            )
+    return _see_saw(choi, restarts, iters, tol, seed)
+
+
+def _see_saw(choi, restarts, iters, tol, seed):
     """See-saw search for min <x ox y| C |x ox y> over unit product vectors.
 
     Each restart alternates two steps from a random unit y: x becomes the
@@ -172,9 +214,7 @@ def is_block_positive(choi, restarts=40, iters=200, tol=1e-9, seed=0):
     there is none), and ``min_value`` and the witness pair come from the
     first restart reaching the minimum over those.  Restarts after the first
     finished negative one are dropped, so a non-positive map costs about one
-    restart's worth of steps.  A negative verdict is certified by the
-    witness pair (x, y); a positive verdict is heuristic evidence whose
-    strength grows with ``restarts``.
+    restart's worth of steps.
     """
     n = max(1, restarts)
     d_in, d_out = choi.d_in, choi.d_out

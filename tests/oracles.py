@@ -239,6 +239,17 @@ def dcoef_objective(rho, d1, d2, weights, comps, a1, a2):
     return abs(target - classical)
 
 
+def block_positivity_lower_reference(c, d_in, d_out):
+    """lambda_min of a Choi matrix and of its partial transpose (output leg).
+
+    Each bounds <x ox y| C |x ox y> from below over unit product vectors,
+    the second because that value is <x ox conj(y)| C^PT |x ox conj(y)>.
+    """
+    c = np.asarray(c, dtype=complex)
+    pt = pt_reference(c, d_in, d_out, leg=2)
+    return float(np.linalg.eigvalsh(c)[0]), float(np.linalg.eigvalsh(pt)[0])
+
+
 def random_hermitian(rng, n, scale=1.0):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (g + g.conj().T) / 2.0

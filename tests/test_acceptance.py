@@ -188,34 +188,41 @@ def test_criterion_4_map_hierarchy():
         ident = maps.catalog("identity", d=2)
         assert maps.is_cp(ident).ok
         assert maps.is_decomposable(ident).decomposable is True
-        assert maps.is_block_positive(ident, restarts=20, seed=0).block_positive
+        block = maps.is_block_positive(ident, restarts=20, seed=0)
+        assert block.block_positive and block.certificate == "cp"
 
         trans = maps.catalog("transpose", d=2)
         assert not maps.is_cp(trans).ok
         assert maps.is_co_cp(trans).ok
         assert maps.is_decomposable(trans).decomposable is True
-        assert maps.is_block_positive(trans, restarts=20, seed=0).block_positive
+        block = maps.is_block_positive(trans, restarts=20, seed=0)
+        assert block.block_positive and block.certificate == "co_cp"
 
         red = maps.catalog("reduction", d=2)
         assert not maps.is_cp(red).ok
         assert maps.is_decomposable(red).decomposable is True
-        assert maps.is_block_positive(red, restarts=20, seed=0).block_positive
+        block = maps.is_block_positive(red, restarts=20, seed=0)
+        assert block.block_positive and block.certificate == "co_cp"
 
         choi = maps.catalog("choi_map")
-        assert maps.is_block_positive(choi, restarts=200, iters=200, seed=1).block_positive
+        block = maps.is_block_positive(choi, restarts=200, iters=200, seed=1)
+        assert block.block_positive and block.certificate is None
         assert not maps.is_cp(choi).ok
         assert not maps.is_co_cp(choi).ok
         dec = maps.is_decomposable(choi, max_iter=5000)
         assert dec.decomposable is False
         assert dec.residual >= 1e-3
 
-        # hierarchy implications over 50 random CP maps
+        # hierarchy implications over 50 random CP maps; the see-saw runs
+        # itself here, since the public call certifies CP maps without it
         for seed in range(50):
             d = 2 + seed % 2
             choi = maps.random_cp_map(d, kraus_count=2 + seed % 3, seed=1000 + seed)
             assert maps.is_cp(choi).ok
             assert maps.is_decomposable(choi).decomposable is True
-            assert maps.is_block_positive(choi, restarts=8, iters=80, seed=seed).block_positive
+            assert maps._see_saw(choi, restarts=8, iters=80, tol=1e-9, seed=seed).block_positive
+            block = maps.is_block_positive(choi, restarts=8, iters=80, seed=seed)
+            assert block.block_positive and block.certificate == "cp"
 
 
 def test_criterion_5_evolution_phenomenon():

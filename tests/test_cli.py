@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,21 +7,42 @@ import sys
 import numpy as np
 import pytest
 
-from entkit import maps, measures, states
+from entkit import cli, maps, measures, states
 
 from cli_env import cli_env
 
 
+def _checked(proc, check):
+    if check and proc.returncode != 0:
+        raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
+    return proc
+
+
 def run_cli(*args, check=True):
+    """Run ``entkit.cli.main(args)`` in this process, as ``spawn_cli`` would.
+
+    stdout and stderr are captured, and argparse's ``SystemExit`` gives the
+    exit code, so the result has the ``returncode``, ``stdout`` and
+    ``stderr`` of the child interpreter without its start-up cost.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return _checked(subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue()), check)
+
+
+def spawn_cli(*args, check=True):
+    """Run ``python -m entkit.cli`` in a child interpreter."""
     proc = subprocess.run(
         [sys.executable, "-m", "entkit.cli", *args],
         capture_output=True,
         text=True,
         env=cli_env(),
     )
-    if check and proc.returncode != 0:
-        raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
-    return proc
+    return _checked(proc, check)
 
 
 def _refuse_constant(name):
@@ -47,6 +70,26 @@ def bell_file(tmp_path):
     return path
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("state", "make", "--family", "bell", "--k", "1"), 0),
+        (("state", "info", "--format", "csv", "--in", "STATE"), 2),
+    ],
+    ids=["state-make", "unread-option"],
+)
+def test_entry_point_matches_in_process(bell_file, argv, code):
+    # the other tests call main(argv) in process; the entry point must give
+    # the same exit code, stdout and stderr
+    argv = [str(bell_file) if a == "STATE" else a for a in argv]
+    spawned = spawn_cli(*argv, check=False)
+    local = run_cli(*argv, check=False)
+    assert spawned.returncode == code
+    assert (spawned.returncode, spawned.stdout, spawned.stderr) == (
+        local.returncode, local.stdout, local.stderr
+    )
+
+
 class TestStateCommands:
     def test_make_bell(self, bell_file):
         obj = load_json(bell_file.read_text())
@@ -63,7 +106,7 @@ class TestStateCommands:
         assert abs(rep["marginal_entropy_1"] - 1.0) < 1e-9
 
     def test_bad_parameter_exit_2(self):
-        proc = run_cli("state", "make", "--family", "werner", "--p", "2", check=False)
+        proc = spawn_cli("state", "make", "--family", "werner", "--p", "2", check=False)
         assert proc.returncode == 2
         assert "werner" in proc.stderr
 
@@ -274,7 +317,7 @@ class TestMeasureCommands:
             "state", "make", "--family", "isotropic", "--f", "0.7", "--d", "3",
             "--out", str(path),
         )
-        proc = run_cli(
+        proc = spawn_cli(
             "measure", "eof", "--in", str(path),
             "--K", "9", "--restarts", "1", "--iters", "1", "--strict",
             check=False,
@@ -302,12 +345,19 @@ class TestMapCommands:
         assert kv["co_cp"] == "true"
         assert kv["decomposable"] == "true"
         assert kv["block_positive"] == "true"
+        # co-CP is a certificate: no see-saw, so no product minimum
+        assert kv["certificate"] == "co_cp"
+        assert kv["product_min"] == "none"
+        assert kv["product_lower"] == kv["co_cp_min_eig"]
 
     def test_check_identity_d3(self):
         proc = run_cli("map", "check", "--catalog", "identity", "--d", "3", "--restarts", "10")
         kv = parse_kv(proc.stdout)
         assert kv["cp"] == "true"
         assert kv["decomposable"] == "true"
+        assert kv["certificate"] == "cp"
+        assert kv["product_min"] == "none"
+        assert kv["product_lower"] == kv["cp_min_eig"]
 
     def test_check_choi_map(self):
         proc = run_cli("map", "check", "--catalog", "choi_map", "--restarts", "60")
@@ -315,6 +365,10 @@ class TestMapCommands:
         assert kv["decomposable"] == "false"
         assert float(kv["residual"]) >= 1e-3
         assert kv["block_positive"] == "true"
+        # neither C nor C^PT is PSD, so the see-saw runs
+        assert kv["certificate"] == "none"
+        assert float(kv["product_min"]) >= -1e-9
+        assert kv["product_lower"] == "none"
 
     @pytest.mark.parametrize("catalog", ["choi_map", "transpose"])
     def test_check_report_file(self, tmp_path, catalog):
@@ -323,11 +377,19 @@ class TestMapCommands:
         rep = load_json(out.read_text())
         assert rep["decomposable"] is (catalog == "transpose")
         assert rep["iterations"] >= 0
+        if catalog == "transpose":
+            assert rep["certificate"] == "co_cp"
+            assert rep["product_min"] is None
+            assert rep["product_lower"] == rep["co_cp_min_eig"]
+        else:
+            assert rep["certificate"] is None
+            assert isinstance(rep["product_min"], float)
+            assert rep["product_lower"] is None
 
     def test_check_zero_iteration_budget_exit_2(self, tmp_path):
         # refused before any search runs, so no report and no residual
         out = tmp_path / "check.json"
-        proc = run_cli(
+        proc = spawn_cli(
             "map", "check", "--catalog", "choi_map", "--max-iter", "0",
             "--restarts", "2", "--out", str(out), check=False,
         )
@@ -424,7 +486,7 @@ class TestDeterminism:
         outs = []
         for trial in (1, 2):
             out = tmp_path / f"w{trial}.json"
-            proc = run_cli(
+            proc = spawn_cli(
                 "state", "make", "--family", "random_separable",
                 "--d1", "2", "--d2", "2", "--m", "4", "--seed", "42",
                 "--out", str(out),
@@ -438,7 +500,7 @@ class TestDeterminism:
         files = []
         for trial in (1, 2):
             rep = tmp_path / f"rep{trial}.json"
-            proc = run_cli(
+            proc = spawn_cli(
                 "measure", "dcoef-sup", "--in", str(w), "--seed", "42",
                 "--K", "8", "--restarts", "4", "--out", str(rep),
             )

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from entkit import maps, matcore, states
 
 from oracles import (
+    block_positivity_lower_reference,
     generalized_choi_decomposable,
     generalized_choi_map,
     generalized_choi_positive,
@@ -203,9 +204,12 @@ class TestPositivityChecks:
 
 class TestBlockPositivity:
     def test_transpose_positive(self):
-        rep = maps.is_block_positive(maps.catalog("transpose", d=2), restarts=20, seed=0)
+        trans = maps.catalog("transpose", d=2)
+        rep = maps._see_saw(trans, restarts=20, iters=200, tol=1e-9, seed=0)
         assert rep.block_positive
         assert rep.min_value > -1e-9
+        public = maps.is_block_positive(trans, restarts=20, seed=0)
+        assert public.block_positive and public.certificate == "co_cp"
 
     def test_negative_identity_certified(self):
         neg = maps.ChoiMatrix(-omega_projector(2), 2, 2)
@@ -216,9 +220,12 @@ class TestBlockPositivity:
         assert val.real < -1e-9
 
     def test_choi_map_positive(self):
-        rep = maps.is_block_positive(maps.catalog("choi_map"), restarts=200, iters=200, seed=1)
+        choi = maps.catalog("choi_map")
+        rep = maps._see_saw(choi, restarts=200, iters=200, tol=1e-9, seed=1)
         assert rep.block_positive
         assert rep.min_value >= -1e-9
+        public = maps.is_block_positive(choi, restarts=200, iters=200, seed=1)
+        assert public.block_positive and public.certificate is None
 
 
 def strict_mixture(seed, d=3):
@@ -308,6 +315,11 @@ def see_saw_cases():
         )
         for seed in range(50)
     ]
+    # lambda_min(C) = -1e-4, reached by product vectors: not positive at
+    # tol 1e-9, positive at tol 1e-3
+    shifted = maps.ChoiMatrix(omega_projector(3) - 1e-4 * np.eye(9), 3, 3)
+    cases.append(("shifted_identity", shifted, dict(restarts=10, seed=0)))
+    cases.append(("shifted_identity-tol", shifted, dict(restarts=10, seed=0, tol=1e-3)))
     rng = np.random.default_rng(77)
     for k, (d_in, d_out) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]):
         choi = maps.ChoiMatrix(random_hermitian(rng, d_in * d_out), d_in, d_out)
@@ -331,8 +343,12 @@ SEE_SAW_CASES = see_saw_cases()
 )
 def test_block_positive_matches_sequential_reference(choi, kwargs):
     kwargs = dict(dict(restarts=40, iters=200, tol=1e-9), **kwargs)
-    rep = maps.is_block_positive(choi, **kwargs)
+    rep = maps._see_saw(choi, **kwargs)
     ok, best, used = see_saw_reference(choi.mat, choi.d_in, choi.d_out, **kwargs)
+    public = maps.is_block_positive(choi, **kwargs)
+    assert public.block_positive == ok
+    assert public.certificate in (None, "cp", "co_cp")
+    assert public.restarts_used == (0 if public.certificate else used)
     assert rep.block_positive == ok
     assert rep.restarts_used == used
     assert abs(rep.min_value - best) < 1e-12
@@ -354,8 +370,10 @@ def test_block_positive_late_negative_restart(seed, d_in, d_out, iters):
     h = random_hermitian(np.random.default_rng(seed), d_in * d_out)
     low = see_saw_reference(h, d_in, d_out, restarts=100, iters=200, tol=np.inf, seed=0)[1]
     choi = maps.ChoiMatrix(h - (low + 0.01) * np.eye(d_in * d_out), d_in, d_out)
-    rep = maps.is_block_positive(choi, restarts=40, iters=iters, seed=seed)
+    rep = maps._see_saw(choi, restarts=40, iters=iters, tol=1e-9, seed=seed)
     ok, best, used = see_saw_reference(choi.mat, d_in, d_out, 40, iters, 1e-9, seed)
+    public = maps.is_block_positive(choi, restarts=40, iters=iters, seed=seed)
+    assert public.certificate is None and not public.block_positive
     assert not ok and not rep.block_positive
     assert 3 <= rep.restarts_used == used < 40
     assert abs(rep.min_value - best) < 1e-12
@@ -466,8 +484,11 @@ class TestDecomposability:
                 cand = maps.ChoiMatrix(
                     base + 0.02 * pert / np.linalg.norm(pert), 2, 2
                 )
-                rep = maps.is_block_positive(cand, restarts=30, iters=120, seed=seed)
+                rep = maps._see_saw(cand, restarts=30, iters=120, tol=1e-9, seed=seed)
                 if rep.block_positive and rep.min_value > 1e-4:
+                    public = maps.is_block_positive(cand, restarts=30, iters=120, seed=seed)
+                    assert public.block_positive
+                    assert public.certificate in (None, "cp", "co_cp")
                     choi = cand
                     break
             assert choi is not None
@@ -506,6 +527,38 @@ class TestGeneralizedChoiMaps:
             assert_ppt_witness(rep, choi)
 
 
+CERTIFICATE_CASES = SEE_SAW_CASES + [
+    (f"ckl-{a}-{b}-{c}", maps.ChoiMatrix(generalized_choi_map(a, b, c), 3, 3), dict(seed=0))
+    for a, b, c in CKL_GRID
+]
+
+
+@pytest.mark.parametrize(
+    "choi,kwargs", [c[1:] for c in CERTIFICATE_CASES], ids=[c[0] for c in CERTIFICATE_CASES]
+)
+def test_certificate_brackets_see_saw(choi, kwargs):
+    # the public call certifies exactly the maps whose Choi matrix or its
+    # partial transpose is PSD by numpy, keeps the see-saw's verdict, and
+    # its lower bound is below every value the see-saw finds
+    kwargs = dict(dict(restarts=40, iters=200, tol=1e-9), **kwargs)
+    rep = maps.is_block_positive(choi, **kwargs)
+    search = maps._see_saw(choi, **kwargs)
+    lam_cp, lam_co_cp = block_positivity_lower_reference(choi.mat, choi.d_in, choi.d_out)
+    tol = kwargs["tol"]
+    assert rep.block_positive == search.block_positive
+    if lam_cp >= -tol:
+        assert rep.certificate == "cp" and abs(rep.lower - lam_cp) < 1e-12
+    elif lam_co_cp >= -tol:
+        assert rep.certificate == "co_cp" and abs(rep.lower - lam_co_cp) < 1e-12
+    else:
+        assert rep.certificate is None and rep.lower is None
+        assert rep.min_value == search.min_value
+        assert rep.restarts_used == search.restarts_used
+        return
+    assert rep.block_positive and rep.lower <= search.min_value + 1e-12
+    assert rep.min_value is None and rep.witness is None and rep.restarts_used == 0
+
+
 class TestHierarchy:
     def test_catalog_and_random_cp(self):
         # cp implies decomposable implies block positive, with no exception
@@ -524,7 +577,11 @@ class TestHierarchy:
         for choi in entries:
             cp = maps.is_cp(choi).ok
             dec = maps.is_decomposable(choi).decomposable
-            block = maps.is_block_positive(choi, restarts=8, iters=80, seed=0).block_positive
+            block = maps._see_saw(choi, restarts=8, iters=80, tol=1e-9, seed=0).block_positive
+            public = maps.is_block_positive(choi, restarts=8, iters=80, seed=0)
+            assert public.block_positive == block
+            kind = "cp" if cp else "co_cp" if maps.is_co_cp(choi).ok else None
+            assert public.certificate == kind
             if cp:
                 assert dec is True
             if dec is True:
