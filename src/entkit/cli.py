@@ -17,7 +17,7 @@ from . import dynamics, maps, measures, states
 
 
 def _write_output(args, text):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -31,11 +31,6 @@ def _dump_json(obj):
 def _load_state(path):
     with open(path, encoding="utf-8") as fh:
         return states.state_from_json(json.load(fh))
-
-
-def _load_choi(path):
-    with open(path, encoding="utf-8") as fh:
-        return maps.choi_from_json(json.load(fh))
 
 
 def _fmt(value):
@@ -52,96 +47,12 @@ def _kv_line(pairs):
     return " ".join(f"{k}={_fmt(v)}" for k, v in pairs) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# state subcommand
-# ---------------------------------------------------------------------------
-
-
-def _cmd_state(args):
-    if args.action == "make":
-        params = {}
-        for key in ("p", "f"):
-            val = getattr(args, key)
-            if val is not None:
-                params[key] = val
-        for key in ("k", "d", "d1", "d2", "m", "rank"):
-            val = getattr(args, key)
-            if val is not None:
-                params[key] = val
-        params["seed"] = args.seed
-        if args.family == "product":
-            if not args.in1 or not args.in2:
-                raise ValueError("product needs --in1 and --in2 state files")
-            params = {"rho1": _load_state(args.in1), "rho2": _load_state(args.in2)}
-        state = states.make_named(args.family, **params)
-        _write_output(args, _dump_json(state.to_json()))
-        return 0
-    if args.action == "info":
-        if not args.infile:
-            raise ValueError("state info needs --in FILE")
-        state = _load_state(args.infile)
-        report = {
-            "d1": state.d1,
-            "d2": state.d2,
-            "trace": float(np.trace(state.mat).real),
-            "rank": state.rank(),
-            "entropy_bits": states.von_neumann_entropy(state),
-            "marginal_entropy_1": states.von_neumann_entropy(states.restrict(state, 1)),
-            "marginal_entropy_2": states.von_neumann_entropy(states.restrict(state, 2)),
-        }
-        _write_output(args, _dump_json(report))
-        return 0
-    raise ValueError(f"unknown state action {args.action!r}")
-
-
-# ---------------------------------------------------------------------------
-# measure subcommand
-# ---------------------------------------------------------------------------
-
-
-def _cmd_measure(args):
-    state = _load_state(args.infile)
-    if args.which == "ppt":
-        rep = measures.ppt_test(state, tol=args.tol)
-        sys.stdout.write(
-            _kv_line([("lambda_min", rep.lambda_min), ("verdict", rep.verdict)])
-        )
-        if args.out:
-            _write_output(
-                args,
-                _dump_json(
-                    {"lambda_min": rep.lambda_min, "verdict": rep.verdict}
-                ),
-            )
-        return 0
-    if args.which == "negativity":
-        val = measures.negativity(state)
-        sys.stdout.write(_kv_line([("negativity", val)]))
-        if args.out:
-            _write_output(args, _dump_json({"negativity": val}))
-        return 0
-    if args.which == "eof":
-        rep = measures.eof_upper(
-            state, K=args.K, restarts=args.restarts, iters=args.iters, seed=args.seed
-        )
-    elif args.which == "dcoef-sup":
-        rep = measures.dcoef_sup(
-            state, K=args.K, restarts=args.restarts, iters=args.iters, seed=args.seed
-        )
-    else:
-        raise ValueError(f"unknown measure {args.which!r}")
-    sys.stdout.write(_kv_line([("value", rep.value), ("converged", rep.converged)]))
+def _report(args, fields, payload=None):
+    # the key=value line of fields; with --out, also payload (default: the
+    # fields) as JSON
+    sys.stdout.write(_kv_line(fields))
     if args.out:
-        _write_output(args, _dump_json(rep.to_json()))
-    if args.strict and not rep.converged:
-        sys.stderr.write("measure did not converge within budget (--strict)\n")
-        return 3
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# map subcommand
-# ---------------------------------------------------------------------------
+        _write_output(args, _dump_json(dict(fields) if payload is None else payload))
 
 
 def _refuse_unread(when, given):
@@ -151,122 +62,146 @@ def _refuse_unread(when, given):
         raise ValueError(f"{', '.join(named)} not read {when}")
 
 
+def _catalog_params(catalog, name, by, flags):
+    # flags maps each option to (catalog parameter, value): the options given
+    # become parameters, and those that entry name does not read are refused
+    reads = catalog.reads(name)
+    _refuse_unread(f"by {by} {name}",
+                   {flag: value for flag, (key, value) in flags.items() if key not in reads})
+    return {key: value for key, value in flags.values() if value is not None}
+
+
+# state make's options named after the family parameter they set; --in1 and
+# --in2 name the files of the product family's rho1 and rho2
+_FAMILY_OPTIONS = {
+    "p": float, "f": float, "k": int, "d": int, "d1": int, "d2": int, "m": int, "rank": int
+}
+
+
+# ---------------------------------------------------------------------------
+# actions: each returns its exit code, or None for 0
+# ---------------------------------------------------------------------------
+
+
+def _state_make(args):
+    flags = {f"--{key}": (key, getattr(args, key)) for key in _FAMILY_OPTIONS}
+    flags.update({"--in1": ("rho1", args.in1), "--in2": ("rho2", args.in2)})
+    params = _catalog_params(states.FAMILIES, args.family, "family", flags)
+    for key in ("rho1", "rho2"):
+        if key in params:
+            params[key] = _load_state(params[key])
+    state = states.make_named(args.family, seed=args.seed, **params)
+    _write_output(args, _dump_json(state.to_json()))
+
+
+def _state_info(args):
+    state = _load_state(args.infile)
+    report = {
+        "d1": state.d1,
+        "d2": state.d2,
+        "trace": float(np.trace(state.mat).real),
+        "rank": state.rank(),
+        "entropy_bits": states.von_neumann_entropy(state),
+        "marginal_entropy_1": states.von_neumann_entropy(states.restrict(state, 1)),
+        "marginal_entropy_2": states.von_neumann_entropy(states.restrict(state, 2)),
+    }
+    _write_output(args, _dump_json(report))
+
+
+def _measure_ppt(args):
+    rep = measures.ppt_test(_load_state(args.infile), tol=args.tol)
+    _report(args, [("lambda_min", rep.lambda_min), ("verdict", rep.verdict)])
+
+
+def _measure_negativity(args):
+    _report(args, [("negativity", measures.negativity(_load_state(args.infile)))])
+
+
+def _measure_search(args):
+    # measure eof and dcoef-sup: args.search is eof_upper or dcoef_sup
+    rep = args.search(
+        _load_state(args.infile), K=args.K, restarts=args.restarts, iters=args.iters,
+        seed=args.seed,
+    )
+    _report(args, [("value", rep.value), ("converged", rep.converged)], rep.to_json())
+    if args.strict and not rep.converged:
+        sys.stderr.write("measure did not converge within budget (--strict)\n")
+        return 3
+
+
 def _get_choi(args):
+    # argparse takes exactly one of --catalog and --in
     if args.catalog:
-        _refuse_unread("with --catalog", {"--in": args.infile})
-        params = {}
-        if args.d is not None:
-            params["d"] = args.d
-        if args.lam is not None:
-            params["lam"] = args.lam
+        flags = {"--d": ("d", args.d), "--lam": ("lam", args.lam)}
+        params = _catalog_params(maps.CATALOG, args.catalog, "catalog", flags)
         return maps.catalog(args.catalog, **params)
     _refuse_unread("without --catalog", {"--d": args.d, "--lam": args.lam})
-    if args.infile:
-        return _load_choi(args.infile)
-    raise ValueError("need --catalog NAME or --in CHOI_FILE")
+    with open(args.infile, encoding="utf-8") as fh:
+        return maps.choi_from_json(json.load(fh))
 
 
-def _cmd_map(args):
+def _map_check(args):
     choi = _get_choi(args)
-    if args.action == "check":
-        cp = maps.is_cp(choi, tol=args.tol)
-        cocp = maps.is_co_cp(choi, tol=args.tol)
-        block = maps.is_block_positive(
-            choi, restarts=args.restarts, iters=args.iters, tol=args.tol,
-            seed=args.seed,
+    cp = maps.is_cp(choi, tol=args.tol)
+    cocp = maps.is_co_cp(choi, tol=args.tol)
+    block = maps.is_block_positive(
+        choi, restarts=args.restarts, iters=args.iters, tol=args.tol, seed=args.seed,
+    )
+    dec = maps.is_decomposable(choi, max_iter=args.max_iter)
+    fields = [
+        ("block_positive", block.block_positive),
+        ("certificate", block.certificate),
+        ("cp", cp.ok),
+        ("co_cp", cocp.ok),
+        ("decomposable", "indeterminate" if dec.decomposable is None else dec.decomposable),
+        ("cp_min_eig", cp.min_eig),
+        ("co_cp_min_eig", cocp.min_eig),
+        ("product_min", block.min_value),
+        ("product_lower", block.lower),
+        ("residual", dec.residual),
+    ]
+    _report(args, fields, dict(fields, decomposable=dec.decomposable, iterations=dec.iterations))
+
+
+def _map_apply(args):
+    choi = _get_choi(args)
+    state = _load_state(args.state)
+    if state.dim != choi.d_in:
+        raise ValueError(
+            f"state dimension {state.dim} does not match map input {choi.d_in}"
         )
-        dec = maps.is_decomposable(choi, max_iter=args.max_iter)
-        verdict = "indeterminate" if dec.decomposable is None else dec.decomposable
-        sys.stdout.write(
-            _kv_line(
-                [
-                    ("block_positive", block.block_positive),
-                    ("certificate", block.certificate),
-                    ("cp", cp.ok),
-                    ("co_cp", cocp.ok),
-                    ("decomposable", verdict),
-                    ("cp_min_eig", cp.min_eig),
-                    ("co_cp_min_eig", cocp.min_eig),
-                    ("product_min", block.min_value),
-                    ("product_lower", block.lower),
-                    ("residual", dec.residual),
-                ]
-            )
-        )
-        if args.out:
-            _write_output(
-                args,
-                _dump_json(
-                    {
-                        "block_positive": block.block_positive,
-                        "certificate": block.certificate,
-                        "cp": cp.ok,
-                        "co_cp": cocp.ok,
-                        "decomposable": verdict if isinstance(verdict, bool) else None,
-                        "cp_min_eig": cp.min_eig,
-                        "co_cp_min_eig": cocp.min_eig,
-                        "product_min": block.min_value,
-                        "product_lower": block.lower,
-                        "residual": dec.residual,
-                        "iterations": dec.iterations,
-                    }
-                ),
-            )
-        return 0
-    if args.action == "apply":
-        if not args.state:
-            raise ValueError("map apply needs --state FILE")
-        state = _load_state(args.state)
-        if state.dim != choi.d_in:
-            raise ValueError(
-                f"state dimension {state.dim} does not match map input {choi.d_in}"
-            )
-        out = maps.apply_map(choi, state.mat)
-        payload = {
-            "d1": choi.d_out,
-            "d2": 1,
-            "re": out.real.tolist(),
-            "im": out.imag.tolist(),
-        }
-        _write_output(args, _dump_json(payload))
-        return 0
-    raise ValueError(f"unknown map action {args.action!r}")
+    out = maps.apply_map(choi, state.mat)
+    payload = {
+        "d1": choi.d_out,
+        "d2": 1,
+        "re": out.real.tolist(),
+        "im": out.imag.tolist(),
+    }
+    _write_output(args, _dump_json(payload))
 
 
-# ---------------------------------------------------------------------------
-# evolve subcommand
-# ---------------------------------------------------------------------------
-
-
-def _cmd_evolve(args):
+def _evolve(args):
     wanted = {m.strip() for m in args.measures.split(",") if m.strip()}
+    search = {"K": args.K, "restarts": args.restarts, "iters": args.iters}
     if not wanted:
-        _refuse_unread("without --measures",
-                       {"--K": args.K, "--restarts": args.restarts, "--iters": args.iters})
-    unread = {}
-    if args.family != "glauber_flip":
-        unread.update({"--beta": args.beta, "--hz": args.hz})
-    if args.family not in ("depolarizing_flow", "glauber_flip"):
-        unread["--rate"] = args.rate
-    if args.family != "transpose_mix":
-        unread["--speed"] = args.speed
-    _refuse_unread(f"by family {args.family}", unread)
+        _refuse_unread("without --measures", {f"--{key}": v for key, v in search.items()})
+    sigma_z = np.diag([1.0, -1.0])
+    flags = {
+        "--rate": ("rate", args.rate),
+        "--speed": ("speed", args.speed),
+        "--beta": ("beta", args.beta),
+        "--hz": ("H", None if args.hz is None else args.hz * sigma_z),
+    }
+    params = _catalog_params(dynamics.FAMILIES, args.family, "family", flags)
     state = _load_state(args.infile)
-    params = {"d": state.d1}
-    if args.rate is not None:
-        params["rate"] = args.rate
-    if args.speed is not None:
-        params["speed"] = args.speed
-    if args.family == "glauber_flip":
-        params["beta"] = args.beta if args.beta is not None else 1.0
-        if args.rate is None:
-            params["rate"] = 1.0
+    reads = dynamics.FAMILIES.reads(args.family)
+    if "d" in reads:
+        params["d"] = state.d1
+    if "H" in reads:  # the site Hamiltonian --hz times sigma_z, on a qubit
         if state.d1 != 2:
-            raise ValueError("glauber_flip via the CLI assumes a qubit on leg 1")
-        params["H"] = (1.0 if args.hz is None else args.hz) * np.diag([1.0, -1.0])
+            raise ValueError(f"{args.family} via the CLI assumes a qubit on leg 1")
+        params.setdefault("H", sigma_z)
     family = dynamics.family_catalog(args.family, **params)
-    if args.steps < 1:
-        raise ValueError(f"steps must be >= 1, got {args.steps}")
     if not (np.isfinite(args.t_max) and args.t_max > 0):
         raise ValueError(f"t-max must be finite and > 0, got {args.t_max}")
     grid = np.linspace(0.0, args.t_max, args.steps + 1)
@@ -279,10 +214,8 @@ def _cmd_evolve(args):
         grid,
         measure_eof="eof" in wanted,
         measure_dcoef="dcoef" in wanted,
-        K=args.K,
-        restarts=8 if args.restarts is None else args.restarts,
-        iters=40 if args.iters is None else args.iters,
         seed=args.seed,
+        **{key: v for key, v in search.items() if v is not None},
     )
     sys.stdout.write(
         _kv_line([("first_negative_time", record.first_negative_time())])
@@ -291,7 +224,6 @@ def _cmd_evolve(args):
         _write_output(args, record.to_csv())
     else:
         _write_output(args, _dump_json(record.to_json()))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +271,9 @@ def _build_parser():
     search.add_argument("--iters", type=_count, default=60)
     search.add_argument("--strict", action="store_true")
     choi_src = argparse.ArgumentParser(add_help=False)
-    choi_src.add_argument("--catalog", type=str, default=None)
-    choi_src.add_argument("--in", dest="infile", type=str, default=None)
+    choi_from = choi_src.add_mutually_exclusive_group(required=True)
+    choi_from.add_argument("--catalog", type=str, default=None)
+    choi_from.add_argument("--in", dest="infile", type=str, default=None)
     choi_src.add_argument("--d", type=int, default=None)
     choi_src.add_argument("--lam", type=float, default=None)
 
@@ -351,58 +284,57 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_state = sub.add_parser("state", help="build or inspect states")
-    p_state.set_defaults(func=_cmd_state)
     state_act = p_state.add_subparsers(dest="action", required=True)
     s_make = state_act.add_parser("make", parents=[common])
-    s_make.add_argument("--family", type=str, default=None)
+    s_make.set_defaults(func=_state_make)
+    s_make.add_argument("--family", type=str, required=True)
     s_make.add_argument("--in1", type=str, default=None)
     s_make.add_argument("--in2", type=str, default=None)
-    s_make.add_argument("--p", type=float, default=None)
-    s_make.add_argument("--f", type=float, default=None)
-    s_make.add_argument("--k", type=int, default=None)
-    s_make.add_argument("--d", type=int, default=None)
-    s_make.add_argument("--d1", type=int, default=None)
-    s_make.add_argument("--d2", type=int, default=None)
-    s_make.add_argument("--m", type=int, default=None)
-    s_make.add_argument("--rank", type=int, default=None)
-    s_info = state_act.add_parser("info", parents=[common])
-    s_info.add_argument("--in", dest="infile", type=str, default=None)
+    for key, kind in _FAMILY_OPTIONS.items():
+        s_make.add_argument(f"--{key}", type=kind, default=None)
+    state_act.add_parser("info", parents=[common, state_in]).set_defaults(func=_state_info)
 
     p_meas = sub.add_parser("measure", help="run a measure")
-    p_meas.set_defaults(func=_cmd_measure)
     which = p_meas.add_subparsers(dest="which", required=True)
-    which.add_parser("ppt", parents=[common, state_in, verdict])
-    which.add_parser("negativity", parents=[common, state_in])
-    which.add_parser("eof", parents=[common, state_in, search])
-    which.add_parser("dcoef-sup", parents=[common, state_in, search])
+    which.add_parser("ppt", parents=[common, state_in, verdict]).set_defaults(func=_measure_ppt)
+    which.add_parser("negativity", parents=[common, state_in]).set_defaults(
+        func=_measure_negativity
+    )
+    which.add_parser("eof", parents=[common, state_in, search]).set_defaults(
+        func=_measure_search, search=measures.eof_upper
+    )
+    which.add_parser("dcoef-sup", parents=[common, state_in, search]).set_defaults(
+        func=_measure_search, search=measures.dcoef_sup
+    )
 
     p_map = sub.add_parser("map", help="check or apply a map")
-    p_map.set_defaults(func=_cmd_map)
     map_act = p_map.add_subparsers(dest="action", required=True)
     m_check = map_act.add_parser("check", parents=[common, choi_src, verdict])
+    m_check.set_defaults(func=_map_check)
     m_check.add_argument("--restarts", type=_count, default=64)
     m_check.add_argument("--iters", type=_count, default=200)
     m_check.add_argument("--max-iter", dest="max_iter", type=_positive_count, default=5000)
     m_apply = map_act.add_parser("apply", parents=[common, choi_src])
-    m_apply.add_argument("--state", type=str, default=None)
+    m_apply.set_defaults(func=_map_apply)
+    m_apply.add_argument("--state", type=str, required=True)
 
     p_evo = sub.add_parser("evolve", parents=[common], help="track a map family")
+    p_evo.set_defaults(func=_evolve)
     p_evo.add_argument("--in", dest="infile", type=str, required=True)
     p_evo.add_argument("--family", type=str, required=True)
     p_evo.add_argument("--rate", type=float, default=None)
     p_evo.add_argument("--speed", type=float, default=None)
     p_evo.add_argument("--beta", type=float, default=None)
-    p_evo.add_argument("--hz", type=float, default=None)  # glauber_flip: 1.0
+    p_evo.add_argument("--hz", type=float, default=None)
     p_evo.add_argument("--t-max", dest="t_max", type=float, required=True)
-    p_evo.add_argument("--steps", type=int, required=True)
+    p_evo.add_argument("--steps", type=_positive_count, required=True)
     p_evo.add_argument("--measures", type=str, default="")
     p_evo.add_argument("--K", type=int, default=None)
-    p_evo.add_argument("--restarts", type=_count, default=None)  # with --measures: 8
-    p_evo.add_argument("--iters", type=_count, default=None)  # with --measures: 40
+    p_evo.add_argument("--restarts", type=_count, default=None)
+    p_evo.add_argument("--iters", type=_count, default=None)
     p_evo.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
-    p_evo.set_defaults(func=_cmd_evolve)
     return parser
 
 
@@ -410,7 +342,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args) or 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -38,9 +38,9 @@ class ChannelFamily:
         return self.evaluator(t)
 
 
-def _nonnegative(params, key):
-    """Family parameter ``key`` (default 1.0), which must be finite and >= 0."""
-    val = float(params.get(key, 1.0))
+def _nonnegative(key, val):
+    """Family parameter ``key``, which must be finite and >= 0."""
+    val = float(val)
     if not (math.isfinite(val) and val >= 0):
         raise ValueError(f"{key} must be finite and >= 0, got {val}")
     return val
@@ -77,50 +77,66 @@ def _flip_channel(h, beta):
     return act
 
 
+def _identity(d=2):
+    d = int(d)
+    ident = maps.catalog("identity", d=d)
+    return ChannelFamily("identity", {"d": d}, d, lambda t: ident)
+
+
+def _depolarizing_flow(d=2, rate=1.0):
+    d, rate = int(d), _nonnegative("rate", rate)
+
+    def depol(t):
+        return maps.catalog("depolarizing", d=d, lam=float(np.exp(-rate * t)))
+
+    return ChannelFamily("depolarizing_flow", {"d": d, "rate": rate}, d, depol)
+
+
+def _transpose_mix(d=2, speed=1.0):
+    d, speed = int(d), _nonnegative("speed", speed)
+    ident = maps.catalog("identity", d=d)
+    trans = maps.catalog("transpose", d=d)
+
+    def mix(t):
+        m = min(1.0, speed * t)
+        return maps.ChoiMatrix((1.0 - m) * ident.mat + m * trans.mat, d, d)
+
+    return ChannelFamily("transpose_mix", {"d": d, "speed": speed}, d, mix)
+
+
+def _glauber_flip(H, beta=1.0, rate=1.0):
+    h = matcore.as_complex_matrix(H)
+    beta, rate = _nonnegative("beta", beta), _nonnegative("rate", rate)
+    d = h.shape[0]
+    flip = maps.choi_from_map(_flip_channel(h, beta), d)
+    ident = maps.catalog("identity", d=d)
+
+    def glauber(t):
+        q = 1.0 - float(np.exp(-rate * t))
+        return maps.ChoiMatrix((1.0 - q) * ident.mat + q * flip.mat, d, d)
+
+    return ChannelFamily("glauber_flip", {"d": d, "beta": beta, "rate": rate}, d, glauber)
+
+
+FAMILIES = matcore.Catalog(
+    "channel family",
+    {
+        "identity": _identity,
+        "depolarizing_flow": _depolarizing_flow,
+        "transpose_mix": _transpose_mix,
+        "glauber_flip": _glauber_flip,
+    },
+)
+
+
 def family_catalog(name, **params):
-    """Built-in families: identity, depolarizing_flow, transpose_mix, glauber_flip."""
-    if name == "identity":
-        d = int(params.get("d", 2))
-        ident = maps.catalog("identity", d=d)
-        return ChannelFamily("identity", {"d": d}, d, lambda t: ident)
-    if name == "depolarizing_flow":
-        d = int(params.get("d", 2))
-        rate = _nonnegative(params, "rate")
-
-        def depol(t):
-            return maps.catalog("depolarizing", d=d, lam=float(np.exp(-rate * t)))
-
-        return ChannelFamily("depolarizing_flow", {"d": d, "rate": rate}, d, depol)
-    if name == "transpose_mix":
-        d = int(params.get("d", 2))
-        speed = _nonnegative(params, "speed")
-        ident = maps.catalog("identity", d=d)
-        trans = maps.catalog("transpose", d=d)
-
-        def mix(t):
-            m = min(1.0, speed * t)
-            return maps.ChoiMatrix((1.0 - m) * ident.mat + m * trans.mat, d, d)
-
-        return ChannelFamily("transpose_mix", {"d": d, "speed": speed}, d, mix)
-    if name == "glauber_flip":
-        h = params.get("H")
-        if h is None:
-            raise ValueError("glauber_flip needs a site Hamiltonian H")
-        h = matcore.as_complex_matrix(h)
-        beta = _nonnegative(params, "beta")
-        rate = _nonnegative(params, "rate")
-        d = h.shape[0]
-        flip = maps.choi_from_map(_flip_channel(h, beta), d)
-        ident = maps.catalog("identity", d=d)
-
-        def glauber(t):
-            q = 1.0 - float(np.exp(-rate * t))
-            return maps.ChoiMatrix((1.0 - q) * ident.mat + q * flip.mat, d, d)
-
-        return ChannelFamily(
-            "glauber_flip", {"d": d, "beta": beta, "rate": rate}, d, glauber
-        )
-    raise ValueError(f"unknown channel family {name!r}")
+    """Built-in families: identity(d), depolarizing_flow(d, rate),
+    transpose_mix(d, speed) and glauber_flip(H, beta, rate), with d = 2 and
+    rate, speed and beta 1 by default.  The site Hamiltonian H of
+    glauber_flip is required.  A parameter the family does not read raises
+    ValueError.
+    """
+    return FAMILIES.build(name, params)
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,8 @@ class ChoiMatrix:
             )
         if not np.isfinite(a).all():
             raise ValueError("Choi matrix has non-finite entries")
-        defect = matcore.hermiticity_defect(a)
-        if defect > matcore.HERMITICITY_TOL:
-            raise ValueError(
-                "Choi matrix not hermitian (the map would not preserve "
-                f"hermiticity); defect {defect:.3e}"
-            )
-        a = (a + a.conj().T) / 2.0
+        # a non-hermitian Choi matrix is a map that does not preserve hermiticity
+        a = matcore.require_hermitian(a, matcore.HERMITICITY_TOL, "Choi matrix")
         a.setflags(write=False)
         object.__setattr__(self, "mat", a)
 
@@ -340,9 +335,44 @@ def is_decomposable(choi, max_iter=DEFAULT_DECOMP_ITERS, tol=DEFAULT_DECOMP_TOL)
 # ---------------------------------------------------------------------------
 
 
-def _check_dim(d):
+def _dim(d):
+    d = int(d)
     if d < 2:
         raise ValueError(f"map dimension must be >= 2, got {d}")
+    return d
+
+
+def _depolarizing(d=2, lam=1.0):
+    d, lam = _dim(d), float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"depolarizing weight must be in [0, 1], got {lam}")
+    eye = np.eye(d)
+    return choi_from_map(lambda x: lam * x + (1.0 - lam) * np.trace(x) * eye / d, d)
+
+
+def _reduction(d=2):
+    d = _dim(d)
+    eye = np.eye(d)
+    return choi_from_map(lambda x: np.trace(x) * eye - x, d)
+
+
+def _werner_holevo(d=2):
+    d = _dim(d)
+    eye = np.eye(d)
+    return choi_from_map(lambda x: (np.trace(x) * eye - x.T) / (d - 1), d)
+
+
+CATALOG = matcore.Catalog(
+    "catalog map",
+    {
+        "identity": lambda d=2: choi_from_map(lambda x: x, _dim(d)),
+        "transpose": lambda d=2: choi_from_map(lambda x: x.T, _dim(d)),
+        "depolarizing": _depolarizing,
+        "reduction": _reduction,
+        "choi_map": lambda: choi_from_map(_choi_map_action, 3),
+        "werner_holevo": _werner_holevo,
+    },
+)
 
 
 def catalog(name, **params):
@@ -350,39 +380,10 @@ def catalog(name, **params):
 
     identity(d), transpose(d), depolarizing(d, lam), reduction(d),
     choi_map() on M3 (the canonical non-decomposable positive map) and
-    werner_holevo(d).
+    werner_holevo(d), with d = 2 and lam = 1 by default.  A parameter the
+    map does not read raises ValueError.
     """
-    if name == "identity":
-        d = int(params.get("d", 2))
-        _check_dim(d)
-        return choi_from_map(lambda x: x, d)
-    if name == "transpose":
-        d = int(params.get("d", 2))
-        _check_dim(d)
-        return choi_from_map(lambda x: x.T, d)
-    if name == "depolarizing":
-        d = int(params.get("d", 2))
-        _check_dim(d)
-        lam = float(params.get("lam", 1.0))
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"depolarizing weight must be in [0, 1], got {lam}")
-        eye = np.eye(d)
-        return choi_from_map(
-            lambda x: lam * x + (1.0 - lam) * np.trace(x) * eye / d, d
-        )
-    if name == "reduction":
-        d = int(params.get("d", 2))
-        _check_dim(d)
-        eye = np.eye(d)
-        return choi_from_map(lambda x: np.trace(x) * eye - x, d)
-    if name == "choi_map":
-        return choi_from_map(_choi_map_action, 3)
-    if name == "werner_holevo":
-        d = int(params.get("d", 2))
-        _check_dim(d)
-        eye = np.eye(d)
-        return choi_from_map(lambda x: (np.trace(x) * eye - x.T) / (d - 1), d)
-    raise ValueError(f"unknown catalog map {name!r}")
+    return CATALOG.build(name, params)
 
 
 def _choi_map_action(x):

@@ -2,8 +2,11 @@
 
 Everything operates on square complex numpy arrays.  The composite index
 convention is fixed globally: the first tensor factor is the slow index,
-so a product basis vector |i>|k> sits at position i * d2 + k.
+so a product basis vector |i>|k> sits at position i * d2 + k.  ``Catalog``
+names the builders of the states, maps and map families made from them.
 """
+
+import inspect
 
 import numpy as np
 
@@ -34,7 +37,8 @@ def is_hermitian(m, tol=HERMITICITY_TOL):
     return hermiticity_defect(m) <= tol
 
 
-def _require_hermitian(m, tol, what):
+def require_hermitian(m, tol, what):
+    """(M + M^+) / 2, after refusing a hermiticity defect above ``tol``."""
     a = as_complex_matrix(m)
     defect = hermiticity_defect(a)
     if defect > tol:
@@ -59,7 +63,7 @@ def hermitian_eig(h, tol=HERMITICITY_TOL):
     and rejected otherwise.  Returns (w, v): eigenvalues ascending and the
     matrix of orthonormal eigenvector columns, h v_k = w_k v_k.
     """
-    sym = _require_hermitian(h, tol, "hermitian_eig")
+    sym = require_hermitian(h, tol, "hermitian_eig")
     w, v = kernels.eigh(sym)
     return np.asarray(w, dtype=np.float64), np.asarray(v, dtype=np.complex128)
 
@@ -106,7 +110,7 @@ def partial_transpose(m, dims, leg):
 
 def psd_project(h, tol=HERMITICITY_TOL):
     """Frobenius-nearest positive semidefinite matrix to a hermitian input."""
-    sym = _require_hermitian(h, tol, "psd_project")
+    sym = require_hermitian(h, tol, "psd_project")
     w, v = kernels.eigh(sym)
     w = np.clip(w, 0.0, None)
     out = (v * w) @ v.conj().T
@@ -115,6 +119,39 @@ def psd_project(h, tol=HERMITICITY_TOL):
 
 def min_eigenvalue(h, tol=HERMITICITY_TOL):
     """Smallest eigenvalue of a hermitian matrix."""
-    sym = _require_hermitian(h, tol, "min_eigenvalue")
+    sym = require_hermitian(h, tol, "min_eigenvalue")
     w, _ = kernels.eigh(sym)
     return float(w[0])
+
+
+class Catalog:
+    """Builders by name; an entry reads exactly its builder's parameters.
+
+    A parameter without a default is required.  ``shared`` names parameters
+    that every entry accepts and that reach only the entries reading them.
+    """
+
+    def __init__(self, kind, builders, shared=()):
+        self.kind = kind
+        self.shared = shared
+        self._entries = {
+            name: (build, inspect.signature(build).parameters)
+            for name, build in builders.items()
+        }
+
+    def reads(self, name):
+        """The parameters entry ``name`` reads; ValueError for an unknown name."""
+        if name not in self._entries:
+            raise ValueError(f"unknown {self.kind} {name!r}; known: {', '.join(self._entries)}")
+        return self._entries[name][1]
+
+    def build(self, name, params):
+        """Entry ``name`` built from ``params``, refusing those it does not read."""
+        reads = self.reads(name)
+        unread = [key for key in params if key not in reads and key not in self.shared]
+        if unread:
+            raise ValueError(f"{', '.join(unread)} not read by {self.kind} {name}")
+        missing = [key for key, p in reads.items() if p.default is p.empty and key not in params]
+        if missing:
+            raise ValueError(f"{self.kind} {name} needs {', '.join(missing)}")
+        return self._entries[name][0](**{key: params[key] for key in params if key in reads})

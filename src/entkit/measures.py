@@ -766,10 +766,7 @@ def _hermitian_observable(a, d, name):
     m = matcore.as_complex_matrix(a)
     if m.shape[0] != d:
         raise ValueError(f"{name} must be {d}x{d}, got {m.shape[0]}x{m.shape[0]}")
-    defect = matcore.hermiticity_defect(m)
-    if defect > matcore.HERMITICITY_TOL:
-        raise ValueError(f"{name} must be hermitian (defect {defect:.3e})")
-    return (m + m.conj().T) / 2.0
+    return matcore.require_hermitian(m, matcore.HERMITICITY_TOL, name)
 
 
 def _dcoef_setup(state, K):

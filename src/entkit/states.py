@@ -40,14 +40,11 @@ class DensityMatrix:
             )
         if not np.isfinite(a).all():
             raise ValueError("density matrix has non-finite entries")
-        defect = matcore.hermiticity_defect(a)
-        if defect > matcore.HERMITICITY_TOL:
-            raise ValueError(f"density matrix not hermitian (defect {defect:.3e})")
-        a = (a + a.conj().T) / 2.0
+        a = matcore.require_hermitian(a, matcore.HERMITICITY_TOL, "density matrix")
         tr = float(np.trace(a).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} differs from 1")
-        w, _ = matcore.hermitian_eig(a)
+        w, _ = kernels.eigh(a)
         if w[0] < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
         a.setflags(write=False)
@@ -259,51 +256,32 @@ def random_separable(d1, d2, m=4, seed=0):
     return state
 
 
-_FAMILIES = (
-    "bell",
-    "werner",
-    "isotropic",
-    "max_mixed",
-    "product",
-    "random_separable",
-    "random_density",
+FAMILIES = matcore.Catalog(
+    "state family",
+    {
+        "bell": lambda k=1: bell_state(int(k)),
+        "werner": lambda p: werner_state(float(p)),
+        "isotropic": lambda f, d=2: isotropic_state(float(f), int(d)),
+        "max_mixed": lambda d1=2, d2=2: max_mixed(int(d1), int(d2)),
+        "product": product_state,
+        "random_separable": lambda d1=2, d2=2, m=4, seed=0: random_separable(
+            int(d1), int(d2), m=int(m), seed=int(seed)
+        ),
+        "random_density": lambda d1=2, d2=2, rank=None, seed=0: random_density(
+            int(d1), int(d2), rank=None if rank is None else int(rank), seed=int(seed)
+        ),
+    },
+    shared=("seed",),
 )
 
 
 def make_named(name, **params):
-    """Build a state family by name; raises ValueError on bad input."""
-    if name == "bell":
-        return bell_state(int(params.get("k", 1)))
-    if name == "werner":
-        if "p" not in params:
-            raise ValueError("werner needs parameter p")
-        return werner_state(float(params["p"]))
-    if name == "isotropic":
-        if "f" not in params:
-            raise ValueError("isotropic needs parameter f")
-        return isotropic_state(float(params["f"]), int(params.get("d", 2)))
-    if name == "max_mixed":
-        return max_mixed(int(params.get("d1", 2)), int(params.get("d2", 2)))
-    if name == "product":
-        if "rho1" not in params or "rho2" not in params:
-            raise ValueError("product needs rho1 and rho2")
-        return product_state(params["rho1"], params["rho2"])
-    if name == "random_separable":
-        return random_separable(
-            int(params.get("d1", 2)),
-            int(params.get("d2", 2)),
-            m=int(params.get("m", 4)),
-            seed=int(params.get("seed", 0)),
-        )
-    if name == "random_density":
-        rank = params.get("rank")
-        return random_density(
-            int(params.get("d1", 2)),
-            int(params.get("d2", 2)),
-            rank=None if rank is None else int(rank),
-            seed=int(params.get("seed", 0)),
-        )
-    raise ValueError(f"unknown state family {name!r}; known: {', '.join(_FAMILIES)}")
+    """Build a state family by name; raises ValueError on bad input.
+
+    A parameter the family does not read is bad input, except ``seed``,
+    which every family accepts.
+    """
+    return FAMILIES.build(name, params)
 
 
 # ---------------------------------------------------------------------------

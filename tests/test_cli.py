@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,15 +210,17 @@ def test_negative_count_exit_2(bell_file, argv, option):
     assert proc.stdout == ""
 
 
+IN = ("--in", "STATE")  # a Bell state file
+
 UNREAD_OPTIONS = [
-    ("state-format", ("state", "info", "--format", "csv"), "--format"),
+    ("state-format", ("state", "info", "--format", "csv", *IN), "--format"),
     ("evolve-tol", ("evolve", "--family", "depolarizing_flow", "--t-max", "1",
-                    "--steps", "2", "--tol", "1e-3"), "--tol"),
-    ("eof-tol", ("measure", "eof", "--tol", "0.5"), "--tol"),
-    ("dcoef-sup-tol", ("measure", "dcoef-sup", "--tol", "0.5"), "--tol"),
-    ("negativity-tol", ("measure", "negativity", "--tol", "0.5"), "--tol"),
+                    "--steps", "2", "--tol", "1e-3", *IN), "--tol"),
+    ("eof-tol", ("measure", "eof", "--tol", "0.5", *IN), "--tol"),
+    ("dcoef-sup-tol", ("measure", "dcoef-sup", "--tol", "0.5", *IN), "--tol"),
+    ("negativity-tol", ("measure", "negativity", "--tol", "0.5", *IN), "--tol"),
 ] + [
-    (f"{which}-{flag[2:]}", ("measure", which, flag, *value), flag)
+    (f"{which}-{flag[2:]}", ("measure", which, flag, *value, *IN), flag)
     for which in ("ppt", "negativity")
     for flag, value in (("--K", ("4",)), ("--restarts", ("2",)), ("--iters", ("3",)),
                         ("--strict", ()))
@@ -227,22 +232,23 @@ UNREAD_OPTIONS = [
     ("map-check-state", ("map", "check", "--catalog", "transpose", "--d", "2",
                          "--state", "STATE"), "--state"),
 ] + [
-    (f"state-info-{flag[2:]}", ("state", "info", flag, value), flag)
+    (f"state-info-{flag[2:]}", ("state", "info", flag, value, *IN), flag)
     for flag, value in (("--family", "werner"), ("--p", "0.3"), ("--rank", "2"))
 ] + [
-    ("state-make-in", ("state", "make", "--family", "werner", "--p", "0.3"), "--in"),
+    ("state-make-in", ("state", "make", "--family", "werner", "--p", "0.3", *IN), "--in"),
 ] + [
     (f"evolve-{flag[2:]}-without-measures", ("evolve", "--family", "depolarizing_flow",
-                                             "--t-max", "1", "--steps", "2", flag, "3"), flag)
+                                             "--t-max", "1", "--steps", "2", flag, "3", *IN),
+     flag)
     for flag in ("--K", "--restarts", "--iters")
 ] + [
     (f"evolve-{flag[2:]}-{family}", ("evolve", "--family", family, "--rate", "1",
-                                     "--t-max", "1", "--steps", "2", flag, "1.0"), flag)
+                                     "--t-max", "1", "--steps", "2", flag, "1.0", *IN), flag)
     for flag, family in (("--beta", "depolarizing_flow"), ("--hz", "depolarizing_flow"),
                          ("--beta", "transpose_mix"), ("--hz", "identity"))
 ] + [
     (f"evolve-{option[2:]}-{family}", ("evolve", "--family", family, *extra,
-                                       "--t-max", "1", "--steps", "2"), option)
+                                       "--t-max", "1", "--steps", "2", *IN), option)
     for family, extra, option in (
         ("transpose_mix", ("--speed", "1", "--rate", "5"), "--rate"),
         ("depolarizing_flow", ("--rate", "1", "--speed", "7"), "--speed"),
@@ -251,12 +257,20 @@ UNREAD_OPTIONS = [
     )
 ] + [
     (f"map-{action}-in-with-catalog", ("map", action, "--catalog", "transpose", "--d", "2",
-                                       *extra), "--in")
+                                       *extra, *IN), "--in")
     for action, extra in (("check", ()), ("apply", ("--state", "STATE")))
 ] + [
-    (f"map-{action}-{flag[2:]}-without-catalog", ("map", action, flag, value, *extra), flag)
+    (f"map-{action}-{flag[2:]}-without-catalog", ("map", action, flag, value, *extra, *IN),
+     flag)
     for action, extra in (("check", ()), ("apply", ("--state", "STATE")))
     for flag, value in (("--d", "2"), ("--lam", "0.5"))
+] + [
+    ("state-make-p-bell", ("state", "make", "--family", "bell", "--p", "0.5"), "--p"),
+    ("state-make-rank-werner", ("state", "make", "--family", "werner", "--p", "0.3",
+                                "--rank", "2"), "--rank"),
+    ("map-check-d-choi-map", ("map", "check", "--catalog", "choi_map", "--d", "5"), "--d"),
+    ("map-check-lam-transpose", ("map", "check", "--catalog", "transpose", "--d", "2",
+                                 "--lam", "0.3"), "--lam"),
 ]
 
 
@@ -267,14 +281,17 @@ def test_option_of_another_subcommand_exit_2(bell_file, argv, option):
     # --format belongs to evolve only, --tol to measure ppt and map check
     # only, the search budgets to measure eof / dcoef-sup and map check only,
     # --state to map apply only, the family parameters to state make only;
-    # evolve reads the search budgets only with --measures, --beta / --hz
-    # only for glauber_flip, --rate only for depolarizing_flow and
-    # glauber_flip and --speed only for transpose_mix; map reads --in only
-    # without --catalog and --d / --lam only with it
+    # evolve reads the search budgets only with --measures; map reads --in
+    # only without --catalog and --d / --lam only with it; and a state
+    # family, catalog map or map family reads only the parameters of its
+    # catalog entry (--beta / --hz only glauber_flip, --rate only
+    # depolarizing_flow and glauber_flip, --speed only transpose_mix, --lam
+    # only depolarizing, --d no choi_map, --p / --rank no bell)
     argv = [str(bell_file) if a == "STATE" else a for a in argv]
-    proc = run_cli(*argv, "--in", str(bell_file), check=False)
+    proc = run_cli(*argv, check=False)
     assert proc.returncode == 2
-    assert option in proc.stderr
+    # the error line, not the usage text, which lists every option
+    assert option in proc.stderr.splitlines()[-1]
     assert proc.stdout == ""
 
 
@@ -509,3 +526,34 @@ class TestDeterminism:
         assert stdout[0] == stdout[1]
         assert files[0] == files[1]
         load_json(files[0])
+
+
+def readme_cli_lines():
+    """The ``entkit`` lines of the README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", text, re.S) if "entkit state make" in b)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("entkit ")]
+
+
+def test_readme_cli_block(tmp_path, monkeypatch):
+    # every command of the README runs as written, and prints what its
+    # comments say it prints
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert len(lines) == 13
+    stdout = {}
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        proc = run_cli(*argv)
+        stdout[" ".join(argv)] = proc.stdout
+        claim = line.partition("# prints:")[2].strip()
+        if claim:
+            assert proc.stdout == claim + "\n"
+    transpose = parse_kv(stdout["map check --catalog transpose --d 2"])
+    assert (transpose["certificate"], transpose["product_min"], transpose["product_lower"]) == (
+        "co_cp", "none", "0.0"
+    )
+    choi = parse_kv(stdout["map check --catalog choi_map"])
+    assert (choi["certificate"], choi["decomposable"]) == ("none", "false")
+    assert abs(float(choi["residual"]) - 0.34) < 0.005

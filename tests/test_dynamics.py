@@ -38,6 +38,12 @@ class TestFamilyCatalog:
         with pytest.raises(ValueError):
             dynamics.family_catalog("warp")
 
+    def test_unread_parameter_refused(self):
+        with pytest.raises(ValueError, match="^rate not read by channel family identity$"):
+            dynamics.family_catalog("identity", rate=1.0)
+        with pytest.raises(ValueError, match="^d not read by channel family glauber_flip$"):
+            dynamics.family_catalog("glauber_flip", H=np.diag([1.0, -1.0]), d=2)
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             dynamics.family_catalog("depolarizing_flow", d=2, rate=-1.0)

@@ -624,6 +624,14 @@ class TestCatalog:
         with pytest.raises(ValueError):
             maps.catalog("mystery")
 
+    @pytest.mark.parametrize(
+        "name,params,unread",
+        [("choi_map", {"d": 5}, "d"), ("transpose", {"d": 2, "lam": 0.3}, "lam")],
+    )
+    def test_unread_parameter_refused(self, name, params, unread):
+        with pytest.raises(ValueError, match=f"^{unread} not read by catalog map {name}$"):
+            maps.catalog(name, **params)
+
     def test_depolarizing_range(self):
         with pytest.raises(ValueError):
             maps.catalog("depolarizing", d=2, lam=1.5)

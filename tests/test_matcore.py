@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from entkit import matcore
+from entkit import maps, matcore, measures, states
 
 from oracles import SX, SY, SZ, pt_reference, random_hermitian, random_psd, trace_out_reference
 
@@ -224,3 +224,49 @@ class TestPsdProject:
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
             matcore.psd_project(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _skewed(h, defect):
+    # h plus an anti-hermitian part whose hermiticity defect is ``defect``,
+    # placed in entries (0, 1) and (1, 0), which are zero in every h below
+    a = np.array(h, dtype=np.complex128)
+    assert a[0, 1] == 0 and a[1, 0] == 0
+    a[0, 1] += defect / 2
+    a[1, 0] -= defect / 2
+    assert matcore.hermiticity_defect(a) == defect
+    return a
+
+
+def _dcoef_observable(a1):
+    return measures.dcoef(states.bell_state(1), a1, SZ)
+
+
+HERMITIAN_GATES = {
+    "density-matrix": (states.werner_state(0.5).mat, lambda a: states.DensityMatrix(a, 2, 2).mat),
+    "choi-matrix": (maps.catalog("transpose", d=2).mat, lambda a: maps.ChoiMatrix(a, 2, 2).mat),
+    "dcoef-observable": (SZ, _dcoef_observable),
+}
+
+
+class TestHermiticityGate:
+    """Every constructor that symmetrizes its input refuses a defect above
+    HERMITICITY_TOL and symmetrizes one below it exactly."""
+
+    @pytest.mark.parametrize("gate", sorted(HERMITIAN_GATES))
+    def test_refuses_defect_above_tolerance(self, gate):
+        h, build = HERMITIAN_GATES[gate]
+        with pytest.raises(ValueError, match="hermitian"):
+            build(_skewed(h, 2e-10))
+
+    @pytest.mark.parametrize("gate", sorted(HERMITIAN_GATES))
+    def test_symmetrizes_defect_below_tolerance(self, gate):
+        h, build = HERMITIAN_GATES[gate]
+        a = _skewed(h, 5e-11)
+        got = build(a)
+        if gate == "dcoef-observable":
+            # the skew cancels exactly, so the search sees SZ itself
+            assert np.array_equal((a + a.conj().T) / 2, SZ)
+            assert got.value == build(SZ).value
+        else:
+            assert np.array_equal(got, (a + a.conj().T) / 2)
+            assert np.array_equal(got, got.conj().T)

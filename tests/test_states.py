@@ -158,6 +158,18 @@ class TestNamedFamilies:
         with pytest.raises(ValueError):
             states.make_named("werner")
 
+    def test_make_named_refuses_unread_parameter(self):
+        with pytest.raises(ValueError, match="^p not read by state family bell$"):
+            states.make_named("bell", p=0.5)
+        with pytest.raises(ValueError, match="^rank not read by state family werner$"):
+            states.make_named("werner", p=0.3, rank=2)
+
+    def test_make_named_takes_seed_everywhere(self):
+        # --seed is global in the CLI, so every family accepts it
+        assert np.array_equal(states.make_named("bell", seed=5).mat, states.bell_state(1).mat)
+        a = states.make_named("random_density", rank=2, seed=5)
+        assert np.array_equal(a.mat, states.random_density(2, 2, rank=2, seed=5).mat)
+
 
 class TestGibbs:
     def test_infinite_temperature(self):
