@@ -257,7 +257,8 @@ def _positive_count(text):
 @functools.cache  # built once per process: in-process sessions call main often
 def _build_parser():
     # each action is its own subparser and takes only the options it reads,
-    # so any other option is a usage error (exit 2) instead of being ignored
+    # so any other option is a usage error (exit 2) instead of being ignored;
+    # no parser takes a prefix of an option as the option
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="global random seed")
     common.add_argument("--out", type=str, default=None, help="output file path")
@@ -279,46 +280,53 @@ def _build_parser():
 
     parser = argparse.ArgumentParser(
         prog="entkit",
+        allow_abbrev=False,
         description="Bipartite entanglement and positive-map analysis toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_state = sub.add_parser("state", help="build or inspect states")
+    p_state = sub.add_parser("state", allow_abbrev=False, help="build or inspect states")
     state_act = p_state.add_subparsers(dest="action", required=True)
-    s_make = state_act.add_parser("make", parents=[common])
+    s_make = state_act.add_parser("make", allow_abbrev=False, parents=[common])
     s_make.set_defaults(func=_state_make)
     s_make.add_argument("--family", type=str, required=True)
     s_make.add_argument("--in1", type=str, default=None)
     s_make.add_argument("--in2", type=str, default=None)
     for key, kind in _FAMILY_OPTIONS.items():
         s_make.add_argument(f"--{key}", type=kind, default=None)
-    state_act.add_parser("info", parents=[common, state_in]).set_defaults(func=_state_info)
+    state_act.add_parser("info", allow_abbrev=False, parents=[common, state_in]).set_defaults(
+        func=_state_info
+    )
 
-    p_meas = sub.add_parser("measure", help="run a measure")
+    p_meas = sub.add_parser("measure", allow_abbrev=False, help="run a measure")
     which = p_meas.add_subparsers(dest="which", required=True)
-    which.add_parser("ppt", parents=[common, state_in, verdict]).set_defaults(func=_measure_ppt)
-    which.add_parser("negativity", parents=[common, state_in]).set_defaults(
+    which.add_parser("ppt", allow_abbrev=False, parents=[common, state_in, verdict]).set_defaults(
+        func=_measure_ppt
+    )
+    which.add_parser("negativity", allow_abbrev=False, parents=[common, state_in]).set_defaults(
         func=_measure_negativity
     )
-    which.add_parser("eof", parents=[common, state_in, search]).set_defaults(
+    which.add_parser("eof", allow_abbrev=False, parents=[common, state_in, search]).set_defaults(
         func=_measure_search, search=measures.eof_upper
     )
-    which.add_parser("dcoef-sup", parents=[common, state_in, search]).set_defaults(
-        func=_measure_search, search=measures.dcoef_sup
-    )
+    which.add_parser(
+        "dcoef-sup", allow_abbrev=False, parents=[common, state_in, search]
+    ).set_defaults(func=_measure_search, search=measures.dcoef_sup)
 
-    p_map = sub.add_parser("map", help="check or apply a map")
+    p_map = sub.add_parser("map", allow_abbrev=False, help="check or apply a map")
     map_act = p_map.add_subparsers(dest="action", required=True)
-    m_check = map_act.add_parser("check", parents=[common, choi_src, verdict])
+    m_check = map_act.add_parser("check", allow_abbrev=False, parents=[common, choi_src, verdict])
     m_check.set_defaults(func=_map_check)
     m_check.add_argument("--restarts", type=_count, default=64)
     m_check.add_argument("--iters", type=_count, default=200)
     m_check.add_argument("--max-iter", dest="max_iter", type=_positive_count, default=5000)
-    m_apply = map_act.add_parser("apply", parents=[common, choi_src])
+    m_apply = map_act.add_parser("apply", allow_abbrev=False, parents=[common, choi_src])
     m_apply.set_defaults(func=_map_apply)
     m_apply.add_argument("--state", type=str, required=True)
 
-    p_evo = sub.add_parser("evolve", parents=[common], help="track a map family")
+    p_evo = sub.add_parser(
+        "evolve", allow_abbrev=False, parents=[common], help="track a map family"
+    )
     p_evo.set_defaults(func=_evolve)
     p_evo.add_argument("--in", dest="infile", type=str, required=True)
     p_evo.add_argument("--family", type=str, required=True)

@@ -176,14 +176,16 @@ def _random_isometries(k, rank, seed, skip, count):
         yield u
 
 
-def _multistart(results, n_structured):
+def _multistart(results, n_structured, beaten=-np.inf):
     """Keep the best of the lazy (value, snapshot, converged) start results.
 
-    The first ``n_structured`` are always taken.  The loop stops once the best
-    value reaches ``EARLY_STOP_VALUE``, or after ``RESTART_PATIENCE`` random
-    starts in a row fail to beat it by 1e-15; it never returns more than the
-    first start.  Returns the best value, snapshot and converged flag, and
-    the number of starts used.
+    The first ``n_structured`` are always taken, unless a stop fires.  The
+    loop stops once the best value reaches ``EARLY_STOP_VALUE``, once it is
+    below ``beaten`` (the caller has a better candidate, and the best value
+    never rises), or after ``RESTART_PATIENCE`` random starts in a row fail
+    to beat it by 1e-15; it never returns more than the first start.
+    Returns the best value, snapshot and converged flag, and the number of
+    starts that ran.
     """
     best_value, best_snapshot, best_converged = np.inf, None, False
     used = since_improved = 0
@@ -194,7 +196,7 @@ def _multistart(results, n_structured):
             since_improved = 0
         elif idx >= n_structured:
             since_improved += 1
-        if best_value <= EARLY_STOP_VALUE:
+        if best_value <= EARLY_STOP_VALUE or best_value < beaten:
             break
         if idx >= n_structured and since_improved >= RESTART_PATIENCE:
             break
@@ -794,13 +796,14 @@ def _dcoef_setup(state, K):
     return base, K, starts
 
 
-def _dcoef_search(state, setup, a1, a2, restarts, iters, tol, seed, closed):
+def _dcoef_search(state, setup, a1, a2, restarts, iters, tol, seed, closed, beaten):
     """dcoef at one pair from ``_dcoef_setup``: (value, rows, gid, converged, used).
 
     ``closed`` holds the pair's values of the closed-form starts, which enter
     ``_multistart`` unsearched: the one-group start converged as a sweep
     would leave it, the refined certificate unless above EARLY_STOP_VALUE.
-    A searched winner has its rows checked.  Rank one has no search, rows None.
+    The starts stop once the best value is below ``beaten``.  A searched
+    winner has its rows checked.  Rank one has no search, rows None.
     """
     base, K, starts = setup
     rank = base.shape[0]
@@ -839,7 +842,7 @@ def _dcoef_search(state, setup, a1, a2, restarts, iters, tol, seed, closed):
                     break
             yield ens.objective, (ens.rows, ens.gid), converged
 
-    value, (rows, gid), converged, used = _multistart(results(), len(starts) + 1)
+    value, (rows, gid), converged, used = _multistart(results(), len(starts) + 1, beaten)
     if all(rows is not start[0] for start in starts):
         _check_rows(state, rows)
     return value, rows, gid, converged, used
@@ -887,19 +890,26 @@ def _dcoef_pairs(state, setup, e, f, seeds, restarts, iters, tol):
     one-group value, its first start, bounds its dcoef, so pairs are visited
     in decreasing order of it and the rest are skipped once it is below a
     best value above EARLY_STOP_VALUE.  Values at or below EARLY_STOP_VALUE
-    tie as zero, and ties go to the lowest k, so the result is that of
-    visiting every pair; its converged flag and start count cover the
-    visited pairs.
+    tie as zero, and ties go to the lowest k.  A visited pair's value only
+    falls as its starts run, so its starts stop once it is below the best
+    value, or equal to it at a higher k: it can no longer win.  The result
+    is that of visiting every pair in full; its converged flag and start
+    count cover the starts that ran.
     """
     joint = _joint_table(state, e, f)
     closed = np.array([_start_values(*start, e, f, joint).ravel() for start in setup[2]])
     n_f = f.shape[0]
     best, converged, used = None, True, 0
     for k in np.argsort(-closed[0], kind="stable").tolist():
-        if best is not None and closed[0, k] < best[0][0]:  # a zero best, keyed 0.0, prunes none
-            break
+        beaten = -np.inf
+        if best is not None:
+            if closed[0, k] < best[0][0]:  # a zero best, keyed 0.0, prunes none
+                break
+            # a tie with a lower-k best loses too; a zero best stops nothing new
+            beaten = best[0][0] if k < -best[0][1] else np.nextafter(best[0][0], np.inf)
         found = _dcoef_search(
-            state, setup, e[k // n_f], f[k % n_f], restarts, iters, tol, seeds[k], closed[:, k]
+            state, setup, e[k // n_f], f[k % n_f], restarts, iters, tol, seeds[k], closed[:, k],
+            beaten,
         )
         converged = converged and found[3]
         used += found[4]
@@ -982,14 +992,20 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
 
     dcoef(e, f) is at most its one-group value |tr rho(e ox f) -
     tr(rho_1 e) tr(rho_2 f)|, so pairs are visited in decreasing order of it
-    and skipped once it is below a best value above EARLY_STOP_VALUE.  Each
-    pair keeps the seed child it has in basis order, values at or below
-    EARLY_STOP_VALUE tie as zero, and ties go to the first pair in basis
-    order, so the result is that of scanning every pair, and bit for bit
-    what ``dcoef`` gives at the winning pair, which ``pair`` names;
-    ``converged`` and ``restarts_used`` cover the visited pairs, a pair that
-    a closed-form start settles counting its 1 or 2 starts, as in dcoef.
-    The set-up and the certificate are built once per call.
+    and skipped once it is below a best value above EARLY_STOP_VALUE.  A
+    visited pair's best value only falls as its starts run, so it stops
+    drawing starts once that value is below the best of the pairs visited
+    before it, or equal to it and later in basis order: a beaten pair can
+    no longer win.  Each pair keeps the seed child it has in basis order,
+    values at or below EARLY_STOP_VALUE tie as zero, and ties go to the
+    first pair in basis order, so ``value``, ``pair`` and the certificate
+    are those of scanning every pair in full, and bit for bit what
+    ``dcoef`` gives at the winning pair.  ``restarts_used`` counts the
+    starts that ran over the visited pairs, a pair that a closed-form start
+    settles counting its 1 or 2 starts, as in dcoef, so it is below the sum
+    of the visited pairs' dcoef counts once a pair is beaten; ``converged``
+    holds when every visited pair's best start so far converged.  The
+    set-up and the certificate are built once per call.
     """
     setup = _dcoef_setup(state, K)
     e = np.array(gell_mann_basis(state.d1))

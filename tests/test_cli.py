@@ -271,6 +271,13 @@ UNREAD_OPTIONS = [
     ("map-check-d-choi-map", ("map", "check", "--catalog", "choi_map", "--d", "5"), "--d"),
     ("map-check-lam-transpose", ("map", "check", "--catalog", "transpose", "--d", "2",
                                  "--lam", "0.3"), "--lam"),
+] + [
+    # unique prefixes of a command's own options (--rank, --seed, --max-iter,
+    # --restarts, --iters) are not taken as those options
+    ("state-make-prefixes", ("state", "make", "--family", "random_density", "--ra", "2",
+                             "--see", "3"), "--ra 2 --see 3"),
+    ("map-check-prefixes", ("map", "check", "--catalog", "transpose", "--d", "2", "--max",
+                            "3", "--rest", "2", "--it", "1"), "--max 3 --rest 2 --it 1"),
 ]
 
 
@@ -286,7 +293,8 @@ def test_option_of_another_subcommand_exit_2(bell_file, argv, option):
     # family, catalog map or map family reads only the parameters of its
     # catalog entry (--beta / --hz only glauber_flip, --rate only
     # depolarizing_flow and glauber_flip, --speed only transpose_mix, --lam
-    # only depolarizing, --d no choi_map, --p / --rank no bell)
+    # only depolarizing, --d no choi_map, --p / --rank no bell); no prefix
+    # of an option stands for the option
     argv = [str(bell_file) if a == "STATE" else a for a in argv]
     proc = run_cli(*argv, check=False)
     assert proc.returncode == 2

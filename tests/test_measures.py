@@ -511,6 +511,7 @@ def _one_group_bounds(state):
 
 PRUNE_CASES = [
     ("werner(0.9)", lambda: states.werner_state(0.9), dict(K=8, restarts=4)),
+    ("werner(0.7)", lambda: states.werner_state(0.7), dict(K=8, restarts=4)),
     ("isotropic(0.7, 3)", lambda: states.isotropic_state(0.7, 3), dict(K=9, restarts=1)),
     ("random(2, 3)", lambda: states.random_density(2, 3, rank=2, seed=20), dict(K=8, restarts=2)),
     ("random(2, 2)", lambda: states.random_density(2, 2, rank=3, seed=14), dict(K=8, restarts=2)),
@@ -524,41 +525,84 @@ def test_dcoef_sup_pruning_keeps_the_maximum(name, make, budget, monkeypatch):
     basis2 = measures.gell_mann_basis(state.d2)
     children = np.random.SeedSequence(3).spawn(len(basis1) * len(basis2))
     direct = [
-        measures.dcoef(state, e, f, seed=children[i * len(basis2) + j], **budget).value
+        measures.dcoef(state, e, f, seed=children[i * len(basis2) + j], **budget)
         for i, e in enumerate(basis1)
         for j, f in enumerate(basis2)
     ]
+    values = [rep.value for rep in direct]
 
     calls = []
     search = measures._dcoef_search
 
     def counted(st_, setup, a1, a2, *args, **kwargs):
         found = search(st_, setup, a1, a2, *args, **kwargs)
-        calls.append((a1, a2, found[0]))
+        calls.append((a1, a2, found[0], found[4]))
         return found
 
     monkeypatch.setattr(measures, "_dcoef_search", counted)
     rep = measures.dcoef_sup(state, seed=3, **budget)
 
     # the maximum of the full scan, bit for bit, at its first pair in basis order
-    assert rep.value == max(direct)
-    k = int(np.argmax(direct))
+    assert rep.value == max(values)
+    k = int(np.argmax(values))
     assert rep.pair == (k // len(basis2), k % len(basis2))
     assert rep.to_json()["pair"] == list(rep.pair)
     # one pair search per visited pair, in decreasing order of the one-group
     # bound; every skipped pair has a bound no greater than the value found
     bounds = _one_group_bounds(state)
-    visited = []
-    for a1, a2, value in calls:
+    visited, best, beaten = [], None, 0
+    for a1, a2, value, used in calls:
         i = next(i for i, e in enumerate(basis1) if np.array_equal(e, a1))
         j = next(j for j, f in enumerate(basis2) if np.array_equal(f, a2))
         visited.append(i * len(basis2) + j)
-        assert value == direct[visited[-1]]
+        # a pair runs the starts of its dcoef, bit for bit, unless it is
+        # beaten: it stops early once it is below the best key so far (zero
+        # at or below EARLY_STOP_VALUE, ties to the lower index)
+        key = (value if value > measures.EARLY_STOP_VALUE else 0.0, -visited[-1])
+        assert value >= values[visited[-1]]
+        assert used <= direct[visited[-1]].restarts_used
+        if used < direct[visited[-1]].restarts_used:
+            assert key < best
+            beaten += 1
+        else:
+            assert value == values[visited[-1]]
+        best = key if best is None else max(best, key)
     assert len(set(visited)) == len(visited)
     assert np.all(np.diff(bounds[visited]) <= 1e-12)
     skipped = sorted(set(range(len(direct))) - set(visited))
     assert skipped  # every case here prunes some pairs
     assert bounds[skipped].max() <= rep.value
+    # every other case stops a beaten pair early; the losing pairs of
+    # random(2, 2) reach zero at their first searched start
+    if name != "random(2, 2)":
+        assert beaten
+        assert rep.restarts_used < sum(direct[v].restarts_used for v in visited)
+
+
+def test_beaten_threshold_lets_a_tie_go_to_the_lower_pair(monkeypatch):
+    # every pair search returns 0.05: a pair visited after the best may still
+    # tie it, and the tie goes to the lower index, so the threshold at which
+    # its starts stop is 0.05 itself below the best's index and just above
+    # it beyond; pair 0, whose one-group bound comes sixth, wins
+    state = states.random_density(2, 2, rank=3, seed=14)
+    basis = measures.gell_mann_basis(2)
+    order, thresholds = [], []
+
+    def tied(st_, setup, a1, a2, restarts, iters, tol, seed, closed, beaten):
+        i = next(i for i, e in enumerate(basis) if np.array_equal(e, a1))
+        j = next(j for j, f in enumerate(basis) if np.array_equal(f, a2))
+        order.append(3 * i + j)
+        thresholds.append(beaten)
+        return 0.05, None, None, True, 1
+
+    monkeypatch.setattr(measures, "_dcoef_search", tied)
+    rep = measures.dcoef_sup(state, K=8, restarts=2, seed=3)
+    assert order == [1, 5, 2, 6, 4, 0]  # the others have bounds below 0.05
+    assert thresholds[0] == -np.inf
+    for i, (k, beaten) in enumerate(zip(order[1:], thresholds[1:])):
+        best = min(order[: i + 1])
+        assert beaten == (0.05 if k < best else np.nextafter(0.05, np.inf))
+    assert rep.value == 0.05 and rep.pair == (0, 0) and rep.restarts_used == 6
 
 
 def test_dcoef_sup_sets_up_and_certifies_once(monkeypatch):
@@ -610,6 +654,33 @@ def test_dcoef_sup_matches_dcoef_at_its_pair(name, make, budget):
     assert np.array_equal(rep.certificate.weights, direct.certificate.weights)
     assert len(rep.certificate.components) == len(direct.certificate.components)
     for got, want in zip(rep.certificate.components, direct.certificate.components):
+        assert np.array_equal(got.mat, want.mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(min_value=2, max_value=4), seed=st.integers(0, 2**31 - 1))
+def test_dcoef_sup_equals_the_exhaustive_pair_scan(rank, seed):
+    # pruned and beaten pairs never hide the winner: value, pair and
+    # certificate are those of running dcoef at every pair, the maximum
+    # keyed as dcoef_sup documents (zero at or below EARLY_STOP_VALUE, ties
+    # to the first pair in basis order)
+    state = states.random_density(2, 2, rank=rank, seed=seed)
+    budget = dict(K=4, restarts=2)
+    basis = measures.gell_mann_basis(2)
+    children = np.random.SeedSequence(6).spawn(len(basis) ** 2)
+    direct = [
+        measures.dcoef(state, e, f, seed=children[i * len(basis) + j], **budget)
+        for i, e in enumerate(basis)
+        for j, f in enumerate(basis)
+    ]
+    keyed = [d.value if d.value > measures.EARLY_STOP_VALUE else 0.0 for d in direct]
+    k = int(np.argmax(keyed))
+    rep = measures.dcoef_sup(state, seed=6, **budget)
+    assert rep.value == direct[k].value
+    assert rep.pair == divmod(k, len(basis))
+    assert np.array_equal(rep.certificate.weights, direct[k].certificate.weights)
+    assert len(rep.certificate.components) == len(direct[k].certificate.components)
+    for got, want in zip(rep.certificate.components, direct[k].certificate.components):
         assert np.array_equal(got.mat, want.mat)
 
 
@@ -687,10 +758,10 @@ def test_one_group_start_enters_with_the_ladder_converged_flag(iters, tol, monke
     multistart = measures._multistart
     first = []
 
-    def capture(results, n_structured):
+    def capture(results, n_structured, *rest):
         results = iter(results)
         first.append(next(results))
-        return multistart(itertools.chain(first[-1:], results), n_structured)
+        return multistart(itertools.chain(first[-1:], results), n_structured, *rest)
 
     monkeypatch.setattr(measures, "_multistart", capture)
     groups = _record_groups(monkeypatch)
