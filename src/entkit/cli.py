@@ -62,6 +62,11 @@ def _refuse_unread(when, given):
         raise ValueError(f"{', '.join(named)} not read {when}")
 
 
+def _given(**options):
+    # the options the user gave; the library keeps its defaults for the others
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _catalog_params(catalog, name, by, flags):
     # flags maps each option to (catalog parameter, value): the options given
     # become parameters, and those that entry name does not read are refused
@@ -118,11 +123,11 @@ def _measure_negativity(args):
 
 
 def _measure_search(args):
-    # measure eof and dcoef-sup: args.search is eof_upper or dcoef_sup
-    rep = args.search(
-        _load_state(args.infile), K=args.K, restarts=args.restarts, iters=args.iters,
-        seed=args.seed,
-    )
+    # measure eof and dcoef-sup: args.search names eof_upper or dcoef_sup, found
+    # at call time so that a replaced measures attribute is the one that runs
+    search = getattr(measures, args.search)
+    given = _given(K=args.K, restarts=args.restarts, iters=args.iters)
+    rep = search(_load_state(args.infile), seed=args.seed, **given)
     _report(args, [("value", rep.value), ("converged", rep.converged)], rep.to_json())
     if args.strict and not rep.converged:
         sys.stderr.write("measure did not converge within budget (--strict)\n")
@@ -145,9 +150,9 @@ def _map_check(args):
     cp = maps.is_cp(choi, tol=args.tol)
     cocp = maps.is_co_cp(choi, tol=args.tol)
     block = maps.is_block_positive(
-        choi, restarts=args.restarts, iters=args.iters, tol=args.tol, seed=args.seed,
+        choi, restarts=args.restarts, tol=args.tol, seed=args.seed, **_given(iters=args.iters)
     )
-    dec = maps.is_decomposable(choi, max_iter=args.max_iter)
+    dec = maps.is_decomposable(choi, **_given(max_iter=args.max_iter))
     fields = [
         ("block_positive", block.block_positive),
         ("certificate", block.certificate),
@@ -215,7 +220,7 @@ def _evolve(args):
         measure_eof="eof" in wanted,
         measure_dcoef="dcoef" in wanted,
         seed=args.seed,
-        **{key: v for key, v in search.items() if v is not None},
+        **_given(**search),
     )
     sys.stdout.write(
         _kv_line([("first_negative_time", record.first_negative_time())])
@@ -231,13 +236,18 @@ def _evolve(args):
 # ---------------------------------------------------------------------------
 
 
-def _tolerance(text):
+def _finite(text):
     # argparse turns the ArgumentTypeError into a usage error, exit code 2
     val = float(text)
-    if not np.isfinite(val) or val < 0.0:
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be finite and >= 0, got {text!r}"
-        )
+    if not np.isfinite(val):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return val
+
+
+def _tolerance(text):
+    val = _finite(text)
+    if val < 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {text!r}")
     return val
 
 
@@ -268,8 +278,8 @@ def _build_parser():
     state_in.add_argument("--in", dest="infile", type=str, required=True)
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--K", type=int, default=None)
-    search.add_argument("--restarts", type=_count, default=32)
-    search.add_argument("--iters", type=_count, default=60)
+    search.add_argument("--restarts", type=_count, default=None)
+    search.add_argument("--iters", type=_count, default=None)
     search.add_argument("--strict", action="store_true")
     choi_src = argparse.ArgumentParser(add_help=False)
     choi_from = choi_src.add_mutually_exclusive_group(required=True)
@@ -306,20 +316,18 @@ def _build_parser():
     which.add_parser("negativity", allow_abbrev=False, parents=[common, state_in]).set_defaults(
         func=_measure_negativity
     )
-    which.add_parser("eof", allow_abbrev=False, parents=[common, state_in, search]).set_defaults(
-        func=_measure_search, search=measures.eof_upper
-    )
-    which.add_parser(
-        "dcoef-sup", allow_abbrev=False, parents=[common, state_in, search]
-    ).set_defaults(func=_measure_search, search=measures.dcoef_sup)
+    for name, fn in (("eof", "eof_upper"), ("dcoef-sup", "dcoef_sup")):
+        which.add_parser(name, allow_abbrev=False, parents=[common, state_in, search]).set_defaults(
+            func=_measure_search, search=fn
+        )
 
     p_map = sub.add_parser("map", allow_abbrev=False, help="check or apply a map")
     map_act = p_map.add_subparsers(dest="action", required=True)
     m_check = map_act.add_parser("check", allow_abbrev=False, parents=[common, choi_src, verdict])
     m_check.set_defaults(func=_map_check)
     m_check.add_argument("--restarts", type=_count, default=64)
-    m_check.add_argument("--iters", type=_count, default=200)
-    m_check.add_argument("--max-iter", dest="max_iter", type=_positive_count, default=5000)
+    m_check.add_argument("--iters", type=_count, default=None)
+    m_check.add_argument("--max-iter", dest="max_iter", type=_positive_count, default=None)
     m_apply = map_act.add_parser("apply", allow_abbrev=False, parents=[common, choi_src])
     m_apply.set_defaults(func=_map_apply)
     m_apply.add_argument("--state", type=str, required=True)
@@ -333,7 +341,7 @@ def _build_parser():
     p_evo.add_argument("--rate", type=float, default=None)
     p_evo.add_argument("--speed", type=float, default=None)
     p_evo.add_argument("--beta", type=float, default=None)
-    p_evo.add_argument("--hz", type=float, default=None)
+    p_evo.add_argument("--hz", type=_finite, default=None)
     p_evo.add_argument("--t-max", dest="t_max", type=float, required=True)
     p_evo.add_argument("--steps", type=_positive_count, required=True)
     p_evo.add_argument("--measures", type=str, default="")

@@ -7,7 +7,7 @@ Families are closed-form in t, so grid evaluation is pointwise.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class ChannelFamily:
     """A named map family t >= 0 -> ChoiMatrix acting on leg 1."""
 
     name: str
-    params: dict
     d: int
     evaluator: object
 
@@ -80,7 +79,7 @@ def _flip_channel(h, beta):
 def _identity(d=2):
     d = int(d)
     ident = maps.catalog("identity", d=d)
-    return ChannelFamily("identity", {"d": d}, d, lambda t: ident)
+    return ChannelFamily("identity", d, lambda t: ident)
 
 
 def _depolarizing_flow(d=2, rate=1.0):
@@ -89,7 +88,7 @@ def _depolarizing_flow(d=2, rate=1.0):
     def depol(t):
         return maps.catalog("depolarizing", d=d, lam=float(np.exp(-rate * t)))
 
-    return ChannelFamily("depolarizing_flow", {"d": d, "rate": rate}, d, depol)
+    return ChannelFamily("depolarizing_flow", d, depol)
 
 
 def _transpose_mix(d=2, speed=1.0):
@@ -101,7 +100,7 @@ def _transpose_mix(d=2, speed=1.0):
         m = min(1.0, speed * t)
         return maps.ChoiMatrix((1.0 - m) * ident.mat + m * trans.mat, d, d)
 
-    return ChannelFamily("transpose_mix", {"d": d, "speed": speed}, d, mix)
+    return ChannelFamily("transpose_mix", d, mix)
 
 
 def _glauber_flip(H, beta=1.0, rate=1.0):
@@ -115,7 +114,7 @@ def _glauber_flip(H, beta=1.0, rate=1.0):
         q = 1.0 - float(np.exp(-rate * t))
         return maps.ChoiMatrix((1.0 - q) * ident.mat + q * flip.mat, d, d)
 
-    return ChannelFamily("glauber_flip", {"d": d, "beta": beta, "rate": rate}, d, glauber)
+    return ChannelFamily("glauber_flip", d, glauber)
 
 
 FAMILIES = matcore.Catalog(
@@ -149,17 +148,10 @@ class TrackPoint:
     trace: float
 
     def to_json(self):
-        return {
-            "t": self.t,
-            "min_eig": self.min_eig,
-            "negativity": self.negativity,
-            "eof_upper": self.eof_upper,
-            "dcoef_sup": self.dcoef_sup,
-            "trace": self.trace,
-        }
+        return {col: getattr(self, col) for col in _COLUMNS}
 
 
-_CSV_COLUMNS = ("t", "min_eig", "negativity", "eof_upper", "dcoef_sup", "trace")
+_COLUMNS = tuple(f.name for f in fields(TrackPoint))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +160,6 @@ class TrackRecord:
 
     family: str
     points: tuple
-
-    @property
-    def times(self):
-        return [pt.t for pt in self.points]
 
     def first_negative_time(self, tol=NEGATIVE_EIG_TOL):
         for pt in self.points:
@@ -183,13 +171,10 @@ class TrackRecord:
         return [pt.to_json() for pt in self.points]
 
     def to_csv(self):
-        lines = [",".join(_CSV_COLUMNS)]
+        lines = [",".join(_COLUMNS)]
         for pt in self.points:
-            row = []
-            for col in _CSV_COLUMNS:
-                val = getattr(pt, col)
-                row.append("" if val is None else repr(float(val)))
-            lines.append(",".join(row))
+            vals = (getattr(pt, col) for col in _COLUMNS)
+            lines.append(",".join("" if v is None else repr(float(v)) for v in vals))
         return "\n".join(lines) + "\n"
 
 

@@ -7,6 +7,7 @@ positivity, and a PSD partial transpose of C to co-complete positivity.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,8 +35,6 @@ class ChoiMatrix:
             raise ValueError(
                 f"Choi dimension {a.shape[0]} does not match {self.d_in}x{self.d_out}"
             )
-        if not np.isfinite(a).all():
-            raise ValueError("Choi matrix has non-finite entries")
         # a non-hermitian Choi matrix is a map that does not preserve hermiticity
         a = matcore.require_hermitian(a, matcore.HERMITICITY_TOL, "Choi matrix")
         a.setflags(write=False)
@@ -44,6 +43,17 @@ class ChoiMatrix:
     @property
     def dim(self):
         return self.d_in * self.d_out
+
+    # lambda_min(C) and lambda_min(C^PT), the partial transpose on the output
+    # leg: the CP and co-CP tests, each computed once since mat is read-only
+    @cached_property
+    def _min_eig(self):
+        return matcore.min_eigenvalue(self.mat)
+
+    @cached_property
+    def _min_eig_pt(self):
+        pt = matcore.partial_transpose(self.mat, (self.d_in, self.d_out), leg=2)
+        return matcore.min_eigenvalue(pt)
 
     def tensor4(self):
         """View as C[i, a, j, b] with (i, j) input and (a, b) output indices."""
@@ -122,15 +132,12 @@ class PositivityCheck:
 
 def is_cp(choi, tol=1e-9):
     """Complete positivity: the Choi matrix is PSD."""
-    lo = matcore.min_eigenvalue(choi.mat)
-    return PositivityCheck(lo >= -tol, lo)
+    return PositivityCheck(choi._min_eig >= -tol, choi._min_eig)
 
 
 def is_co_cp(choi, tol=1e-9):
     """Co-complete positivity: PSD partial transpose on the output leg."""
-    pt = matcore.partial_transpose(choi.mat, (choi.d_in, choi.d_out), leg=2)
-    lo = matcore.min_eigenvalue(pt)
-    return PositivityCheck(lo >= -tol, lo)
+    return PositivityCheck(choi._min_eig_pt >= -tol, choi._min_eig_pt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,11 +313,9 @@ def is_decomposable(choi, max_iter=DEFAULT_DECOMP_ITERS, tol=DEFAULT_DECOMP_TOL)
     cmat = choi.mat
     dims = (choi.d_in, choi.d_out)
     scale = max(1.0, matcore.frobenius_norm(cmat))
-    lo = matcore.min_eigenvalue(cmat)
-    if lo >= -1e-10 * scale:
+    if choi._min_eig >= -1e-10 * scale:
         return DecomposabilityReport(True, 0.0, 0, cmat, np.zeros_like(cmat))
-    pt = matcore.partial_transpose(cmat, dims, leg=2)
-    if matcore.min_eigenvalue(pt) >= -1e-10 * scale:
+    if choi._min_eig_pt >= -1e-10 * scale:
         return DecomposabilityReport(True, 0.0, 0, np.zeros_like(cmat), cmat)
 
     z = cmat

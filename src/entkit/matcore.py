@@ -28,9 +28,10 @@ def frobenius_norm(m):
 
 
 def hermiticity_defect(m):
-    """Largest entrywise deviation of M from its conjugate transpose."""
+    """Largest entrywise deviation of M from M^+, non-finite if an entry is."""
     a = np.asarray(m)
-    return float(np.abs(a - a.conj().T).max())
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, without a warning
+        return float(np.abs(a - a.conj().T).max())
 
 
 def is_hermitian(m, tol=HERMITICITY_TOL):
@@ -38,9 +39,11 @@ def is_hermitian(m, tol=HERMITICITY_TOL):
 
 
 def require_hermitian(m, tol, what):
-    """(M + M^+) / 2, after refusing a hermiticity defect above ``tol``."""
+    """(M + M^+) / 2, refusing non-finite entries and a defect above ``tol``."""
     a = as_complex_matrix(m)
     defect = hermiticity_defect(a)
+    if not np.isfinite(defect):
+        raise ValueError(f"{what}: matrix has non-finite entries")
     if defect > tol:
         raise ValueError(
             f"{what}: matrix is not hermitian (max deviation {defect:.3e} > {tol:.1e})"

@@ -38,8 +38,6 @@ class DensityMatrix:
             raise ValueError(
                 f"split {self.d1}x{self.d2} does not match dimension {a.shape[0]}"
             )
-        if not np.isfinite(a).all():
-            raise ValueError("density matrix has non-finite entries")
         a = matcore.require_hermitian(a, matcore.HERMITICITY_TOL, "density matrix")
         tr = float(np.trace(a).real)
         if abs(tr - 1.0) > TRACE_TOL:

@@ -153,8 +153,10 @@ def test_non_finite_state_exit_2(nan_file, argv):
         (("--family", "glauber_flip", "--t-max", "1", "--beta", "nan"), "beta"),
         (("--family", "depolarizing_flow", "--t-max", "1", "--rate", "inf"), "rate"),
         (("--family", "transpose_mix", "--t-max", "1", "--speed", "nan"), "speed"),
+        (("--family", "glauber_flip", "--t-max", "1", "--hz", "inf"), "hz"),
+        (("--family", "glauber_flip", "--t-max", "1", "--hz", "nan"), "hz"),
     ],
-    ids=["t-max-nan", "t-max-inf", "beta-nan", "rate-inf", "speed-nan"],
+    ids=["t-max-nan", "t-max-inf", "beta-nan", "rate-inf", "speed-nan", "hz-inf", "hz-nan"],
 )
 def test_non_finite_evolve_input_exit_2(bell_file, extra, option):
     proc = run_cli("evolve", "--in", str(bell_file), *extra, "--steps", "2", check=False)
@@ -301,6 +303,50 @@ def test_option_of_another_subcommand_exit_2(bell_file, argv, option):
     # the error line, not the usage text, which lists every option
     assert option in proc.stderr.splitlines()[-1]
     assert proc.stdout == ""
+
+
+def _recorded(monkeypatch, owner, name):
+    # keyword arguments of every later call of owner.name, which still runs
+    calls = []
+    inner = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_search_is_looked_up_at_call_time(bell_file, monkeypatch):
+    # the parser is built once per process; a measures function replaced
+    # after that, as the benchmark's tracer does, is still the one that runs
+    argv = ("measure", "dcoef-sup", "--in", str(bell_file), "--K", "4", "--restarts", "1")
+    first = run_cli(*argv)
+    calls = _recorded(monkeypatch, measures, "dcoef_sup")
+    assert run_cli(*argv).stdout == first.stdout
+    assert calls == [{"seed": 0, "K": 4, "restarts": 1}]
+
+
+@pytest.mark.parametrize(
+    "argv,called",
+    [
+        (("measure", "eof", "--in", "STATE"), {"eof_upper": {"seed": 0}}),
+        (("measure", "dcoef-sup", "--in", "STATE"), {"dcoef_sup": {"seed": 0}}),
+        (("map", "check", "--catalog", "transpose"), {
+            "is_block_positive": {"restarts": 64, "tol": 1e-9, "seed": 0},
+            "is_decomposable": {},
+        }),
+    ],
+    ids=["eof", "dcoef-sup", "map-check"],
+)
+def test_unset_options_keep_library_defaults(bell_file, monkeypatch, argv, called):
+    # an option left out is not passed, so the library's default applies;
+    # map check passes its own --restarts (64) and --tol defaults
+    owner = maps if argv[0] == "map" else measures
+    calls = {name: _recorded(monkeypatch, owner, name) for name in called}
+    run_cli(*[str(bell_file) if a == "STATE" else a for a in argv])
+    assert calls == {name: [kwargs] for name, kwargs in called.items()}
 
 
 class TestMeasureCommands:

@@ -186,7 +186,7 @@ class TestEvolveTrack:
             choi = maps.catalog("depolarizing", d=2, lam=float(np.exp(-t)))
             return maps.ChoiMatrix(choi.mat * (1.0 + 5e-9 * min(t, 1.0)), 2, 2)
 
-        fam = dynamics.ChannelFamily("scaled_depolarizing", {}, 2, scaled)
+        fam = dynamics.ChannelFamily("scaled_depolarizing", 2, scaled)
         rec = dynamics.evolve_track(
             states.bell_state(1),
             fam,

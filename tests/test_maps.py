@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from entkit import maps, matcore, states
+from entkit import cli, maps, matcore, states
 
 from oracles import (
     block_positivity_lower_reference,
@@ -200,6 +200,62 @@ class TestPositivityChecks:
     def test_fully_depolarizing_both(self):
         dep = maps.catalog("depolarizing", d=2, lam=0.0)
         assert maps.is_cp(dep).ok and maps.is_co_cp(dep).ok
+
+
+def _recorded_min_eigenvalue(monkeypatch):
+    # the matrices handed to matcore.min_eigenvalue from now on, in call order
+    seen = []
+    inner = matcore.min_eigenvalue
+
+    def recorded(h, *args, **kwargs):
+        seen.append(np.array(h))
+        return inner(h, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "min_eigenvalue", recorded)
+    return seen
+
+
+class TestChoiEigenvalues:
+    """lambda_min(C) and lambda_min(C^PT) are computed once per ChoiMatrix."""
+
+    def test_map_check_transpose_takes_two(self, monkeypatch, capsys):
+        # is_cp / is_co_cp, is_block_positive and is_decomposable each took
+        # both values again: 6 calls for the 2 values
+        seen = _recorded_min_eigenvalue(monkeypatch)
+        assert cli.main(["map", "check", "--catalog", "transpose", "--d", "3"]) == 0
+        assert "co_cp=true" in capsys.readouterr().out
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("name", ["identity", "transpose", "reduction", "choi_map"])
+    def test_each_value_computed_once(self, monkeypatch, name):
+        choi = maps.catalog(name)
+        pt = pt_reference(choi.mat, choi.d_in, choi.d_out, leg=2)
+        seen = _recorded_min_eigenvalue(monkeypatch)
+        for _ in range(2):
+            maps.is_cp(choi)
+            maps.is_co_cp(choi)
+            maps.is_block_positive(choi, restarts=4, iters=20)
+            maps.is_decomposable(choi)
+        # choi_map also diagonalizes its PPT witness candidates, never C itself
+        assert sum(np.array_equal(h, choi.mat) for h in seen) == 1
+        assert sum(np.array_equal(h, pt) for h in seen) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_in=st.integers(min_value=2, max_value=3),
+    d_out=st.integers(min_value=2, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stored_eigenvalues_match_reference(d_in, d_out, seed):
+    c = random_hermitian(np.random.default_rng(seed), d_in * d_out)
+    choi = maps.ChoiMatrix(c, d_in, d_out)
+    lam_cp, lam_co_cp = block_positivity_lower_reference(c, d_in, d_out)
+    scale = max(1.0, np.linalg.norm(c))
+    assert abs(choi._min_eig - lam_cp) <= 1e-12 * scale
+    assert abs(choi._min_eig_pt - lam_co_cp) <= 1e-12 * scale
+    assert maps.is_cp(choi).min_eig == choi._min_eig
+    assert maps.is_co_cp(choi).min_eig == choi._min_eig_pt
 
 
 class TestBlockPositivity:

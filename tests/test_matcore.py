@@ -247,6 +247,16 @@ HERMITIAN_GATES = {
     "dcoef-observable": (SZ, _dcoef_observable),
 }
 
+# the gates above and the matcore functions behind every eigendecomposition
+NON_FINITE_GATES = dict(
+    HERMITIAN_GATES,
+    **{
+        "hermitian-eig": (SZ, matcore.hermitian_eig),
+        "min-eigenvalue": (SZ, matcore.min_eigenvalue),
+        "psd-project": (SZ, matcore.psd_project),
+    },
+)
+
 
 class TestHermiticityGate:
     """Every constructor that symmetrizes its input refuses a defect above
@@ -270,3 +280,20 @@ class TestHermiticityGate:
         else:
             assert np.array_equal(got, (a + a.conj().T) / 2)
             assert np.array_equal(got, got.conj().T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize(
+        "where", [[(0, 0)], [(0, 1)], [(0, 1), (1, 0)]], ids=["diagonal", "one-side", "both-sides"]
+    )
+    @pytest.mark.parametrize("gate", sorted(NON_FINITE_GATES))
+    def test_refuses_non_finite(self, gate, where, bad):
+        # a NaN or infinite entry makes the hermiticity defect non-finite,
+        # which the gate refuses (a NaN defect passes "defect > tol"); inf - inf
+        # raises no RuntimeWarning, which would fail the suite
+        h, build = NON_FINITE_GATES[gate]
+        a = np.array(h, dtype=np.complex128)
+        for pos in where:
+            a[pos] = bad
+        assert not np.isfinite(matcore.hermiticity_defect(a))
+        with pytest.raises(ValueError, match="non-finite"):
+            build(a)
