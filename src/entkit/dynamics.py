@@ -1,13 +1,15 @@
 """Time-parametrized map families applied to one leg of a bipartite state.
 
-Each family evaluates to a Choi matrix at every requested time; evolution
-applies the dual map tensored with the identity (the Schroedinger picture)
-and records positivity and entanglement diagnostics over the grid.
-Families are closed-form in t, so grid evaluation is pointwise.
+A family mixes the identity with one fixed target map,
+t -> s(t) id + (1 - s(t)) target with s(0) = 1.  Evolution applies the
+dual map tensored with the identity (the Schroedinger picture) and records
+positivity and entanglement diagnostics over the grid.  Taking the dual is
+real-linear and the identity is its own dual, so ``evolve_track`` takes the
+target's dual once per track and mixes it pointwise.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -18,23 +20,35 @@ NEGATIVE_EIG_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ChannelFamily:
-    """A named map family t >= 0 -> ChoiMatrix acting on leg 1."""
+    """A named map family t >= 0 -> s(t) id + (1 - s(t)) target on leg 1.
+
+    ``target`` is a ChoiMatrix on M_d, which fixes ``d``; ``weight(t)`` is
+    the identity's weight s(t) and must be 1 at t = 0.
+    """
 
     name: str
-    d: int
-    evaluator: object
+    target: maps.ChoiMatrix
+    weight: object
 
     def __post_init__(self):
-        c0 = self.evaluator(0.0)
-        ident = maps.catalog("identity", d=self.d)
-        if matcore.frobenius_norm(c0.mat - ident.mat) > 1e-10:
+        if self.target.d_in != self.target.d_out:
+            raise ValueError(f"family {self.name!r}: target does not map M_d to itself")
+        if self.weight(0.0) != 1.0:
             raise ValueError(f"family {self.name!r} does not start at the identity")
+        # Choi matrix of the identity map: C[i, a, j, b] = delta_ia delta_jb
+        vec = np.eye(self.d).ravel()
+        object.__setattr__(self, "_ident", np.outer(vec, vec))
+
+    @property
+    def d(self):
+        return self.target.d_in
 
     def __call__(self, t):
         t = float(t)
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"time must be finite and >= 0, got {t}")
-        return self.evaluator(t)
+        s = self.weight(t)
+        return maps.ChoiMatrix(s * self._ident + (1.0 - s) * self.target.mat, self.d, self.d)
 
 
 def _nonnegative(key, val):
@@ -45,7 +59,17 @@ def _nonnegative(key, val):
     return val
 
 
-def _flip_channel(h, beta):
+def _decay(rate):
+    """The identity weight s(t) = exp(-rate t)."""
+    return lambda t: float(np.exp(-rate * t))
+
+
+def _ramp(speed):
+    """The identity weight s(t) = 1 - min(1, speed t)."""
+    return lambda t: 1.0 - min(1.0, speed * t)
+
+
+def _flip_map(h, beta):
     """Single-site thermal flip with Metropolis weights (illustrative demo).
 
     In the eigenbasis of ``h`` the populations follow a Metropolis chain
@@ -73,57 +97,23 @@ def _flip_channel(h, beta):
             out += (stoch[j] @ pops) * np.outer(v[:, j], v[:, j].conj())
         return out
 
-    return act
-
-
-def _identity(d=2):
-    d = int(d)
-    ident = maps.catalog("identity", d=d)
-    return ChannelFamily("identity", d, lambda t: ident)
-
-
-def _depolarizing_flow(d=2, rate=1.0):
-    d, rate = int(d), _nonnegative("rate", rate)
-
-    def depol(t):
-        return maps.catalog("depolarizing", d=d, lam=float(np.exp(-rate * t)))
-
-    return ChannelFamily("depolarizing_flow", d, depol)
-
-
-def _transpose_mix(d=2, speed=1.0):
-    d, speed = int(d), _nonnegative("speed", speed)
-    ident = maps.catalog("identity", d=d)
-    trans = maps.catalog("transpose", d=d)
-
-    def mix(t):
-        m = min(1.0, speed * t)
-        return maps.ChoiMatrix((1.0 - m) * ident.mat + m * trans.mat, d, d)
-
-    return ChannelFamily("transpose_mix", d, mix)
-
-
-def _glauber_flip(H, beta=1.0, rate=1.0):
-    h = matcore.as_complex_matrix(H)
-    beta, rate = _nonnegative("beta", beta), _nonnegative("rate", rate)
-    d = h.shape[0]
-    flip = maps.choi_from_map(_flip_channel(h, beta), d)
-    ident = maps.catalog("identity", d=d)
-
-    def glauber(t):
-        q = 1.0 - float(np.exp(-rate * t))
-        return maps.ChoiMatrix((1.0 - q) * ident.mat + q * flip.mat, d, d)
-
-    return ChannelFamily("glauber_flip", d, glauber)
+    return maps.choi_from_map(act, d)
 
 
 FAMILIES = matcore.Catalog(
     "channel family",
     {
-        "identity": _identity,
-        "depolarizing_flow": _depolarizing_flow,
-        "transpose_mix": _transpose_mix,
-        "glauber_flip": _glauber_flip,
+        "identity": lambda d=2: ChannelFamily(
+            "identity", maps.catalog("identity", d=d), lambda t: 1.0),
+        "depolarizing_flow": lambda d=2, rate=1.0: ChannelFamily(
+            "depolarizing_flow", maps.catalog("depolarizing", d=d, lam=0.0),
+            _decay(_nonnegative("rate", rate))),
+        "transpose_mix": lambda d=2, speed=1.0: ChannelFamily(
+            "transpose_mix", maps.catalog("transpose", d=d),
+            _ramp(_nonnegative("speed", speed))),
+        "glauber_flip": lambda H, beta=1.0, rate=1.0: ChannelFamily(
+            "glauber_flip", _flip_map(H, _nonnegative("beta", beta)),
+            _decay(_nonnegative("rate", rate))),
     },
 )
 
@@ -191,6 +181,9 @@ def evolve_track(
 ):
     """Apply (t_t ox id) in the Schroedinger picture over a time grid.
 
+    The dual of ``family(t)`` is ``family`` with its target replaced by the
+    target's dual, which is taken once for the whole grid.
+
     Records the minimal output eigenvalue and trace at every time, the
     negativity when the output is a valid state, and optionally the
     optimization-based measures (skipped, recorded as undefined, whenever
@@ -208,10 +201,10 @@ def evolve_track(
             f"family acts on dimension {family.d}, state leg 1 is {state.d1}"
         )
     d1, d2 = state.split
+    dual = replace(family, target=maps.dual_map(family.target))
     pts = []
     for t in times:
-        choi_t = family(t)
-        out = maps.apply_map(maps.dual_map(choi_t), state.mat, d2)
+        out = maps.apply_map(dual(t), state.mat, d2)
         out = (out + out.conj().T) / 2.0
         w, _ = matcore.hermitian_eig(out)
         min_eig = float(w[0])

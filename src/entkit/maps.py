@@ -433,9 +433,7 @@ def choi_from_json(obj):
             raise ValueError(f"unsupported Choi convention {obj['convention']!r}")
         d_in = int(obj["d_in"])
         d_out = int(obj["d_out"])
-        mat = np.asarray(obj["re"], dtype=np.float64) + 1j * np.asarray(
-            obj["im"], dtype=np.float64
-        )
+        mat = matcore.complex_from_parts(obj["re"], obj["im"], "Choi JSON")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Choi JSON: {exc}") from exc
     return ChoiMatrix(mat, d_in, d_out)

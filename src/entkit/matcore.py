@@ -23,6 +23,15 @@ def as_complex_matrix(m):
     return a
 
 
+def complex_from_parts(re, im, what):
+    """re + i im, refusing a non-finite part first: 1j * inf would warn and give NaN."""
+    re = np.asarray(re, dtype=np.float64)
+    im = np.asarray(im, dtype=np.float64)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError(f"{what}: matrix has non-finite entries")
+    return re + 1j * im
+
+
 def frobenius_norm(m):
     return float(np.linalg.norm(np.asarray(m)))
 
@@ -67,8 +76,7 @@ def hermitian_eig(h, tol=HERMITICITY_TOL):
     matrix of orthonormal eigenvector columns, h v_k = w_k v_k.
     """
     sym = require_hermitian(h, tol, "hermitian_eig")
-    w, v = kernels.eigh(sym)
-    return np.asarray(w, dtype=np.float64), np.asarray(v, dtype=np.complex128)
+    return kernels.eigh(sym)
 
 
 def _check_split(m, dims):

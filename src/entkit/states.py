@@ -13,8 +13,6 @@ _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
-PAULIS = {"x": _SIGMA_X, "y": _SIGMA_Y, "z": _SIGMA_Z}
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -358,9 +356,7 @@ def state_from_json(obj):
     try:
         d1 = int(obj["d1"])
         d2 = int(obj["d2"])
-        mat = np.asarray(obj["re"], dtype=np.float64) + 1j * np.asarray(
-            obj["im"], dtype=np.float64
-        )
+        mat = matcore.complex_from_parts(obj["re"], obj["im"], "state JSON")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state JSON: {exc}") from exc
     return DensityMatrix(mat, d1, d2)

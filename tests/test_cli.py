@@ -135,14 +135,27 @@ def nan_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def inf_im_file(tmp_path):
+    # I/4 with an infinite imaginary part off the diagonal
+    im = np.zeros((4, 4))
+    im[0, 1] = np.inf
+    path = tmp_path / "inf_im.json"
+    path.write_text(
+        json.dumps({"d1": 2, "d2": 2, "re": (np.eye(4) / 4).tolist(), "im": im.tolist()})
+    )
+    return path
+
+
 @pytest.mark.parametrize(
     "argv", [("state", "info"), ("measure", "ppt"), ("measure", "eof")]
 )
-def test_non_finite_state_exit_2(nan_file, argv):
-    proc = run_cli(*argv, "--in", str(nan_file), check=False)
-    assert proc.returncode == 2
-    assert "non-finite" in proc.stderr
-    assert proc.stdout == ""
+def test_non_finite_state_exit_2(nan_file, inf_im_file, argv):
+    for path in (nan_file, inf_im_file):
+        proc = run_cli(*argv, "--in", str(path), check=False)
+        assert proc.returncode == 2
+        assert "non-finite" in proc.stderr
+        assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(

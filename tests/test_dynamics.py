@@ -178,15 +178,14 @@ class TestEvolveTrack:
         assert rec.points[1].negativity is None
 
     def test_trace_tolerance_is_the_density_matrix_one(self):
-        # A depolarizing flow whose Choi matrix is scaled by 1 + 5e-9 min(t, 1)
-        # takes the output trace off one by 5e-10 at t = 0.1 (still a state)
-        # and by 5e-9 at t = 1 (past states.TRACE_TOL): that point must be
-        # recorded as invalid instead of failing inside DensityMatrix.
-        def scaled(t):
-            choi = maps.catalog("depolarizing", d=2, lam=float(np.exp(-t)))
-            return maps.ChoiMatrix(choi.mat * (1.0 + 5e-9 * min(t, 1.0)), 2, 2)
-
-        fam = dynamics.ChannelFamily("scaled_depolarizing", 2, scaled)
+        # Mixing the identity into a completely depolarizing map scaled by
+        # 1 + 5e-9, with target weight min(t, 1), takes the output trace off
+        # one by 5e-10 at t = 0.1 (still a state) and by 5e-9 at t = 1 (past
+        # states.TRACE_TOL): that point must be recorded as invalid instead
+        # of failing inside DensityMatrix.
+        depol = maps.catalog("depolarizing", d=2, lam=0.0)
+        target = maps.ChoiMatrix(depol.mat * (1.0 + 5e-9), 2, 2)
+        fam = dynamics.ChannelFamily("scaled_depolarizing", target, lambda t: 1.0 - min(t, 1.0))
         rec = dynamics.evolve_track(
             states.bell_state(1),
             fam,
@@ -223,6 +222,67 @@ class TestEvolveTrack:
         fam = dynamics.family_catalog("identity", d=3)
         with pytest.raises(ValueError):
             dynamics.evolve_track(states.bell_state(1), fam, [0.0, 1.0])
+
+
+def _built_in(name, d):
+    if name == "glauber_flip":
+        return dynamics.family_catalog(name, H=np.diag(np.arange(d, dtype=float)), rate=0.8)
+    extra = {"depolarizing_flow": {"rate": 0.7}, "transpose_mix": {"speed": 1.3}}
+    return dynamics.family_catalog(name, d=d, **extra.get(name, {}))
+
+
+class TestDualOncePerTrack:
+    GRID = np.linspace(0.0, 1.2, 7)
+
+    @pytest.mark.parametrize("name", ["identity", "depolarizing_flow", "transpose_mix", "glauber_flip"])
+    @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (5, 5)])
+    def test_points_equal_the_per_point_dual(self, name, d1, d2):
+        # the dual taken once per track gives, bit for bit, the point values
+        # of the dual of the Choi matrix at every time
+        st = states.random_density(d1, d2, seed=d1 + d2)
+        fam = _built_in(name, d1)
+        rec = dynamics.evolve_track(st, fam, self.GRID)
+        for t, pt in zip(self.GRID, rec.points):
+            out = maps.apply_map(maps.dual_map(fam(t)), st.mat, d2)
+            out = (out + out.conj().T) / 2.0
+            w, _ = matcore.hermitian_eig(out)
+            assert pt.min_eig == float(w[0])
+            assert pt.trace == float(np.trace(out).real)
+            if pt.negativity is not None:
+                wpt, _ = matcore.hermitian_eig(matcore.partial_transpose(out, (d1, d2), leg=2))
+                assert pt.negativity == float(np.clip(-wpt, 0.0, None).sum())
+
+    def test_one_dual_and_no_choi_build_per_track(self, monkeypatch):
+        fam = _built_in("glauber_flip", 2)
+        calls = {"dual_map": 0, "choi_from_map": 0}
+
+        def counted(name):
+            real = getattr(maps, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(maps, name, counted(name))
+        rec = dynamics.evolve_track(states.bell_state(1), fam, self.GRID)
+        assert len(rec.points) == len(self.GRID)
+        assert calls == {"dual_map": 1, "choi_from_map": 0}
+
+    def test_weight_must_start_at_one(self):
+        target = maps.catalog("transpose", d=2)
+        with pytest.raises(ValueError, match="does not start at the identity"):
+            dynamics.ChannelFamily("half", target, lambda t: 0.5)
+        fam = dynamics.ChannelFamily("ramp", target, lambda t: 1.0 - min(t, 1.0))
+        assert fam.d == 2
+        assert np.array_equal(fam(1.0).mat, target.mat)
+
+    def test_target_must_map_m_d_to_itself(self):
+        wide = maps.ChoiMatrix(np.eye(6), 2, 3)
+        with pytest.raises(ValueError, match="does not map M_d to itself"):
+            dynamics.ChannelFamily("wide", wide, lambda t: 1.0)
 
 
 class TestSerialization:

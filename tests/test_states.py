@@ -38,6 +38,12 @@ class TestDensityMatrix:
         obj = {"d1": 2, "d2": 2, "re": mat.real.tolist(), "im": mat.imag.tolist()}
         with pytest.raises(ValueError, match="non-finite"):
             states.state_from_json(obj)
+        # a non-finite imaginary part, refused before re + 1j * im is formed
+        im = np.zeros((4, 4))
+        im[0, 1] = bad
+        obj = {"d1": 2, "d2": 2, "re": (np.eye(4) / 4).tolist(), "im": im.tolist()}
+        with pytest.raises(ValueError, match="non-finite"):
+            states.state_from_json(obj)
 
 
 class TestEnsemble:
