@@ -123,40 +123,25 @@ def _spectral_rows(state):
     return (vecs * np.sqrt(lam)).T.copy()
 
 
-def _ladder_sizes(start, cap):
-    sizes = [min(start, cap)]
-    while sizes[-1] < cap:
-        sizes.append(min(cap, sizes[-1] * 2))
-    return sizes
+def _budget(rank, K, restarts, iters):
+    """The ensemble size K (default rank squared), once the search budget is checked."""
+    K = rank * rank if K is None else K
+    if K < rank:
+        raise ValueError(f"ensemble size {K} below state rank {rank}: infeasible")
+    for name, count in (("restarts", restarts), ("iters", iters)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
+    return K
 
 
 def _weights(rows):
     return np.einsum("ij,ij->i", rows, rows.conj()).real
 
 
-def _grow_split(rows, size):
-    """Pad the ensemble to ``size`` by halving its heaviest members.
-
-    Splits are objective-neutral (parallel twins), so growth never hurts;
-    subsequent sweeps exploit the extra members.  Ties go to the first
-    member.  Returns the rows and, per new slot, the member it split.
-    """
-    old = rows.shape[0]
-    if size <= old:
-        return rows, []
-    out = np.zeros((size, rows.shape[1]), dtype=np.complex128)
-    out[:old] = rows
-    weight = np.zeros(size)
-    weight[:old] = _weights(rows)
-    donors = []
-    half = np.sqrt(0.5)
-    for slot in range(old, size):
-        donor = int(np.argmax(weight[:slot]))
-        out[slot] = half * out[donor]
-        out[donor] = half * out[donor]
-        weight[slot] = weight[donor] = weight[donor] / 2.0
-        donors.append(donor)
-    return out, donors
+def _isometry_of(rows, base, K):
+    """U with rows = U @ base, padded with zero rows to K (base @ base^+ = diag(lam))."""
+    u = (rows @ base.conj().T) / _weights(base)
+    return np.pad(u, ((0, K - u.shape[0]), (0, 0)))
 
 
 def _random_isometries(k, rank, seed, skip, count):
@@ -416,14 +401,11 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     """
     base = _spectral_rows(state)
     rank = base.shape[0]
+    K = _budget(rank, K, restarts, iters)
     if rank <= 1:
         value = states.von_neumann_entropy(states.restrict(state, 1))
         cert = states.Ensemble(np.array([1.0]), (state,))
         return MeasureReport(value, cert, True, 0)
-    if K is None:
-        K = rank * rank
-    if K < rank:
-        raise ValueError(f"ensemble size {K} below state rank {rank}: infeasible")
 
     d1, d2 = state.split
     if state.split == (2, 2):
@@ -436,9 +418,7 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     if state.certificate is not None:
         refined = _refine_product_certificate(state.certificate, d1, d2, K)
         if refined is not None:
-            # rows = u @ base and base @ base^+ = diag(lam) give u; zero rows pad it
-            u = (refined[0] @ base.conj().T) / _weights(base)
-            starts.append(np.pad(u, ((0, K - u.shape[0]), (0, 0))))
+            starts.append(_isometry_of(refined[0], base, K))
     starts.append(np.eye(K, rank))
 
     def evaluated(us):  # (u, value, grad) of a stack of starts
@@ -468,302 +448,6 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _group_terms(tot):
-    """u v / p for each (p, u, v) on the last axis of ``tot``, zero below the floor."""
-    p = tot[..., 0]
-    heavy = p > kernels.WEIGHT_FLOOR
-    return np.where(heavy, tot[..., 1] * tot[..., 2] / np.where(heavy, p, 1.0), 0.0)
-
-
-def _group_sums(gid, table):
-    """(G, n) totals of the rows of the (K, n) ``table`` over the groups ``gid``."""
-    n = table.shape[1]
-    idx = n * gid[:, None] + np.arange(n)
-    return np.bincount(idx.ravel(), weights=table.ravel()).reshape(-1, n)
-
-
-# Coarse grid of the pair rotations (theta, phi): theta = 1..8 steps in
-# (0, pi/2), phi = 0..7 steps over the full circle, theta-major.  theta = 0
-# is the identity rotation and serves as the baseline, theta = pi/2 merely
-# swaps the two members.  _COARSE_Z holds the points as Bloch vectors
-# z = (cos 2 theta, sin 2 theta cos phi, sin 2 theta sin phi).
-_THETA_STEP = (np.pi / 2.0) / 9.0
-_PHI_STEP = 2.0 * np.pi / 8.0
-_TH = np.repeat(np.arange(1, 9) * _THETA_STEP, 8)
-_PH = np.tile(np.arange(8) * _PHI_STEP, 8)
-_COARSE_Z = np.stack(
-    [np.cos(2 * _TH), np.sin(2 * _TH) * np.cos(_PH), np.sin(2 * _TH) * np.sin(_PH)],
-    axis=-1,
-)
-
-# Rounds of 3 x 3 refinement around the best coarse point; the steps start
-# at half the grid spacing and halve each round.
-_REFINE_ROUNDS = 6
-
-# A rotation or merge is applied only if it beats the objective by this
-# margin; guards against float-noise churn.
-_ACCEPT_EPS = 1e-14
-
-# Pairs whose coarse tables are scored in one batch; an accepted rotation
-# discards the scores of the pairs after it, so larger batches waste more.
-_CHUNK_PAIRS = 32
-
-
-def _frame_signed(target, rest, own_a, own_b, n):
-    """target - c of one pair frame at the Bloch vector (z0, z1, z2).
-
-    ``own_a`` and ``own_b`` are the two groups' totals with the pair's mean
-    m in place of its members, ``n`` the 3 x 3 frame, ``rest`` the classical
-    value of the other groups.  Plain float arithmetic: one evaluation costs
-    less than a numpy call.
-    """
-    pa, ua, va = own_a.tolist()
-    pb, ub, vb = own_b.tolist()
-    (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = n.tolist()
-    floor = kernels.WEIGHT_FLOOR
-
-    def signed(z0, z1, z2):
-        dp = n00 * z0 + n01 * z1 + n02 * z2
-        du = n10 * z0 + n11 * z1 + n12 * z2
-        dv = n20 * z0 + n21 * z1 + n22 * z2
-        c = rest
-        if pa + dp > floor:
-            c += (ua + du) * (va + dv) / (pa + dp)
-        if pb - dp > floor:
-            c += (ub - du) * (vb - dv) / (pb - dp)
-        return target - c
-
-    return signed
-
-
-def _refine_rotation(signed, coarse, base):
-    """(theta, phi) of the best pair rotation, or None if it gains too little.
-
-    ``signed`` is the pair's closure from ``_frame_signed``, ``coarse`` its
-    magnitude at the coarse points and ``base`` the unrotated objective.
-    The best coarse point is refined over _REFINE_ROUNDS 3 x 3 stencils of
-    halving steps, theta-major; the first minimum wins ties.  None unless
-    the best coarse point beats ``base`` by _ACCEPT_EPS.
-    """
-    idx = int(np.argmin(coarse))
-    best = coarse[idx]
-    if best >= base - _ACCEPT_EPS:
-        return None
-    th, ph = float(_TH[idx]), float(_PH[idx])
-    dth, dph = 0.5 * _THETA_STEP, 0.5 * _PHI_STEP
-    lo, hi = 1e-9, np.pi / 2 - 1e-9
-    for _ in range(_REFINE_ROUNDS):
-        cand_th = [min(max(t, lo), hi) for t in (th - dth, th, th + dth)]
-        cand_ph = [ph - dph, ph, ph + dph]
-        ang = np.array([2 * t for t in cand_th] + cand_ph)  # 2 theta, then phi
-        cos, sin = np.cos(ang).tolist(), np.sin(ang).tolist()
-        vals = [
-            abs(signed(c2, s2 * cp, s2 * sp))
-            for c2, s2 in zip(cos[:3], sin[:3])
-            for cp, sp in zip(cos[3:], sin[3:])
-        ]
-        k = min(range(9), key=vals.__getitem__)
-        if vals[k] < best:
-            best = vals[k]
-            th, ph = cand_th[k // 3], cand_ph[k % 3]
-        dth *= 0.5
-        dph *= 0.5
-    return th, ph
-
-
-def _root_theta(signed, th, ph):
-    """Bisect theta in [0, th] at phi = ``ph`` for a sign change of ``signed``.
-
-    theta = 0 is the identity rotation; ``th`` is a grid point whose signed
-    value has the opposite sign.  Returns the end of the final bracket with
-    the smaller magnitude, once the bracket is as narrow as floats allow.
-    """
-    cph, sph = math.cos(ph), math.sin(ph)
-
-    def f(t):
-        s2 = math.sin(2.0 * t)
-        return signed(math.cos(2.0 * t), s2 * cph, s2 * sph)
-
-    lo, hi = 0.0, th
-    f_lo, f_hi = f(lo), f(hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return lo if abs(f_lo) < abs(f_hi) else hi
-
-
-class _GroupedEnsemble:
-    """Pure rows plus a grouping into mixed components, with caches.
-
-    The classical correlation of the grouped ensemble for observables
-    (a1, a2) is sum_g U_g V_g / P_g where P, U, V are group totals of the
-    member weight and the subnormalized expectations <w|a1 ox 1|w>,
-    <w|1 ox a2|w>.  Rotations inside one group leave the objective alone,
-    so only cross-group rotations and group merges are searched.
-
-    Groups are labelled 0..G-1 in ``gid``; ``terms`` (K, 3) holds each
-    member's (p, u, v), ``tot`` (G, 3) the group totals, ``group_terms``
-    their U V / P and ``classical`` the sum of those.
-    """
-
-    def __init__(self, rows, gid, big1, big2, target):
-        self.rows = np.array(rows, dtype=np.complex128)  # owned: sweeps rotate it
-        self.gid = np.unique(gid, return_inverse=True)[1]
-        self.big1 = big1
-        self.big2 = big2
-        self.target = target
-        self.terms = self._member_terms(self.rows)
-        self._refresh_groups()
-
-    def _member_terms(self, e):
-        return np.stack(
-            [
-                _weights(e),
-                np.einsum("ij,jk,ik->i", e.conj(), self.big1, e).real,
-                np.einsum("ij,jk,ik->i", e.conj(), self.big2, e).real,
-            ],
-            axis=1,
-        )
-
-    def _refresh_groups(self):
-        """Recompute the group totals and the classical value from the members."""
-        self.tot = _group_sums(self.gid, self.terms)
-        self.group_terms = _group_terms(self.tot)
-        self.classical = float(self.group_terms.sum())
-
-    @property
-    def objective(self):
-        return abs(self.target - self.classical)
-
-    def grow(self, size):
-        old = self.rows.shape[0]
-        if size <= old:
-            return
-        self.rows, donors = _grow_split(self.rows, size)
-        self.gid = np.append(self.gid, np.zeros(len(donors), dtype=np.int64))
-        for slot, donor in enumerate(donors, old):
-            self.gid[slot] = self.gid[donor]
-        self.terms = self._member_terms(self.rows)
-        self._refresh_groups()
-
-    def _frames(self, a, b):
-        """Bloch frames (m, N) of the row pairs (a, b), index arrays of length P.
-
-        Rotating rows a and b by (theta, phi) gives member a the terms
-        m + N z and member b the terms m - N z, where
-        z = (cos 2 theta, sin 2 theta cos phi, sin 2 theta sin phi).
-        m (P, 3) is the mean of the members' (p, u, v); the columns of
-        N (P, 3, 3) are their half difference and minus the real and
-        imaginary parts of the cross terms <b|.|a> of (1, a1 ox 1, 1 ox a2).
-        """
-        ea, eb = self.rows[a], self.rows[b].conj()
-        ta, tb = self.terms[a], self.terms[b]
-        cross = np.stack(
-            [
-                np.einsum("pi,pi->p", eb, ea),
-                np.einsum("pi,pi->p", eb @ self.big1, ea),
-                np.einsum("pi,pi->p", eb @ self.big2, ea),
-            ],
-            axis=1,
-        )
-        m = 0.5 * (ta + tb)
-        n = np.stack([0.5 * (ta - tb), -cross.real, -cross.imag], axis=2)
-        return m, n
-
-    @staticmethod
-    def _rotate(rows, a, b, th, ph):
-        """Apply the rotation (theta, phi) of ``_frames`` to rows a and b in place."""
-        c = np.cos(th)
-        s = np.sin(th)
-        z = np.exp(1j * ph)
-        wa = rows[a].copy()
-        rows[a] = c * wa - s * z * rows[b]
-        rows[b] = s * z.conjugate() * wa + c * rows[b]
-
-    def rotation_sweep(self):
-        """One pass of cross-group two-member rotations; returns the gain.
-
-        Pairs are visited in (a, b) order.  The signed value target - c at
-        the coarse points is scored for the pairs still to come, in chunks;
-        the first pair that beats the objective at a coarse point, or whose
-        signed value changes sign there, is rotated, and scoring resumes at
-        the pair after it.  A sign change is bracketed in theta at that
-        point's phi and the pair rotated onto the root, where the objective
-        is zero up to rounding; otherwise the best coarse point is refined.
-        The pass ends early once the objective reaches EARLY_STOP_VALUE.
-        """
-        pa, pb = np.triu_indices(self.rows.shape[0], 1)
-        split = self.gid[pa] != self.gid[pb]
-        pa, pb = pa[split], pb[split]
-        gained = 0.0
-        i = 0
-        while i < pa.shape[0] and self.objective > EARLY_STOP_VALUE:
-            a, b = pa[i : i + _CHUNK_PAIRS], pb[i : i + _CHUNK_PAIRS]
-            m, n = self._frames(a, b)
-            ga, gb = self.gid[a], self.gid[b]
-            own_a = self.tot[ga] - self.terms[a] + m
-            own_b = self.tot[gb] - self.terms[b] + m
-            rest = self.classical - self.group_terms[ga] - self.group_terms[gb]
-            nz = _COARSE_Z @ n.transpose(0, 2, 1)
-            cl = rest[:, None] + _group_terms(own_a[:, None] + nz)
-            signed = self.target - (cl + _group_terms(own_b[:, None] - nz))
-            base = self.objective
-            flip = signed * (self.target - self.classical) < 0.0
-            act = np.abs(signed).min(axis=1) < base - _ACCEPT_EPS
-            act |= flip.any(axis=1)
-            act &= self.terms[a, 0] + self.terms[b, 0] >= 2 * kernels.WEIGHT_FLOOR
-            hits = np.flatnonzero(act)
-            if hits.size == 0:
-                i += a.shape[0]
-                continue
-            j = int(hits[0])
-            i += j + 1
-            f = _frame_signed(self.target, float(rest[j]), own_a[j], own_b[j], n[j])
-            if flip[j].any():
-                k = int(np.argmax(flip[j]))
-                rot = _root_theta(f, _TH[k], _PH[k]), _PH[k]
-            else:
-                rot = _refine_rotation(f, np.abs(signed[j]), base)
-                if rot is None:
-                    continue
-            a, b = int(a[j]), int(b[j])
-            self._rotate(self.rows, a, b, *rot)
-            self.terms[[a, b]] = self._member_terms(self.rows[[a, b]])
-            self._refresh_groups()
-            gained += base - self.objective
-        return gained
-
-    def merge_pass(self):
-        """Greedy group merges (coarse-graining) while they improve.
-
-        Every pair of groups is scored at once; the first best pair in
-        label order is merged into its lower label.
-        """
-        gained = 0.0
-        while self.tot.shape[0] > 1:
-            ga, gb = np.triu_indices(self.tot.shape[0], 1)
-            t_old = self.group_terms[ga] + self.group_terms[gb]
-            t_new = _group_terms(self.tot[ga] + self.tot[gb])
-            obj = np.abs(self.target - (self.classical - t_old + t_new))
-            best = int(np.argmin(obj))
-            base = self.objective
-            if obj[best] >= base - _ACCEPT_EPS:
-                break
-            self.gid[self.gid == gb[best]] = ga[best]
-            self.gid[self.gid > gb[best]] -= 1
-            self._refresh_groups()
-            gained += base - self.objective
-        return gained
-
-
 def _hermitian_observable(a, d, name):
     m = matcore.as_complex_matrix(a)
     if m.shape[0] != d:
@@ -771,22 +455,19 @@ def _hermitian_observable(a, d, name):
     return matcore.require_hermitian(m, matcore.HERMITICITY_TOL, name)
 
 
-def _dcoef_setup(state, K):
+def _dcoef_setup(state, K, restarts, iters):
     """Pair-independent part of dcoef: (spectral rows, K, closed-form starts).
 
-    The closed-form starts, each (rows, gid), are the one-group start (the
-    spectral rows as one group, i.e. the state itself) and the refined
-    certificate of a state that carries one.  Above rank one, the rows of
-    each are checked here, once per call.
+    The closed-form starts, each (rows, gid), are the one group (the state)
+    and the refined certificate of a state that carries one.  Above rank
+    one, their rows are checked here, once per call.
     """
     base = _spectral_rows(state)
     rank = base.shape[0]
+    K = _budget(rank, K, restarts, iters)
     starts = [(base, np.zeros(rank, dtype=np.int64))]
     if rank <= 1:  # no search: the one group is the only ensemble
         return base, K, starts
-    K = rank * rank if K is None else K
-    if K < rank:
-        raise ValueError(f"ensemble size {K} below state rank {rank}: infeasible")
     _check_rows(state, base)
     if state.certificate is not None:
         refined = _refine_product_certificate(state.certificate, *state.split, K)
@@ -794,58 +475,6 @@ def _dcoef_setup(state, K):
             _check_rows(state, refined[0])
             starts.append((refined[0], np.unique(refined[1], return_inverse=True)[1]))
     return base, K, starts
-
-
-def _dcoef_search(state, setup, a1, a2, restarts, iters, tol, seed, closed, beaten):
-    """dcoef at one pair from ``_dcoef_setup``: (value, rows, gid, converged, used).
-
-    ``closed`` holds the pair's values of the closed-form starts, which enter
-    ``_multistart`` unsearched: the one-group start converged as a sweep
-    would leave it, the refined certificate unless above EARLY_STOP_VALUE.
-    The starts stop once the best value is below ``beaten``.  A searched
-    winner has its rows checked.  Rank one has no search, rows None.
-    """
-    base, K, starts = setup
-    rank = base.shape[0]
-    if rank <= 1:
-        return float(closed[0]), None, None, True, 0
-
-    def results():  # the observables are built only once a search runs
-        one = float(closed[0])
-        yield one, starts[0], bool(one <= EARLY_STOP_VALUE or (iters > 0 and tol > 0))
-        searched = []
-        for value, start in zip(closed[1:].tolist(), starts[1:]):
-            if value <= EARLY_STOP_VALUE:
-                yield value, start, True
-            else:
-                searched.append(start)
-        big1 = matcore.kron(a1, np.eye(state.d2))
-        big2 = matcore.kron(np.eye(state.d1), a2)
-        target = float(np.trace(state.mat @ matcore.kron(a1, a2)).real)
-        spectral_gid = np.arange(rank, dtype=np.int64)
-        searched.append((base, spectral_gid))
-        randoms = _random_isometries(rank, rank, seed, 3, restarts)
-        for rows, gid in itertools.chain(searched, ((u @ base, spectral_gid) for u in randoms)):
-            ens = _GroupedEnsemble(rows, gid, big1, big2, target)
-            # rotations within a group and growth keep a one-group objective
-            cap = K if ens.tot.shape[0] > 1 else ens.rows.shape[0]
-            for size in _ladder_sizes(ens.rows.shape[0], cap):
-                ens.grow(size)
-                converged = False
-                if ens.objective > EARLY_STOP_VALUE:
-                    for _ in range(iters):
-                        if ens.rotation_sweep() + ens.merge_pass() < tol:
-                            converged = True
-                            break
-                if ens.objective <= EARLY_STOP_VALUE:
-                    converged = True
-                    break
-            yield ens.objective, (ens.rows, ens.gid), converged
-
-    value, (rows, gid), converged, used = _multistart(results(), len(starts) + 1, beaten)
-    if all(rows is not start[0] for start in starts):
-        _check_rows(state, rows)
-    return value, rows, gid, converged, used
 
 
 def _check_rows(state, rows):
@@ -873,7 +502,9 @@ def _start_values(rows, gid, e, f, joint):
     g2 = (y.conj().transpose(0, 2, 1) @ y).reshape(-1, 1, d2 * d2)
     u = (e.reshape(1, -1, d1 * d1) * g1).real.sum(axis=-1)
     v = (f.reshape(1, -1, d2 * d2) * g2).real.sum(axis=-1)
-    tot = _group_sums(gid, np.concatenate([_weights(rows)[:, None], u, v], axis=1))
+    table = np.concatenate([_weights(rows)[:, None], u, v], axis=1)
+    n = table.shape[1]  # group totals of the table's rows
+    tot = np.bincount((n * gid[:, None] + np.arange(n)).ravel(), table.ravel()).reshape(-1, n)
     p, ut, vt = tot[:, 0], tot[:, 1 : 1 + e.shape[0]].T, tot[:, 1 + e.shape[0] :].T
     heavy = p > kernels.WEIGHT_FLOOR
     uv = ut[:, None, :] * vt[None, :, :]
@@ -882,41 +513,184 @@ def _start_values(rows, gid, e, f, joint):
     return np.abs(joint - terms.sum(axis=-1))
 
 
+class _PairScan:
+    """The pairs of a dcoef scan, their searched starts stepped as one stack.
+
+    Pair k's results go to ``_multistart`` in start order, as one ``dcoef``
+    would take them; ``taken[k]`` holds them, None while a start runs.  Once
+    it asks for more and none runs, a window of RESTART_PATIENCE starts
+    (plus the structured ones not yet drawn) comes from ``queue[k]``.  A
+    start is a K x rank isometry U stepping on its pair's
+    ``kernels._Correlation`` objective h until ``iters`` steps, a gain below
+    ``tol`` or h <= EARLY_STOP_VALUE; it then scores |h| and the rows U B,
+    and a score at or below EARLY_STOP_VALUE, where ``_multistart`` stops,
+    drops its pair's later starts.  Every start steps as it would alone.
+    """
+
+    def __init__(self, base, targets, grams, taken, queue, n_structured):
+        self.base, self.targets, self.grams = base, targets, grams
+        self.taken, self.queue, self.n_structured = taken, queue, n_structured
+        self.best = [np.inf] * len(taken)  # per pair: its best value so far
+        self.found = [None] * len(taken)  # per pair: its _multistart result once settled
+        self.a = {}  # per searched start: its arrays, stacked
+
+    def _keep(self, keep):  # an empty stack is an empty dict
+        self.a = {key: val[keep] for key, val in self.a.items()} if keep.any() else {}
+
+    def _objective(self, owner, sign):
+        return kernels._Correlation(self.grams[owner], self.targets[owner], sign)
+
+    def above(self, bound):
+        """Whether a pair in the stack has its best so far and every start's h above ``bound``."""
+        owner = self.a["owner"]
+        low = set(owner[self.a["line"][:, 0] <= bound].tolist())
+        return any(self.best[k] > bound for k in set(owner.tolist()) - low)
+
+    def review(self, k, beaten):
+        """``_multistart`` of pair k's results so far once it settles, else None.
+
+        A pair that asks for more with no start running draws its next
+        window, and settles once its starts are spent.
+        """
+        asked = []
+
+        def so_far():
+            yield from itertools.takewhile(lambda result: result is not None, self.taken[k])
+            asked.append(True)
+
+        found = _multistart(so_far(), self.n_structured, beaten)
+        self.best[k] = found[0]
+        if asked and (None in self.taken[k] or self._draw(k)):
+            return None
+        self.found[k] = found
+        if self.a:
+            self._keep(self.a["owner"] != k)
+        return found
+
+    def _draw(self, k):
+        count = RESTART_PATIENCE + max(0, self.n_structured - len(self.taken[k]))
+        u = np.array(list(itertools.islice(self.queue[k], count)), dtype=np.complex128)
+        n, at = u.shape[0], np.arange(u.shape[0])
+        if not n:
+            return False
+        owner, target = np.full(n, k), self.targets[k]
+        objective = self._objective(owner, np.ones(n))
+        c, parts = objective.classical(u, at)
+        objective.sign = np.sign(target - c)
+        value = objective.sign * (target - c)
+        grad = objective.gradient(u, at, parts)
+        new = dict(
+            u=u, grad=grad, direction=-grad, line=np.stack([value, np.ones(n)], axis=1),
+            sign=objective.sign, owner=owner, order=len(self.taken[k]) + at,
+            steps=np.zeros(n, dtype=np.int64), ended=value <= EARLY_STOP_VALUE,
+        )
+        self.taken[k] += [None] * n
+        self.a = {key: np.concatenate([self.a[key], val]) if self.a else val
+                  for key, val in new.items()}
+        return True
+
+    def advance(self, iters, tol):
+        """Hand the ended starts to their pairs, or else step the stack.
+
+        Returns the pairs that got results.
+        """
+        a = self.a
+        done = a["ended"] | (a["steps"] >= iters)
+        if not done.any():
+            before = a["line"][:, 0].copy()
+            objective = self._objective(a["owner"], a["sign"])
+            kernels._cg_step(a["u"], a["grad"], a["direction"], a["line"], objective)
+            a["steps"] += 1
+            a["ended"] = (before - a["line"][:, 0] < tol) | (a["line"][:, 0] <= EARLY_STOP_VALUE)
+            return set()
+        keep, news = ~done, set()
+        for j in np.flatnonzero(done).tolist():
+            k, i = int(a["owner"][j]), int(a["order"][j])
+            value = abs(float(a["line"][j, 0]))
+            self.taken[k][i] = (value, (a["u"][j] @ self.base, None), bool(a["ended"][j]))
+            if value <= EARLY_STOP_VALUE:
+                keep &= (a["owner"] != k) | (a["order"] < i)
+            news.add(k)
+        self._keep(keep)
+        return news
+
+
 def _dcoef_pairs(state, setup, e, f, seeds, restarts, iters, tol):
     """Largest dcoef over the pairs (e_a, f_b): the search tuple, and the index k.
 
     Pair k = a * n_f + b takes ``seeds[k]``.  The closed-form starts of
-    ``setup`` are scored at every pair in one contraction.  A pair's
-    one-group value, its first start, bounds its dcoef, so pairs are visited
-    in decreasing order of it and the rest are skipped once it is below a
-    best value above EARLY_STOP_VALUE.  Values at or below EARLY_STOP_VALUE
-    tie as zero, and ties go to the lowest k.  A visited pair's value only
-    falls as its starts run, so its starts stop once it is below the best
-    value, or equal to it at a higher k: it can no longer win.  The result
-    is that of visiting every pair in full; its converged flag and start
-    count cover the starts that ran.
+    ``setup`` are scored at every pair in one contraction, the first giving
+    the pair's bound.  Pairs are visited and pruned as ``dcoef_sup`` says; a
+    pair that a running pair may still beat waits until it cannot.  A
+    beaten pair stops through ``_multistart``'s ``beaten``.
     """
+    base, K, starts = setup
     joint = _joint_table(state, e, f)
-    closed = np.array([_start_values(*start, e, f, joint).ravel() for start in setup[2]])
-    n_f = f.shape[0]
-    best, converged, used = None, True, 0
-    for k in np.argsort(-closed[0], kind="stable").tolist():
-        beaten = -np.inf
-        if best is not None:
-            if closed[0, k] < best[0][0]:  # a zero best, keyed 0.0, prunes none
+    closed = np.array([_start_values(*start, e, f, joint).ravel() for start in starts])
+    if base.shape[0] <= 1:
+        k = int(np.argmax(np.where(closed[0] > EARLY_STOP_VALUE, closed[0], 0.0)))
+        return (float(closed[0, k]), None, None, True, 0), k
+    rank = base.shape[0]
+    cert = [_isometry_of(start[0], base, K) for start in starts[1:]]
+    moves = iters > 0 and tol > 0  # one group cannot move: it converges iff a step runs
+    taken, queue = [], []
+    for k, values in enumerate(closed.T.tolist()):
+        taken.append([(values[0], starts[0], values[0] <= EARLY_STOP_VALUE or moves)])
+        settled = bool(cert) and values[1] <= EARLY_STOP_VALUE  # the certificate, unsearched
+        taken[-1] += [(values[1], starts[1], True)] if settled else []
+        randoms = _random_isometries(K, rank, seeds[k], 3, restarts)
+        queue.append(itertools.chain([] if settled else cert, randoms))
+    # per pair, the transposed Gram matrices conj(B) A B^T of A = 1, e_a ox 1
+    # and 1 ox f_b side by side, each product one matrix of a stack
+    d1, d2 = state.split
+    g1 = base.conj() @ np.einsum("aij,kl->aikjl", e, np.eye(d2)).reshape(-1, d1 * d2, d1 * d2)
+    g2 = base.conj() @ np.einsum("ij,akl->aikjl", np.eye(d1), f).reshape(-1, d1 * d2, d1 * d2)
+    g0, g1, g2 = np.diag(_weights(base)) + 0j, g1 @ base.T, g2 @ base.T
+    grams = np.broadcast_arrays(g0, g1.swapaxes(1, 2)[:, None], g2.swapaxes(1, 2)[None])
+    grams = np.concatenate(grams, axis=-1).reshape(-1, rank, 3 * rank)
+    scan = _PairScan(base, joint.ravel(), grams, taken, queue, len(starts))
+    # (value, k) of the best pair that ran its course; none yet beats no pair
+    best, visited = (-np.inf, closed.shape[1]), []
+
+    def review(todo):  # settle or feed the pairs with news, lowest k first
+        nonlocal best
+        while todo:
+            k = min(todo)
+            todo.discard(k)
+            if scan.found[k] is not None:
+                continue
+            # a tie with a lower-k best loses too
+            beaten = best[0] if k < best[1] else np.nextafter(best[0], np.inf)
+            found = scan.review(k, beaten)
+            if found is None or found[0] < beaten:  # still running, or beaten
+                continue
+            if found[1][1] is None:  # searched rows
+                _check_rows(state, found[1][0])
+            key = (found[0] if found[0] > EARLY_STOP_VALUE else 0.0, -k)
+            if key > (best[0], -best[1]):
+                best = (key[0], k)
+                todo |= {i for i in visited if scan.found[i] is None}
+
+    order = np.argsort(-closed[0], kind="stable").tolist()
+    news = set()
+    while True:
+        review(news)
+        # visit pairs in decreasing order of their bound while it reaches the
+        # best value; defer one that a running pair may still beat
+        while order and closed[0, order[0]] >= best[0]:
+            if scan.a and scan.above(closed[0, order[0]]):
                 break
-            # a tie with a lower-k best loses too; a zero best stops nothing new
-            beaten = best[0][0] if k < -best[0][1] else np.nextafter(best[0][0], np.inf)
-        found = _dcoef_search(
-            state, setup, e[k // n_f], f[k % n_f], restarts, iters, tol, seeds[k], closed[:, k],
-            beaten,
-        )
-        converged = converged and found[3]
-        used += found[4]
-        key = (found[0] if found[0] > EARLY_STOP_VALUE else 0.0, -k)
-        if best is None or key > best[0]:
-            best = key, found
-    return (*best[1][:3], converged, used), -best[0][1]
+            visited.append(order.pop(0))
+            review({visited[-1]})
+        else:
+            order = []  # the bounds left are below the best value
+        if not scan.a:
+            break
+        news = scan.advance(iters, tol)
+    value, (rows, gid), _, _ = scan.found[best[1]]
+    converged = all(scan.found[k][2] for k in visited)
+    used = sum(scan.found[k][3] for k in visited)
+    return (value, rows, gid, converged, used), best[1]
 
 
 def _dcoef_report(state, value, rows, gid, converged, used, pair=None):
@@ -928,31 +702,33 @@ def _dcoef_report(state, value, rows, gid, converged, used, pair=None):
     return MeasureReport(float(value), cert, converged, used, pair)
 
 
-def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-12, seed=0):
+def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     """Upper bound on the local quantum-correlation coefficient d(phi, a1, a2).
 
     Minimizes | tr[rho (a1 ox a2)] - sum_g P_g tr(rho_g^1 a1) tr(rho_g^2 a2) |
-    over grouped ensembles of the state: pure members from the purification
-    parametrization, coarse-grained into mixed components by merge moves.
-    The infimum vanishes on separable states (a product ensemble makes the
-    objective zero), but not only there: ``werner_state(p)`` is entangled
-    for p > 1/3, yet its exact value is max(0, (5p^2 - 1) / (2(1 + p)))
-    on each of sx ox sx, sy ox sy and sz ox sz and zero on the other Pauli
-    pairs, so zero on all of them up to p = 1/sqrt(5).  Small values never
-    certify separability; the report remains a one-sided upper bound.
+    over decompositions {P_g, rho_g} of the state.  A mixed group splits
+    into pure members with its normalized expectations (Toeplitz-Hausdorff),
+    so the search runs over pure ensembles U B of size K, as ``eof_upper``
+    does.  The infimum vanishes on separable states, but not only there:
+    ``werner_state(p)`` is entangled for p > 1/3, yet its exact value is
+    max(0, (5p^2 - 1) / (2(1 + p))) on each of sx ox sx, sy ox sy and
+    sz ox sz and zero on the other Pauli pairs.  Small values never certify
+    separability; the report remains a one-sided upper bound.
 
-    The classical values of a fixed grouping form an interval, so the
-    infimum is the distance from the target to it; a pair rotation that
-    carries target - c across zero is bisected onto the crossing, so zeros
-    come out exact up to rounding and stop the restarts early.  The
-    one-group ensemble and the refined certificate have closed-form values
-    and run no search when at EARLY_STOP_VALUE (``restarts_used`` 1 or 2);
-    the spectral ensemble and ``restarts`` random ones follow.  A rank-one
+    The starts are the one group (the state) and the refined certificate of
+    a state that carries one, both with closed-form values, then
+    ``restarts`` random isometries.  A closed-form start at EARLY_STOP_VALUE
+    settles the search (``restarts_used`` 1 or 2); else the certificate is
+    the first searched start.  A searched start takes up to ``iters``
+    conjugate-gradient steps on |target - c| (``kernels._Correlation``) and
+    converges once a step gains less than ``tol``.  A step that carries c
+    across the target is solved back onto the crossing by regula falsi, so
+    zeros come out at or below 1e-15 and stop the restarts.  A rank-one
     state is its own certificate, with ``restarts_used`` 0.
     """
     a1 = _hermitian_observable(a1, state.d1, "a1")
     a2 = _hermitian_observable(a2, state.d2, "a2")
-    setup = _dcoef_setup(state, K)
+    setup = _dcoef_setup(state, K, restarts, iters)
     found, _ = _dcoef_pairs(state, setup, a1[None], a2[None], [seed], restarts, iters, tol)
     return _dcoef_report(state, *found)
 
@@ -984,32 +760,26 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     """Supremum of the correlation coefficient over product observable bases.
 
     Maximizes dcoef over pairs from the traceless hermitian bases of both
-    legs.  Pairs involving the identity vanish identically (the pushed
-    marginals reproduce the barycenter's expectations), so only traceless
-    elements are scanned.  Like dcoef, the supremum vanishes on separable
-    states but also on some entangled ones (``werner_state(p)`` for
-    1/3 < p <= 1/sqrt(5)), so near-zero values never certify separability.
+    legs; pairs involving the identity vanish identically.  Like dcoef, the
+    supremum vanishes on separable states but also on some entangled ones
+    (``werner_state(p)`` for 1/3 < p <= 1/sqrt(5)).
 
     dcoef(e, f) is at most its one-group value |tr rho(e ox f) -
     tr(rho_1 e) tr(rho_2 f)|, so pairs are visited in decreasing order of it
-    and skipped once it is below a best value above EARLY_STOP_VALUE.  A
-    visited pair's best value only falls as its starts run, so it stops
-    drawing starts once that value is below the best of the pairs visited
-    before it, or equal to it and later in basis order: a beaten pair can
-    no longer win.  Each pair keeps the seed child it has in basis order,
-    values at or below EARLY_STOP_VALUE tie as zero, and ties go to the
-    first pair in basis order, so ``value``, ``pair`` and the certificate
-    are those of scanning every pair in full, and bit for bit what
-    ``dcoef`` gives at the winning pair.  ``restarts_used`` counts the
-    starts that ran over the visited pairs, a pair that a closed-form start
-    settles counting its 1 or 2 starts, as in dcoef, so it is below the sum
-    of the visited pairs' dcoef counts once a pair is beaten; ``converged``
-    holds when every visited pair's best start so far converged.  The
-    set-up and the certificate are built once per call.
+    and skipped once it is below the value of a pair that has run its
+    course.  The visited pairs' searched starts step together as one stack,
+    and a pair leaves it once its best value so far is below such a value,
+    or equal to it and later in basis order: it can no longer win.  Each
+    pair keeps the seed child it has in basis order, values at or below
+    EARLY_STOP_VALUE tie as zero and ties go to the first pair, so
+    ``value``, ``pair`` and the certificate are those of scanning every
+    pair in full, bit for bit what ``dcoef`` gives at the winning pair.
+    ``restarts_used`` counts the starts each visited pair took, and
+    ``converged`` holds when every visited pair's best start so far did.
     """
-    setup = _dcoef_setup(state, K)
+    setup = _dcoef_setup(state, K, restarts, iters)
     e = np.array(gell_mann_basis(state.d1))
     f = np.array(gell_mann_basis(state.d2))
     seeds = _as_seed_sequence(seed).spawn(e.shape[0] * f.shape[0])
-    found, k = _dcoef_pairs(state, setup, e, f, seeds, restarts, iters, 1e-12)
+    found, k = _dcoef_pairs(state, setup, e, f, seeds, restarts, iters, 1e-10)
     return _dcoef_report(state, *found, divmod(k, f.shape[0]))

@@ -225,6 +225,27 @@ def test_negative_count_exit_2(bell_file, argv, option):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "eof", "--K", "0"),
+        ("measure", "dcoef-sup", "--K", "-2"),
+        ("evolve", "--family", "depolarizing_flow", "--rate", "1", "--t-max", "1",
+         "--steps", "2", "--measures", "eof", "--K", "0"),
+        ("evolve", "--family", "depolarizing_flow", "--rate", "1", "--t-max", "1",
+         "--steps", "2", "--measures", "dcoef", "--K", "0"),
+    ],
+    ids=["measure-eof", "measure-dcoef-sup", "evolve-eof", "evolve-dcoef"],
+)
+def test_ensemble_size_below_rank_exit_2_on_a_pure_state(bell_file, argv):
+    # a Bell state has rank one, whose exact value needs no search; an
+    # ensemble of fewer than one member is still refused
+    proc = run_cli(*argv, "--in", str(bell_file), check=False)
+    assert proc.returncode == 2
+    assert "below state rank 1: infeasible" in proc.stderr
+    assert proc.stdout == ""
+
+
 IN = ("--in", "STATE")  # a Bell state file
 
 UNREAD_OPTIONS = [

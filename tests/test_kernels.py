@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from entkit import kernels, measures, states
 
-from oracles import random_hermitian
+from oracles import SZ, random_hermitian
 
 SPLITS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
@@ -190,3 +190,60 @@ def test_stacked_sweep_matches_single_starts(d1, d2, count, rank, seed, data):
     for got, start in zip(zip(*stack), starts):
         for a, b in zip(got, start):
             assert np.abs(a - b).max() <= 1e-12
+
+
+def _correlation_start(state, a1, a2, u, target=None):
+    """kernels._Correlation of one start u, Gram matrices built with np.kron."""
+    d1, d2 = state.split
+    base = measures._spectral_rows(state)
+    ops = [np.eye(d1 * d2), np.kron(a1, np.eye(d2)), np.kron(np.eye(d1), a2)]
+    gram = np.concatenate([(base.conj() @ op @ base.T).T for op in ops], axis=1)
+    if target is None:
+        target = np.trace(state.mat @ np.kron(a1, a2)).real
+    c = kernels._Correlation(gram[None], np.array([target]), np.ones(1)).classical(u[None], [0])[0]
+    sign = np.sign(target - c)
+    return kernels._Correlation(gram[None], np.array([target]), sign), base, ops
+
+
+def test_correlation_value_and_gradient():
+    # c(U) = sum_i q1_i q2_i / q0_i of the rows x = U B, and the gradient of
+    # h = sign (target - c) against central differences along a tangent
+    state = states.random_density(2, 3, rank=3, seed=4)
+    rng = np.random.default_rng(3)
+    a1, a2 = random_hermitian(rng, 2), random_hermitian(rng, 3)
+    u = next(measures._random_isometries(7, 3, 5, 0, 1))
+    objective, base, ops = _correlation_start(state, a1, a2, u)
+    rows = u @ base
+    q = [np.einsum("ij,jk,ik->i", rows.conj(), op, rows).real for op in ops]
+    target = objective.target[0]
+    value, parts = objective.value(u[None], [0])
+    assert abs(value[0] - abs(target - (q[1] * q[2] / q[0]).sum())) < 1e-13
+    grad = objective.gradient(u[None], [0], parts)[0]
+    s = u.conj().T @ grad
+    assert np.abs(s + s.conj().T).max() < 1e-12  # tangent
+    eta = kernels._tangent(u, rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
+    h = 1e-6
+    fd = [objective.value(kernels._retract(u + sgn * h * eta)[None], [0])[0][0] for sgn in (1, -1)]
+    slope = (fd[0] - fd[1]) / (2 * h)
+    assert abs(slope - np.vdot(grad, eta).real) < 1e-6 * max(1.0, abs(slope))
+
+
+def test_step_across_the_target_lands_on_it(monkeypatch):
+    # a target just below the start's c: the first trial step carries c
+    # across it, and the step solves h = 0 on its line instead of moving on
+    solved = []
+    onto_zero = kernels._onto_zero
+    monkeypatch.setattr(kernels, "_onto_zero", lambda *a: solved.append(1) or onto_zero(*a))
+    state = states.werner_state(0.3)
+    u = next(measures._random_isometries(6, 4, 2, 0, 1))
+    objective, base, _ = _correlation_start(state, SZ, SZ, u)
+    c = objective.target[0] - objective.sign[0] * objective.value(u[None], [0])[0][0]
+    objective, _, _ = _correlation_start(state, SZ, SZ, u, target=c - 1e-3)
+    value, parts = objective.value(u[None], [0])
+    grad = objective.gradient(u[None], [0], parts)
+    line = np.array([[value[0], 1.0]])
+    u = u[None].copy()
+    kernels._cg_step(u, grad, -grad, line, objective)
+    assert solved == [1] and abs(line[0, 0]) <= 1e-15
+    assert abs(objective.value(u, [0])[0][0] - line[0, 0]) == 0.0
+    assert np.abs(u[0].conj().T @ u[0] - np.eye(4)).max() <= 1e-12

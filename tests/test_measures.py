@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from entkit import kernels, maps, matcore, measures, states
+from entkit import dynamics, kernels, maps, matcore, measures, states
 
 from oracles import (
     SX,
@@ -19,6 +21,8 @@ from oracles import (
     trace_out_reference,
     tv_isotropic_eof,
     tv_r,
+    werner_dcoef,
+    werner_dcoef_decomposition,
     werner_dd_eof,
     werner_dd_matrix,
     wootters_eof,
@@ -281,184 +285,6 @@ class TestReports:
         assert rep.value >= 0.0
 
 
-def _scratch_totals(ens, gid):
-    """Group totals (p, u, v) and classical value recomputed from rows and gid."""
-    member = np.array(
-        [
-            [np.vdot(r, r).real, np.vdot(r, ens.big1 @ r).real, np.vdot(r, ens.big2 @ r).real]
-            for r in ens.rows
-        ]
-    )
-    tot = np.array([member[gid == g].sum(axis=0) for g in range(int(gid.max()) + 1)])
-    classical = sum(u * v / p for p, u, v in tot if p > 1e-14)
-    return tot, classical
-
-
-def _scratch_merges(ens):
-    """Labels after each greedy merge, chosen by a scan over all group pairs."""
-    gid = ens.gid
-    base = abs(ens.target - _scratch_totals(ens, gid)[1])
-    steps = []
-    while True:
-        n = int(gid.max()) + 1
-        scores = []
-        for ga in range(n):
-            for gb in range(ga + 1, n):
-                merged = np.where(gid == gb, ga, gid)
-                merged = merged - (merged > gb)
-                scores.append((abs(ens.target - _scratch_totals(ens, merged)[1]), merged))
-        if not scores or min(s for s, _ in scores) >= base - 1e-14:
-            return steps
-        # the first pair in scan order that reaches the minimum
-        best = min(s for s, _ in scores)
-        base, gid = next((s, m) for s, m in scores if s <= best + 1e-12)
-        steps.append(gid)
-
-
-@pytest.mark.parametrize("case", range(12))
-def test_grouped_ensemble_caches_match_scratch(case):
-    rng = np.random.default_rng(100 + case)
-    d1, d2 = (2, 2) if case % 2 == 0 else (2, 3)
-    state = states.random_density(d1, d2, seed=200 + case)
-    base = measures._spectral_rows(state)
-    twins = case >= 6
-    k = int(rng.integers(base.shape[0], 9 if twins else 17))
-    g = rng.standard_normal((k, base.shape[0])) + 1j * rng.standard_normal(
-        (k, base.shape[0])
-    )
-    rows = np.linalg.qr(g)[0] @ base  # an isometry keeps the barycenter
-    n_groups = int(rng.integers(2, k + 1))
-    gid = rng.integers(0, n_groups, k)
-    if twins:
-        # every group gets a twin with equal totals, so merge scores tie
-        rows = np.vstack([rows, rows]) * np.sqrt(0.5)
-        gid = np.concatenate([gid, gid + n_groups])
-
-    def observable(d):
-        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return h + h.conj().T
-
-    a1, a2 = observable(d1), observable(d2)
-    big1 = matcore.kron(a1, np.eye(d2))
-    big2 = matcore.kron(np.eye(d1), a2)
-    target = float(np.trace(state.mat @ matcore.kron(a1, a2)).real)
-    ens = measures._GroupedEnsemble(rows, gid, big1, big2, target)
-    steps = []  # labels at each refresh of the caches
-    refresh = ens._refresh_groups
-
-    def recording_refresh():
-        steps.append(ens.gid.copy())
-        refresh()
-
-    ens._refresh_groups = recording_refresh
-
-    def check_caches():
-        assert np.array_equal(np.unique(ens.gid), np.arange(ens.tot.shape[0]))
-        tot, classical = _scratch_totals(ens, ens.gid)
-        assert np.abs(ens.tot - tot).max() < 1e-12
-        assert abs(ens.classical - classical) < 1e-12
-
-    check_caches()
-    rotated = 0.0
-    for _ in range(3):
-        expected = _scratch_merges(ens)
-        steps.clear()
-        ens.merge_pass()
-        assert len(steps) == len(expected)
-        for got, want in zip(steps, expected):
-            assert np.array_equal(got, want)
-        check_caches()
-        rotated += ens.rotation_sweep()
-        check_caches()
-    assert rotated > 0.0  # the sweeps above did rotate rows
-
-    cert = measures._ensemble_from_rows(ens.rows, d1, d2, state, ens.gid)
-    total = 0.0
-    hand = []
-    for label in range(int(ens.gid.max()) + 1):
-        members = ens.rows[ens.gid == label]
-        mat = sum(np.outer(r, r.conj()) for r in members)
-        hand.append((np.trace(mat).real, mat))
-        total += np.trace(mat).real
-    assert cert.size == len(hand)
-    for lam, comp, (p, mat) in zip(cert.weights, cert.components, hand):
-        assert abs(lam - p / total) < 1e-12
-        assert np.abs(comp.mat - mat / p).max() < 1e-12
-    assert np.abs(cert.barycenter() - state.mat).max() < 1e-10
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    split=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    th=st.floats(min_value=0.0, max_value=np.pi / 2),
-    ph=st.floats(min_value=0.0, max_value=2 * np.pi),
-)
-def test_bloch_frame_matches_rotated_rows(split, seed, th, ph):
-    # member a gets m + N z and member b gets m - N z, with
-    # z = (cos 2 theta, sin 2 theta cos phi, sin 2 theta sin phi)
-    d1, d2 = split
-    rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((2, d1 * d2)) + 1j * rng.standard_normal((2, d1 * d2))
-    rows /= np.linalg.norm(rows)
-    big1 = matcore.kron(random_hermitian(rng, d1), np.eye(d2))
-    big2 = matcore.kron(np.eye(d1), random_hermitian(rng, d2))
-    ens = measures._GroupedEnsemble(rows, [0, 1], big1, big2, 0.0)
-    m, n = ens._frames(np.array([0]), np.array([1]))
-    s2 = np.sin(2 * th)
-    z = np.array([np.cos(2 * th), s2 * np.cos(ph), s2 * np.sin(ph)])
-    rotated = rows.copy()
-    ens._rotate(rotated, 0, 1, th, ph)
-    terms = ens._member_terms(rotated)
-    assert np.abs(terms[0] - (m[0] + n[0] @ z)).max() < 1e-12
-    assert np.abs(terms[1] - (m[0] - n[0] @ z)).max() < 1e-12
-
-
-@pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("shift", [None, 0.0, 5e-15, 2e-14, 1e-3])
-def test_refine_rotation_accepts_exactly_a_gain(seed, shift):
-    # a random 3 x 3 frame with both groups heavy; base is the identity
-    # rotation's |signed| (shift None) or the best coarse value plus
-    # ``shift``, so the margin 1e-14 decides some of the cases
-    rng = np.random.default_rng(seed)
-    n = rng.standard_normal((3, 3))
-    own_a, own_b = rng.standard_normal((2, 3))
-    own_a[0] = own_b[0] = 2.0 + np.abs(n[0]).sum()
-    target, rest = rng.standard_normal(2)
-    signed = measures._frame_signed(target, rest, own_a, own_b, n)
-    seen = []
-
-    def recorded(*z):
-        val = signed(*z)
-        seen.append(abs(val))
-        return val
-
-    coarse = np.abs([signed(*z) for z in measures._COARSE_Z.tolist()])
-    base = abs(signed(1.0, 0.0, 0.0)) if shift is None else coarse.min() + shift
-    rot = measures._refine_rotation(recorded, coarse, base)
-    # None exactly when no coarse point beats the margin; then no stencil runs
-    assert (rot is None) == (coarse.min() >= base - 1e-14)
-    if rot is None:
-        assert seen == []
-    else:
-        th, ph = rot
-        z = np.cos(2 * th), np.sin(2 * th) * np.cos(ph), np.sin(2 * th) * np.sin(ph)
-        assert abs(signed(*z)) <= coarse.min() + 1e-15
-
-
-def test_refine_rotation_ties_go_to_the_first_minimum():
-    # a constant |signed| makes every stencil point tie: at the best coarse
-    # value the search stays at the first coarse minimum, below it the
-    # search moves once, to the first stencil point
-    coarse = np.full(measures._COARSE_Z.shape[0], 0.5)
-    coarse[[5, 9, 40]] = 0.25
-    rot = measures._refine_rotation(lambda *z: 0.25, coarse, 1.0)
-    assert rot == (float(measures._TH[5]), float(measures._PH[5]))
-    rot = measures._refine_rotation(lambda *z: -0.125, coarse, 1.0)
-    step_th, step_ph = 0.5 * measures._THETA_STEP, 0.5 * measures._PHI_STEP
-    assert rot == (float(measures._TH[5]) - step_th, float(measures._PH[5]) - step_ph)
-
-
 def _certificate(rep):
     ens = rep.certificate
     return list(ens.weights), [c.mat for c in ens.components]
@@ -518,6 +344,20 @@ PRUNE_CASES = [
 ]
 
 
+
+def _record_scans(monkeypatch):
+    """The pair scans of every dcoef call from now on."""
+    scans = []
+    init = measures._PairScan.__init__
+
+    def recorded(scan, *args):
+        init(scan, *args)
+        scans.append(scan)
+
+    monkeypatch.setattr(measures._PairScan, "__init__", recorded)
+    return scans
+
+
 @pytest.mark.parametrize("name,make,budget", PRUNE_CASES, ids=[n for n, _, _ in PRUNE_CASES])
 def test_dcoef_sup_pruning_keeps_the_maximum(name, make, budget, monkeypatch):
     state = make()
@@ -531,79 +371,74 @@ def test_dcoef_sup_pruning_keeps_the_maximum(name, make, budget, monkeypatch):
     ]
     values = [rep.value for rep in direct]
 
-    calls = []
-    search = measures._dcoef_search
-
-    def counted(st_, setup, a1, a2, *args, **kwargs):
-        found = search(st_, setup, a1, a2, *args, **kwargs)
-        calls.append((a1, a2, found[0], found[4]))
-        return found
-
-    monkeypatch.setattr(measures, "_dcoef_search", counted)
+    scans = _record_scans(monkeypatch)
     rep = measures.dcoef_sup(state, seed=3, **budget)
+    found = scans[-1].found  # per pair, its _multistart result once visited
 
     # the maximum of the full scan, bit for bit, at its first pair in basis order
     assert rep.value == max(values)
     k = int(np.argmax(values))
     assert rep.pair == (k // len(basis2), k % len(basis2))
     assert rep.to_json()["pair"] == list(rep.pair)
-    # one pair search per visited pair, in decreasing order of the one-group
-    # bound; every skipped pair has a bound no greater than the value found
-    bounds = _one_group_bounds(state)
-    visited, best, beaten = [], None, 0
-    for a1, a2, value, used in calls:
-        i = next(i for i, e in enumerate(basis1) if np.array_equal(e, a1))
-        j = next(j for j, f in enumerate(basis2) if np.array_equal(f, a2))
-        visited.append(i * len(basis2) + j)
-        # a pair runs the starts of its dcoef, bit for bit, unless it is
-        # beaten: it stops early once it is below the best key so far (zero
-        # at or below EARLY_STOP_VALUE, ties to the lower index)
-        key = (value if value > measures.EARLY_STOP_VALUE else 0.0, -visited[-1])
-        assert value >= values[visited[-1]]
-        assert used <= direct[visited[-1]].restarts_used
-        if used < direct[visited[-1]].restarts_used:
+    # a visited pair runs the starts of its dcoef, bit for bit, unless it can
+    # no longer win: it stops early once it is below the best key (zero at or
+    # below EARLY_STOP_VALUE, ties to the lower index)
+    best = (rep.value if rep.value > measures.EARLY_STOP_VALUE else 0.0, -k)
+    visited = [i for i, result in enumerate(found) if result is not None]
+    beaten = 0
+    for i in visited:
+        value, _, _, used = found[i]
+        key = (value if value > measures.EARLY_STOP_VALUE else 0.0, -i)
+        assert value >= values[i]
+        assert used <= direct[i].restarts_used
+        if used < direct[i].restarts_used:
             assert key < best
             beaten += 1
         else:
-            assert value == values[visited[-1]]
-        best = key if best is None else max(best, key)
-    assert len(set(visited)) == len(visited)
-    assert np.all(np.diff(bounds[visited]) <= 1e-12)
+            assert value == values[i]
+    assert sum(found[i][3] for i in visited) == rep.restarts_used
+    # every pair with a one-group bound above the value is visited
+    bounds = _one_group_bounds(state)
     skipped = sorted(set(range(len(direct))) - set(visited))
     assert skipped  # every case here prunes some pairs
     assert bounds[skipped].max() <= rep.value
     # every other case stops a beaten pair early; the losing pairs of
-    # random(2, 2) reach zero at their first searched start
-    if name != "random(2, 2)":
+    # random(2, 2) reach zero at their first searched start, and the
+    # searched pairs of isotropic(0.7, 3), one random start each, all settle
+    # before any of them is beaten
+    if name not in ("random(2, 2)", "isotropic(0.7, 3)"):
         assert beaten
         assert rep.restarts_used < sum(direct[v].restarts_used for v in visited)
 
 
 def test_beaten_threshold_lets_a_tie_go_to_the_lower_pair(monkeypatch):
-    # every pair search returns 0.05: a pair visited after the best may still
-    # tie it, and the tie goes to the lower index, so the threshold at which
-    # its starts stop is 0.05 itself below the best's index and just above
-    # it beyond; pair 0, whose one-group bound comes sixth, wins
+    # every searched start ends at 0.05: the pairs whose one-group bound is
+    # above it tie at 0.05, and the tie goes to the lowest index, pair 0,
+    # whose bound comes sixth.  A pair stops at the threshold 0.05 below the
+    # best pair's index and just above it beyond.
     state = states.random_density(2, 2, rank=3, seed=14)
-    basis = measures.gell_mann_basis(2)
-    order, thresholds = [], []
+    bounds = _one_group_bounds(state)
+    multistart = measures._multistart
+    seen = []
 
-    def tied(st_, setup, a1, a2, restarts, iters, tol, seed, closed, beaten):
-        i = next(i for i, e in enumerate(basis) if np.array_equal(e, a1))
-        j = next(j for j, f in enumerate(basis) if np.array_equal(f, a2))
-        order.append(3 * i + j)
-        thresholds.append(beaten)
-        return 0.05, None, None, True, 1
+    def tied(results, n_structured, beaten):
+        # a searched start (rows without groups) ends at 0.05
+        first = next(results)
+        seen.append((int(np.argmin(np.abs(bounds - first[0]))), beaten))
+        results = itertools.chain([first], results)
+        results = ((0.05 if r[1][1] is None else r[0], *r[1:]) for r in results)
+        return multistart(results, n_structured, beaten)
 
-    monkeypatch.setattr(measures, "_dcoef_search", tied)
+    monkeypatch.setattr(measures, "_multistart", tied)
     rep = measures.dcoef_sup(state, K=8, restarts=2, seed=3)
+    assert rep.value == 0.05 and rep.pair == (0, 0)
+    order = list(dict.fromkeys(k for k, _ in seen))
     assert order == [1, 5, 2, 6, 4, 0]  # the others have bounds below 0.05
-    assert thresholds[0] == -np.inf
-    for i, (k, beaten) in enumerate(zip(order[1:], thresholds[1:])):
-        best = min(order[: i + 1])
-        assert beaten == (0.05 if k < best else np.nextafter(0.05, np.inf))
-    assert rep.value == 0.05 and rep.pair == (0, 0) and rep.restarts_used == 6
-
+    assert seen[0][1] == -np.inf
+    above = np.nextafter(0.05, np.inf)
+    assert {beaten for _, beaten in seen} <= {-np.inf, 0.05, above}
+    assert all(beaten != above for k, beaten in seen if k == 0)
+    assert any(beaten == above for _, beaten in seen)
 
 def test_dcoef_sup_sets_up_and_certifies_once(monkeypatch):
     counts = {}
@@ -684,15 +519,16 @@ def test_dcoef_sup_equals_the_exhaustive_pair_scan(rank, seed):
         assert np.array_equal(got.mat, want.mat)
 
 
+
 def test_certified_fixtures_are_settled_without_a_search(monkeypatch):
     # the 20 separable fixtures of acceptance criterion 3 at their benchmark
     # budget: the refined certificate settles every Gell-Mann pair, so no
-    # grouped ensemble is built; restarts_used still counts two starts per
-    # pair (18 = 9 pairs x 2, 48 = 24 x 2), as a search stopping there does
+    # start enters the search stack; restarts_used still counts two starts
+    # per pair (18 = 9 pairs x 2, 48 = 24 x 2), as a search stopping there does
     def refused(*args):
-        raise AssertionError("a settled pair built a grouped ensemble")
+        raise AssertionError("a settled pair drew a searched start")
 
-    monkeypatch.setattr(measures, "_GroupedEnsemble", refused)
+    monkeypatch.setattr(measures._PairScan, "_draw", refused)
     fixtures = [states.random_separable(2, 2, m=4, seed=s) for s in range(10)]
     fixtures += [states.random_separable(2, 3, m=2, seed=10 + s) for s in range(10)]
     for i, state in enumerate(fixtures):
@@ -723,14 +559,15 @@ def test_closed_form_row_sets_are_checked_once_per_call(monkeypatch):
     refined = measures._refine_product_certificate(state.certificate, 2, 3, 16)[0]
     assert len(checked) == 2
     assert np.array_equal(checked[0], base) and np.array_equal(checked[1], refined)
-    # werner(0.9): the spectral rows once, then the winner of each searched
-    # pair (the three on the diagonal; the one-group bound prunes the rest)
+    # werner(0.9): the spectral rows once, then the searched rows of each
+    # pair that runs its course (the three on the diagonal are searched, the
+    # one-group bound prunes the rest); the winner's rows are among them
     checked.clear()
     state = states.werner_state(0.9)
     rep = measures.dcoef_sup(state, K=8, restarts=2, seed=1)
     base = measures._spectral_rows(state)
-    assert len(checked) == 4 and np.array_equal(checked[0], base)
-    assert not any(rows.shape == base.shape and np.allclose(rows, base) for rows in checked[1:])
+    assert 2 <= len(checked) <= 4 and np.array_equal(checked[0], base)
+    assert all(rows.shape == (8, 4) for rows in checked[1:])
     # an uncorrelated Pauli pair stops at the one-group start: one start, no
     # search, and only the closed-form rows are checked
     checked.clear()
@@ -739,17 +576,20 @@ def test_closed_form_row_sets_are_checked_once_per_call(monkeypatch):
     assert len(checked) == 1 and np.array_equal(checked[0], base)
 
 
-def _record_groups(monkeypatch):
-    """Group counts of the grouped ensembles built from now on, in order."""
-    groups = []
+def _record_windows(monkeypatch):
+    """The isometries of every window of searched starts from now on."""
+    windows = []
+    draw = measures._PairScan._draw
 
-    class Counted(measures._GroupedEnsemble):
-        def __init__(self, *args):
-            super().__init__(*args)
-            groups.append(self.tot.shape[0])
+    def recorded(scan, k):
+        size = scan.a["u"].shape[0] if scan.a else 0
+        drawn = draw(scan, k)
+        if drawn:
+            windows.append(scan.a["u"][size:].copy())
+        return drawn
 
-    monkeypatch.setattr(measures, "_GroupedEnsemble", Counted)
-    return groups
+    monkeypatch.setattr(measures._PairScan, "_draw", recorded)
+    return windows
 
 
 @pytest.mark.parametrize("iters,tol", [(0, 1e-12), (60, 1e-12), (60, 0.0)])
@@ -764,18 +604,18 @@ def test_one_group_start_enters_with_the_ladder_converged_flag(iters, tol, monke
         return multistart(itertools.chain(first[-1:], results), n_structured, *rest)
 
     monkeypatch.setattr(measures, "_multistart", capture)
-    groups = _record_groups(monkeypatch)
+    windows = _record_windows(monkeypatch)
     state = states.werner_state(0.9)
     rep = measures.dcoef(state, SX, SX, K=16, restarts=0, iters=iters, tol=tol)
-    # one group: sweeps cannot move it, so it converges iff a sweep runs
+    # one group cannot move, so it converges iff a step would run
     value, (rows, gid), converged = first[0]
     assert abs(value - 0.9) < 1e-12
     assert converged is (iters > 0 and tol > 0)
-    assert rows.shape[0] == 4 and not gid.any()  # not grown up to K = 16
-    assert groups == [4]  # only the spectral start is searched
-    if iters == 0:  # a still spectral start does not beat it
-        assert rep.value == value and rep.converged is False
-        assert rep.restarts_used == 2 and len(rep.certificate.components) == 1
+    assert rows.shape[0] == 4 and not gid.any()
+    # no random start: nothing is searched, and the one group is the report
+    assert windows == []
+    assert rep.value == value and rep.converged is converged
+    assert rep.restarts_used == 1 and len(rep.certificate.components) == 1
     # the refined certificate of a separable state starts at zero
     sep = states.random_separable(2, 2, m=4, seed=2)
     rep = measures.dcoef(sep, SX, SZ, iters=iters, tol=tol, restarts=0)
@@ -783,12 +623,19 @@ def test_one_group_start_enters_with_the_ladder_converged_flag(iters, tol, monke
 
 
 def test_searched_pairs_build_no_one_group_ensemble(monkeypatch):
-    # the one-group start takes its closed-form value: no grouped ensemble
-    # is built for it (one per searched pair used to be, 3 here)
-    groups = _record_groups(monkeypatch)
+    # every searched start is a K x rank isometry U, its ensemble the rows
+    # U B; the one-group start is never searched, and the certificate of a
+    # searched winner has rank-one components
+    windows = _record_windows(monkeypatch)
     rep = measures.dcoef_sup(states.werner_state(0.9), K=16, restarts=32, seed=12)
     assert rep.value > 0.8
-    assert groups and min(groups) > 1
+    assert windows
+    for u in windows:
+        assert u.shape[1:] == (16, 4)
+        gram = u.conj().transpose(0, 2, 1) @ u
+        assert np.abs(gram - np.eye(4)).max() < 1e-12
+    for comp in rep.certificate.components:
+        assert np.linalg.matrix_rank(comp.mat, tol=1e-9) == 1
 
 
 def test_every_pair_search_checks_its_rows(monkeypatch):
@@ -803,6 +650,80 @@ def test_every_pair_search_checks_its_rows(monkeypatch):
     monkeypatch.setattr(measures, "_multistart", skewed)
     with pytest.raises(ValueError, match="dcoef ensemble misses its state"):
         measures.dcoef_sup(states.werner_state(0.9), K=8, restarts=1)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        measures.eof_upper,
+        measures.dcoef_sup,
+        lambda state, **kw: measures.dcoef(
+            state, *(measures.gell_mann_basis(d)[0] for d in state.split), **kw
+        ),
+    ],
+    ids=["eof_upper", "dcoef_sup", "dcoef"],
+)
+@pytest.mark.parametrize(
+    "state",
+    [states.bell_state(1), states.werner_state(0.7), states.random_density(2, 3, seed=1)],
+    ids=["rank-one", "werner", "random-2x3"],
+)
+@pytest.mark.parametrize(
+    "budget,message",
+    [
+        (dict(K=0), "below state rank"),
+        (dict(K=-2), "below state rank"),
+        (dict(K=6, iters=-1), "^iters must be >= 0, got -1$"),
+        (dict(K=6, restarts=-3), "^restarts must be >= 0, got -3$"),
+    ],
+    ids=["K0", "K-2", "iters-1", "restarts-3"],
+)
+def test_bad_search_budgets_raise(measure, state, budget, message):
+    # the rank-one short circuit and the exact two-qubit EOF run no search,
+    # yet refuse the same budgets as the search does
+    with pytest.raises(ValueError, match=message):
+        measure(state, **budget)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.6, 0.7, 0.8])
+def test_pure_ensembles_reach_the_grouped_optimum(p):
+    # werner_dcoef(p) is the infimum over grouped ensembles; every mixed
+    # group splits into pure members with its expectations, so the pure
+    # search reaches it.  At p = 0.5 the optimal grouped decomposition has a
+    # mixed third group, and the certificate found is pure all the same.
+    rep = measures.dcoef_sup(states.werner_state(p), K=8, restarts=4, seed=1)
+    assert abs(rep.value - werner_dcoef(p)) <= 1e-6
+    if p == 0.5:
+        comps = werner_dcoef_decomposition(p)[1]
+        assert len(comps) == 3 and np.linalg.matrix_rank(comps[2], tol=1e-9) == 2
+        assert abs(rep.value - werner_dcoef(p)) <= 1e-9
+        for comp in rep.certificate.components:
+            assert np.linalg.matrix_rank(comp.mat, tol=1e-9) == 1
+
+
+def test_bell_track_value_does_not_hang_on_the_last_bits():
+    # the Bell track's state at t = 0.75 (depolarizing_flow, rate 1), built
+    # as evolve_track does, as s rho + (1 - s) sigma with sigma the target's
+    # output, and as s rho + (1 - s) I/4: the three differ in their last
+    # bits, and all reach the exact value at the track's budget
+    bell = states.bell_state(1)
+    family = dynamics.family_catalog("depolarizing_flow", d=2, rate=1.0)
+    s = family.weight(0.75)
+    dual = replace(family, target=maps.dual_map(family.target))
+    tracked = maps.apply_map(dual(0.75), bell.mat, 2)
+    sigma = maps.apply_map(dual.target, bell.mat, 2)
+    built = [
+        (tracked + tracked.conj().T) / 2.0,
+        s * bell.mat + (1.0 - s) * sigma,
+        s * bell.mat + (1.0 - s) * np.eye(4) / 4.0,
+    ]
+    assert len({m.tobytes() for m in built}) > 1
+    exact = werner_dcoef(math.exp(-0.75))
+    assert abs(exact - 0.0392738) < 1e-7
+    for mat in built:
+        state = states.DensityMatrix(mat, 2, 2)
+        rep = measures.dcoef_sup(state, K=4, restarts=2, iters=40, seed=7)
+        assert abs(rep.value - exact) <= 1e-9
 
 
 def test_dcoef_sup_below_rank_raises():
