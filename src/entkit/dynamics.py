@@ -4,18 +4,21 @@ A family mixes the identity with one fixed target map,
 t -> s(t) id + (1 - s(t)) target with s(0) = 1.  Evolution applies the
 dual map tensored with the identity (the Schroedinger picture) and records
 positivity and entanglement diagnostics over the grid.  Taking the dual is
-real-linear and the identity is its own dual, so ``evolve_track`` takes the
-target's dual once per track and mixes it pointwise.
+real-linear and the identity is its own dual, so a whole track is the
+affine pencil s rho + (1 - s) tau with tau = (target^dual ox id)(rho):
+``evolve_track`` applies the target's dual to the state once per track and
+takes the eigenvalues of a block of time points in one stacked call.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import maps, matcore, measures, states
 
 NEGATIVE_EIG_TOL = 1e-9
+_BLOCK = 16  # time points per stacked eigenvalue call: small stacks keep memory flat
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,7 +26,7 @@ class ChannelFamily:
     """A named map family t >= 0 -> s(t) id + (1 - s(t)) target on leg 1.
 
     ``target`` is a ChoiMatrix on M_d, which fixes ``d``; ``weight(t)`` is
-    the identity's weight s(t) and must be 1 at t = 0.
+    the identity's weight s(t), which must be 1 at t = 0 and finite.
     """
 
     name: str
@@ -43,11 +46,18 @@ class ChannelFamily:
     def d(self):
         return self.target.d_in
 
-    def __call__(self, t):
+    def _weight_at(self, t):
+        """s(t), refusing a negative or non-finite time and a non-finite weight."""
         t = float(t)
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"time must be finite and >= 0, got {t}")
         s = self.weight(t)
+        if not math.isfinite(s):
+            raise ValueError(f"family {self.name!r}: weight {s} at t = {t} is non-finite")
+        return s
+
+    def __call__(self, t):
+        s = self._weight_at(t)
         return maps.ChoiMatrix(s * self._ident + (1.0 - s) * self.target.mat, self.d, self.d)
 
 
@@ -181,8 +191,13 @@ def evolve_track(
 ):
     """Apply (t_t ox id) in the Schroedinger picture over a time grid.
 
-    The dual of ``family(t)`` is ``family`` with its target replaced by the
-    target's dual, which is taken once for the whole grid.
+    The dual of ``family(t)`` is s(t) id + (1 - s(t)) target^dual, so the
+    output at time t is s(t) rho + (1 - s(t)) tau, with
+    tau = (target^dual ox id)(rho) applied once for the whole grid; s = 1
+    gives rho exactly.  Each block of time points is one stack of outputs,
+    symmetrized, whose eigenvalues and partial-transpose eigenvalues come
+    from one stacked call each.  A point's values do not depend on the
+    block it falls in.
 
     Records the minimal output eigenvalue and trace at every time, the
     negativity when the output is a valid state, and optionally the
@@ -201,31 +216,39 @@ def evolve_track(
             f"family acts on dimension {family.d}, state leg 1 is {state.d1}"
         )
     d1, d2 = state.split
-    dual = replace(family, target=maps.dual_map(family.target))
+    n = state.dim
+    weights = np.array([family._weight_at(t) for t in times])
+    rho = state.mat
+    tau = maps.apply_map(maps.dual_map(family.target), rho, d2)
     pts = []
-    for t in times:
-        out = maps.apply_map(dual(t), state.mat, d2)
-        out = (out + out.conj().T) / 2.0
-        w, _ = matcore.hermitian_eig(out)
-        min_eig = float(w[0])
-        trace = float(np.trace(out).real)
-        neg = None
-        eof_val = None
-        dsup_val = None
-        valid = min_eig >= -NEGATIVE_EIG_TOL and abs(trace - 1.0) <= states.TRACE_TOL
-        if valid:
-            pt_mat = matcore.partial_transpose(out, (d1, d2), leg=2)
-            wpt, _ = matcore.hermitian_eig(pt_mat)
-            neg = float(np.clip(-wpt, 0.0, None).sum())
-            if measure_eof or measure_dcoef:
-                out_state = states.DensityMatrix(out, d1, d2)
-            if measure_eof:
-                eof_val = measures.eof_upper(
-                    out_state, K=K, restarts=restarts, iters=iters, seed=seed
-                ).value
-            if measure_dcoef:
-                dsup_val = measures.dcoef_sup(
-                    out_state, K=K, restarts=restarts, iters=iters, seed=seed
-                ).value
-        pts.append(TrackPoint(t, min_eig, neg, eof_val, dsup_val, trace))
+    for lo in range(0, len(times), _BLOCK):
+        s = weights[lo:lo + _BLOCK, None, None]
+        out = s * rho + (1.0 - s) * tau
+        out = (out + out.conj().swapaxes(1, 2)) / 2.0
+        min_eig = np.linalg.eigvalsh(out)[:, 0]
+        # traces and negativities are summed per matrix, so no sum depends on the block
+        trace = np.array([np.trace(m).real for m in out])
+        valid = (min_eig >= -NEGATIVE_EIG_TOL) & (np.abs(trace - 1.0) <= states.TRACE_TOL)
+        # partial transpose on leg 2 of every valid output, as one stack
+        pt = out[valid].reshape(-1, d1, d2, d1, d2).transpose(0, 1, 4, 3, 2)
+        w_pt = iter(np.linalg.eigvalsh(pt.reshape(-1, n, n)))
+        for i, t in enumerate(times[lo:lo + _BLOCK]):
+            neg = None
+            eof_val = None
+            dsup_val = None
+            if valid[i]:
+                neg = float(np.clip(-next(w_pt), 0.0, None).sum())
+                if measure_eof or measure_dcoef:
+                    out_state = states.DensityMatrix(out[i], d1, d2)
+                if measure_eof:
+                    eof_val = measures.eof_upper(
+                        out_state, K=K, restarts=restarts, iters=iters, seed=seed
+                    ).value
+                if measure_dcoef:
+                    dsup_val = measures.dcoef_sup(
+                        out_state, K=K, restarts=restarts, iters=iters, seed=seed
+                    ).value
+            pts.append(
+                TrackPoint(t, float(min_eig[i]), neg, eof_val, dsup_val, float(trace[i]))
+            )
     return TrackRecord(family.name, tuple(pts))

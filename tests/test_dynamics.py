@@ -223,6 +223,17 @@ class TestEvolveTrack:
         with pytest.raises(ValueError):
             dynamics.evolve_track(states.bell_state(1), fam, [0.0, 1.0])
 
+    def test_negative_time_refused(self):
+        fam = dynamics.family_catalog("transpose_mix", d=2, speed=1.0)
+        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+            dynamics.evolve_track(states.bell_state(1), fam, [-1.0, 0.0, 0.5])
+
+    def test_non_finite_weight_refused(self):
+        target = maps.catalog("transpose", d=2)
+        fam = dynamics.ChannelFamily("nan_weight", target, lambda t: 1.0 if t == 0 else math.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            dynamics.evolve_track(states.bell_state(1), fam, [0.0, 0.5])
+
 
 def _built_in(name, d):
     if name == "glauber_flip":
@@ -232,29 +243,33 @@ def _built_in(name, d):
 
 
 class TestDualOncePerTrack:
-    GRID = np.linspace(0.0, 1.2, 7)
+    GRID = np.linspace(0.0, 1.2, 37)  # more than two blocks of time points
 
     @pytest.mark.parametrize("name", ["identity", "depolarizing_flow", "transpose_mix", "glauber_flip"])
     @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (5, 5)])
     def test_points_equal_the_per_point_dual(self, name, d1, d2):
-        # the dual taken once per track gives, bit for bit, the point values
-        # of the dual of the Choi matrix at every time
+        # the pencil s rho + (1 - s) tau agrees, to rounding, with applying
+        # the dual of family(t) ox id, built as a Choi matrix at every time
         st = states.random_density(d1, d2, seed=d1 + d2)
         fam = _built_in(name, d1)
         rec = dynamics.evolve_track(st, fam, self.GRID)
+        assert len(rec.points) == len(self.GRID)
         for t, pt in zip(self.GRID, rec.points):
-            out = maps.apply_map(maps.dual_map(fam(t)), st.mat, d2)
+            big = maps.tensor_with_identity(maps.dual_map(fam(t)), d2)
+            out = maps.apply_map(big, st.mat)
             out = (out + out.conj().T) / 2.0
-            w, _ = matcore.hermitian_eig(out)
-            assert pt.min_eig == float(w[0])
-            assert pt.trace == float(np.trace(out).real)
-            if pt.negativity is not None:
-                wpt, _ = matcore.hermitian_eig(matcore.partial_transpose(out, (d1, d2), leg=2))
-                assert pt.negativity == float(np.clip(-wpt, 0.0, None).sum())
+            assert pt.t == t
+            assert abs(pt.min_eig - np.linalg.eigvalsh(out)[0]) <= 1e-12
+            assert abs(pt.trace - np.trace(out).real) <= 1e-12
+            w_pt = np.linalg.eigvalsh(matcore.partial_transpose(out, (d1, d2), leg=2))
+            valid = pt.min_eig >= -dynamics.NEGATIVE_EIG_TOL and abs(pt.trace - 1.0) <= states.TRACE_TOL
+            assert (pt.negativity is not None) == valid
+            if valid:
+                assert abs(pt.negativity - np.clip(-w_pt, 0.0, None).sum()) <= 1e-12
 
     def test_one_dual_and_no_choi_build_per_track(self, monkeypatch):
         fam = _built_in("glauber_flip", 2)
-        calls = {"dual_map": 0, "choi_from_map": 0}
+        calls = {"dual_map": 0, "choi_from_map": 0, "apply_map": 0}
 
         def counted(name):
             real = getattr(maps, name)
@@ -269,7 +284,39 @@ class TestDualOncePerTrack:
             monkeypatch.setattr(maps, name, counted(name))
         rec = dynamics.evolve_track(states.bell_state(1), fam, self.GRID)
         assert len(rec.points) == len(self.GRID)
-        assert calls == {"dual_map": 1, "choi_from_map": 0}
+        assert calls == {"dual_map": 1, "choi_from_map": 0, "apply_map": 1}
+
+    def test_weight_one_gives_the_state_exactly(self):
+        st = states.random_density(2, 3, seed=3)
+        fam = _built_in("depolarizing_flow", 2)
+        pt = dynamics.evolve_track(st, fam, [0.0, 0.5]).points[0]
+        assert pt.min_eig == np.linalg.eigvalsh(st.mat)[0]
+        assert pt.trace == np.trace(st.mat).real
+
+    @pytest.mark.parametrize("split", [1, 7, 15, 16, 17, 23, 32, 36])
+    def test_block_boundaries_are_invisible(self, split):
+        # a track is the concatenation of the tracks over the two halves of
+        # its grid, bit for bit, wherever the grid is cut
+        st = states.random_density(2, 3, seed=5)
+        fam = _built_in("transpose_mix", 2)
+        whole = dynamics.evolve_track(st, fam, self.GRID)
+        head = dynamics.evolve_track(st, fam, self.GRID[:split])
+        tail = dynamics.evolve_track(st, fam, self.GRID[split:])
+        assert any(pt.negativity is None for pt in whole.points)
+        assert any(pt.negativity is not None for pt in whole.points)
+        assert whole.points == head.points + tail.points
+
+    @pytest.mark.parametrize("split", [3, 16, 20])
+    def test_block_boundaries_are_invisible_to_the_measures(self, split):
+        bell = states.bell_state(1)
+        fam = _built_in("depolarizing_flow", 2)
+        budget = {"measure_eof": True, "measure_dcoef": True, "K": 4, "restarts": 1, "iters": 5, "seed": 3}
+        grid = np.linspace(0.0, 2.0, 21)
+        whole = dynamics.evolve_track(bell, fam, grid, **budget)
+        head = dynamics.evolve_track(bell, fam, grid[:split], **budget)
+        tail = dynamics.evolve_track(bell, fam, grid[split:], **budget)
+        assert all(pt.eof_upper is not None and pt.dcoef_sup is not None for pt in whole.points)
+        assert whole.points == head.points + tail.points
 
     def test_weight_must_start_at_one(self):
         target = maps.catalog("transpose", d=2)
