@@ -2,7 +2,10 @@
 
 A hermitian eigensolver, the per-member weighted marginal entropies, the
 two objectives and the one Riemannian conjugate-gradient step both searches
-run.  Ensembles are (K, n) arrays of subnormalized pure-state rows on a
+run.  Each objective (``_Entropy``, ``_Correlation``) gives its value and
+gradient, and says how a start steps (``step``) and how an ended start is
+scored (``score``), so ``measures._StartScan`` drives both searches the
+same way.  Ensembles are (K, n) arrays of subnormalized pure-state rows on a
 d1 x d2 split.  Following Audenaert, Verstraete & De Moor, PRA 64, 052304
 (2001), every size-K pure ensemble of a state is X = U B, with B the (r, n)
 spectral rows and U a K x r isometry, so both searches run on the Stiefel
@@ -86,13 +89,6 @@ def _tangent(u, z):
     return z - u @ (0.5 * (s + s.conj().swapaxes(-1, -2)))
 
 
-def _value_gradient(u, base, d1, d2):
-    """EOF objective and Riemannian gradient at the isometry ``u`` (..., K, r)."""
-    objective = _Entropy(base, d1, d2)
-    value, parts = objective.value(u, None)
-    return value, objective.gradient(u, None, parts)
-
-
 def _retract(y):
     """Q factor of y with a positive real diagonal in R: the QR retraction."""
     q, r = np.linalg.qr(y)
@@ -129,6 +125,13 @@ class _Entropy:
         if self.d1 > self.d2:
             g = g.swapaxes(-1, -2)
         return _tangent(u, g.reshape(u.shape[:-1] + (self.d1 * self.d2,)) @ self.base.conj().T)
+
+    def step(self, u, grad, direction, line):
+        return eof_sweep(u, grad, direction, line, self.base, self.d1, self.d2)
+
+    def score(self, rows, h):
+        """The value of the final rows, recomputed with the entropy floor of ``column_scores``."""
+        return float(column_scores(rows, self.d1, self.d2)[1].sum())
 
 
 class _Correlation:
@@ -170,6 +173,12 @@ class _Correlation:
         v, a, b = parts
         g = a * v[..., 1, :] + b * v[..., 2, :] - (a * b) * v[..., 0, :]
         return _tangent(u, (-2.0 * self.sign[idx])[:, None, None] * g)
+
+    def step(self, u, grad, direction, line):
+        return _cg_step(u, grad, direction, line, self)
+
+    def score(self, rows, h):
+        return abs(float(h))
 
 
 def _onto_zero(u, direction, step, high, low, trial, objective, idx):

@@ -109,8 +109,11 @@ class MeasureReport:
 
 
 def _as_seed_sequence(seed):
+    """A fresh SeedSequence of ``seed``: a caller's SeedSequence is copied, never spawned from."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+        )
     return np.random.SeedSequence(seed)
 
 
@@ -149,8 +152,8 @@ def _random_isometries(k, rank, seed, skip, count):
 
     Start i orthonormalizes a complex Gaussian matrix drawn from the
     (skip + i)-th child of ``seed``.  Children and starts are made only when
-    taken (by eof_upper one window at a time), so stopping early skips their
-    QR factorizations without changing the starts that do run.
+    taken (by ``_StartScan`` one window at a time), so stopping early skips
+    their QR factorizations without changing the starts that do run.
     """
     seq = _as_seed_sequence(seed)
     seq.spawn(skip)
@@ -186,6 +189,122 @@ def _multistart(results, n_structured, beaten=-np.inf):
         if idx >= n_structured and since_improved >= RESTART_PATIENCE:
             break
     return best_value, best_snapshot, best_converged, used
+
+
+class _StartScan:
+    """The searched starts of one or more groups, stepped as one stack.
+
+    A group is the start list of one search: EOF's one group, or one
+    ``dcoef_sup`` pair.  Group k's results go to ``_multistart`` in start
+    order, as one search alone would take them; ``taken[k]`` holds them,
+    None while a start runs.  Once it asks for more and none runs,
+    ``_draw`` enters the next starts of ``queue[k]``, K x rank isometries U.
+    ``objective(owner, sign)`` is the objective of the starts of groups
+    ``owner`` with start signs ``sign``; its ``step`` moves them and its
+    ``score`` values a start that ended.  A start steps until ``iters``
+    steps, a gain below ``tol`` or a value at or below EARLY_STOP_VALUE, then
+    scores its rows U B; a score at or below EARLY_STOP_VALUE, where
+    ``_multistart`` stops, drops its group's later starts.  Every start
+    steps as it would alone.
+    """
+
+    def __init__(self, base, objective, taken, queue, n_structured):
+        self.base, self.objective = base, objective
+        self.taken, self.queue, self.n_structured = taken, queue, n_structured
+        self.best = [np.inf] * len(taken)  # per group: its best value so far
+        self.found = [None] * len(taken)  # per group: its _multistart result once settled
+        self.a = {}  # per searched start: its arrays, stacked
+
+    def _keep(self, keep):  # an empty stack is an empty dict
+        self.a = {key: val[keep] for key, val in self.a.items()} if keep.any() else {}
+
+    def above(self, bound):
+        """Whether a group in the stack has its best so far and every start above ``bound``."""
+        owner = self.a["owner"]
+        low = set(owner[self.a["line"][:, 0] <= bound].tolist())
+        return any(self.best[k] > bound for k in set(owner.tolist()) - low)
+
+    def review(self, k, beaten):
+        """``_multistart`` of group k's results so far once it settles, else None.
+
+        A group that asks for more with no start running draws its next
+        starts, and settles once its starts are spent.
+        """
+        asked = []
+
+        def so_far():
+            yield from itertools.takewhile(lambda result: result is not None, self.taken[k])
+            asked.append(True)
+
+        found = _multistart(so_far(), self.n_structured, beaten)
+        self.best[k] = found[0]
+        if asked and (None in self.taken[k] or self._draw(k)):
+            return None
+        self.found[k] = found
+        if self.a:
+            self._keep(self.a["owner"] != k)
+        return found
+
+    def _draw(self, k):
+        """Enter group k's structured starts not yet taken, then RESTART_PATIENCE random ones.
+
+        The random starts are drawn only if no structured start entered here
+        is at or below EARLY_STOP_VALUE.  Returns whether any start entered.
+        """
+        value = self._enter(k, max(0, self.n_structured - len(self.taken[k])))
+        if not (value <= EARLY_STOP_VALUE).any():
+            value = np.concatenate([value, self._enter(k, RESTART_PATIENCE)])
+        return value.size > 0
+
+    def _enter(self, k, count):
+        """Put the next ``count`` starts of group k on the stack; their values.
+
+        A start's sign is +-1, so that its value starts at or above zero.
+        """
+        u = np.array(list(itertools.islice(self.queue[k], count)), dtype=np.complex128)
+        n, at = u.shape[0], np.arange(u.shape[0])
+        if not n:
+            return np.zeros(0)
+        owner = np.full(n, k)
+        value, parts = self.objective(owner, np.ones(n)).value(u, at)
+        sign = np.where(value < 0.0, -1.0, 1.0)
+        grad = self.objective(owner, sign).gradient(u, at, parts)
+        value = sign * value
+        new = dict(
+            u=u, grad=grad, direction=-grad, line=np.stack([value, np.ones(n)], axis=1),
+            sign=sign, owner=owner, order=len(self.taken[k]) + at,
+            steps=np.zeros(n, dtype=np.int64), ended=value <= EARLY_STOP_VALUE,
+        )
+        self.taken[k] += [None] * n
+        self.a = {key: np.concatenate([self.a[key], val]) if self.a else val
+                  for key, val in new.items()}
+        return value
+
+    def advance(self, iters, tol):
+        """Hand the ended starts to their groups, or else step the stack.
+
+        Returns the groups that got results.
+        """
+        a = self.a
+        objective = self.objective(a["owner"], a["sign"])
+        done = a["ended"] | (a["steps"] >= iters)
+        if not done.any():
+            before = a["line"][:, 0].copy()
+            objective.step(a["u"], a["grad"], a["direction"], a["line"])
+            a["steps"] += 1
+            a["ended"] = (before - a["line"][:, 0] < tol) | (a["line"][:, 0] <= EARLY_STOP_VALUE)
+            return set()
+        keep, news = ~done, set()
+        for j in np.flatnonzero(done).tolist():
+            k, i = int(a["owner"][j]), int(a["order"][j])
+            rows = a["u"][j] @ self.base
+            value = objective.score(rows, a["line"][j, 0])
+            self.taken[k][i] = (value, (rows, None), bool(a["ended"][j]))
+            if value <= EARLY_STOP_VALUE:
+                keep &= (a["owner"] != k) | (a["order"] < i)
+            news.add(k)
+        self._keep(keep)
+        return news
 
 
 def _refine_product_certificate(cert, d1, d2, cap):
@@ -346,35 +465,6 @@ def _wootters_rows(base):
     return h @ x
 
 
-def _eof_lockstep(u, value, grad, base, d1, d2, iters, tol):
-    """Step a stack of starts in lockstep; (value, rows, converged) per start.
-
-    Each start stops and is scored as it would be alone.  Once one ends at or
-    below EARLY_STOP_VALUE, where the multistart loop stops, the starts after
-    it leave the stack and are not returned.
-    """
-    direction, n = -grad, u.shape[0]
-    line, ended = np.stack([value, np.ones(n)], axis=1), value <= EARLY_STOP_VALUE
-    out, index = [None] * n, np.arange(n)  # index: start of each row of the stack
-    for step in range(iters + 1):
-        done = ended | (step == iters)
-        for j in np.flatnonzero(done):
-            if index[j] < n:
-                rows = u[j] @ base
-                value = float(kernels.column_scores(rows, d1, d2)[1].sum())
-                out[index[j]] = (value, rows, bool(ended[j]))
-                if value <= EARLY_STOP_VALUE:
-                    n = index[j] + 1
-        keep = ~done & (index < n)
-        u, grad, direction, line, index = (a[keep] for a in (u, grad, direction, line, index))
-        if not index.size:
-            break
-        before = line[:, 0].copy()
-        kernels.eof_sweep(u, grad, direction, line, base, d1, d2)
-        ended = (before - line[:, 0] < tol) | (line[:, 0] <= EARLY_STOP_VALUE)
-    return out[:n]
-
-
 def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     """Upper bound on the entanglement of formation, in bits.
 
@@ -387,10 +477,13 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     ``tol`` or the value reaches EARLY_STOP_VALUE.  The starts are the
     refined certificate of a state that carries one, the spectral ensemble
     (U = I) and up to ``restarts`` random K x rank isometries, drawn a window
-    of RESTART_PATIENCE at a time.  They step together as one stack, the
-    structured ones padded with zero rows (which stay zero), and the report
-    is what running them one by one gives.  The value is recomputed from
-    the final rows.  Rank-one states short-circuit to the exact value.
+    of RESTART_PATIENCE at a time, and none if a structured start is already
+    at EARLY_STOP_VALUE.  They are the one group of a ``_StartScan``, the
+    scan ``dcoef_sup`` runs its pairs on: they step together as one stack,
+    the structured ones padded with zero rows (which stay zero), and the
+    report is what running them one by one gives.  A start's value is
+    recomputed from its final rows.  Rank-one states short-circuit to the
+    exact value.
 
     Two-qubit states get the exact value from Wootters' optimal
     decomposition, whose members all have the state's concurrence; the
@@ -420,25 +513,12 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
         if refined is not None:
             starts.append(_isometry_of(refined[0], base, K))
     starts.append(np.eye(K, rank))
-
-    def evaluated(us):  # (u, value, grad) of a stack of starts
-        u = np.array(us, dtype=np.complex128).reshape(-1, K, rank)
-        return (u, *kernels._value_gradient(u, base, d1, d2))
-
-    def results():  # per start in start order, one window of starts at a time
-        randoms = _random_isometries(K, rank, seed, 2, restarts)
-        window = evaluated(starts)
-        if window[1].min() > EARLY_STOP_VALUE:  # else no random start is drawn
-            extra = evaluated(list(itertools.islice(randoms, RESTART_PATIENCE)))
-            window = tuple(np.concatenate(p) for p in zip(window, extra))
-        while window[0].shape[0]:
-            found = _eof_lockstep(*window, base, d1, d2, iters, tol)
-            yield from found
-            if len(found) < window[0].shape[0]:
-                return
-            window = evaluated(list(itertools.islice(randoms, RESTART_PATIENCE)))
-
-    best_value, best_rows, best_converged, used = _multistart(results(), len(starts))
+    entropy = kernels._Entropy(base, d1, d2)
+    queue = itertools.chain(starts, _random_isometries(K, rank, seed, 2, restarts))
+    scan = _StartScan(base, lambda owner, sign: entropy, [[]], [queue], len(starts))
+    while (found := scan.review(0, -np.inf)) is None:
+        scan.advance(iters, tol)
+    best_value, (best_rows, _), best_converged, used = found
     cert = _ensemble_from_rows(best_rows, d1, d2, state)
     return MeasureReport(max(0.0, best_value), cert, best_converged, used)
 
@@ -513,116 +593,16 @@ def _start_values(rows, gid, e, f, joint):
     return np.abs(joint - terms.sum(axis=-1))
 
 
-class _PairScan:
-    """The pairs of a dcoef scan, their searched starts stepped as one stack.
-
-    Pair k's results go to ``_multistart`` in start order, as one ``dcoef``
-    would take them; ``taken[k]`` holds them, None while a start runs.  Once
-    it asks for more and none runs, a window of RESTART_PATIENCE starts
-    (plus the structured ones not yet drawn) comes from ``queue[k]``.  A
-    start is a K x rank isometry U stepping on its pair's
-    ``kernels._Correlation`` objective h until ``iters`` steps, a gain below
-    ``tol`` or h <= EARLY_STOP_VALUE; it then scores |h| and the rows U B,
-    and a score at or below EARLY_STOP_VALUE, where ``_multistart`` stops,
-    drops its pair's later starts.  Every start steps as it would alone.
-    """
-
-    def __init__(self, base, targets, grams, taken, queue, n_structured):
-        self.base, self.targets, self.grams = base, targets, grams
-        self.taken, self.queue, self.n_structured = taken, queue, n_structured
-        self.best = [np.inf] * len(taken)  # per pair: its best value so far
-        self.found = [None] * len(taken)  # per pair: its _multistart result once settled
-        self.a = {}  # per searched start: its arrays, stacked
-
-    def _keep(self, keep):  # an empty stack is an empty dict
-        self.a = {key: val[keep] for key, val in self.a.items()} if keep.any() else {}
-
-    def _objective(self, owner, sign):
-        return kernels._Correlation(self.grams[owner], self.targets[owner], sign)
-
-    def above(self, bound):
-        """Whether a pair in the stack has its best so far and every start's h above ``bound``."""
-        owner = self.a["owner"]
-        low = set(owner[self.a["line"][:, 0] <= bound].tolist())
-        return any(self.best[k] > bound for k in set(owner.tolist()) - low)
-
-    def review(self, k, beaten):
-        """``_multistart`` of pair k's results so far once it settles, else None.
-
-        A pair that asks for more with no start running draws its next
-        window, and settles once its starts are spent.
-        """
-        asked = []
-
-        def so_far():
-            yield from itertools.takewhile(lambda result: result is not None, self.taken[k])
-            asked.append(True)
-
-        found = _multistart(so_far(), self.n_structured, beaten)
-        self.best[k] = found[0]
-        if asked and (None in self.taken[k] or self._draw(k)):
-            return None
-        self.found[k] = found
-        if self.a:
-            self._keep(self.a["owner"] != k)
-        return found
-
-    def _draw(self, k):
-        count = RESTART_PATIENCE + max(0, self.n_structured - len(self.taken[k]))
-        u = np.array(list(itertools.islice(self.queue[k], count)), dtype=np.complex128)
-        n, at = u.shape[0], np.arange(u.shape[0])
-        if not n:
-            return False
-        owner, target = np.full(n, k), self.targets[k]
-        objective = self._objective(owner, np.ones(n))
-        c, parts = objective.classical(u, at)
-        objective.sign = np.sign(target - c)
-        value = objective.sign * (target - c)
-        grad = objective.gradient(u, at, parts)
-        new = dict(
-            u=u, grad=grad, direction=-grad, line=np.stack([value, np.ones(n)], axis=1),
-            sign=objective.sign, owner=owner, order=len(self.taken[k]) + at,
-            steps=np.zeros(n, dtype=np.int64), ended=value <= EARLY_STOP_VALUE,
-        )
-        self.taken[k] += [None] * n
-        self.a = {key: np.concatenate([self.a[key], val]) if self.a else val
-                  for key, val in new.items()}
-        return True
-
-    def advance(self, iters, tol):
-        """Hand the ended starts to their pairs, or else step the stack.
-
-        Returns the pairs that got results.
-        """
-        a = self.a
-        done = a["ended"] | (a["steps"] >= iters)
-        if not done.any():
-            before = a["line"][:, 0].copy()
-            objective = self._objective(a["owner"], a["sign"])
-            kernels._cg_step(a["u"], a["grad"], a["direction"], a["line"], objective)
-            a["steps"] += 1
-            a["ended"] = (before - a["line"][:, 0] < tol) | (a["line"][:, 0] <= EARLY_STOP_VALUE)
-            return set()
-        keep, news = ~done, set()
-        for j in np.flatnonzero(done).tolist():
-            k, i = int(a["owner"][j]), int(a["order"][j])
-            value = abs(float(a["line"][j, 0]))
-            self.taken[k][i] = (value, (a["u"][j] @ self.base, None), bool(a["ended"][j]))
-            if value <= EARLY_STOP_VALUE:
-                keep &= (a["owner"] != k) | (a["order"] < i)
-            news.add(k)
-        self._keep(keep)
-        return news
-
-
 def _dcoef_pairs(state, setup, e, f, seeds, restarts, iters, tol):
     """Largest dcoef over the pairs (e_a, f_b): the search tuple, and the index k.
 
     Pair k = a * n_f + b takes ``seeds[k]``.  The closed-form starts of
     ``setup`` are scored at every pair in one contraction, the first giving
-    the pair's bound.  Pairs are visited and pruned as ``dcoef_sup`` says; a
-    pair that a running pair may still beat waits until it cannot.  A
-    beaten pair stops through ``_multistart``'s ``beaten``.
+    the pair's bound.  Each pair is a group of one ``_StartScan`` on its
+    ``kernels._Correlation`` objective.  Pairs are visited and pruned as
+    ``dcoef_sup`` says; a pair that a running pair may still beat waits
+    until it cannot.  A beaten pair stops through ``_multistart``'s
+    ``beaten``.
     """
     base, K, starts = setup
     joint = _joint_table(state, e, f)
@@ -648,7 +628,11 @@ def _dcoef_pairs(state, setup, e, f, seeds, restarts, iters, tol):
     g0, g1, g2 = np.diag(_weights(base)) + 0j, g1 @ base.T, g2 @ base.T
     grams = np.broadcast_arrays(g0, g1.swapaxes(1, 2)[:, None], g2.swapaxes(1, 2)[None])
     grams = np.concatenate(grams, axis=-1).reshape(-1, rank, 3 * rank)
-    scan = _PairScan(base, joint.ravel(), grams, taken, queue, len(starts))
+    targets = joint.ravel()
+    scan = _StartScan(
+        base, lambda owner, sign: kernels._Correlation(grams[owner], targets[owner], sign),
+        taken, queue, len(starts),
+    )
     # (value, k) of the best pair that ran its course; none yet beats no pair
     best, visited = (-np.inf, closed.shape[1]), []
 
@@ -767,8 +751,9 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     dcoef(e, f) is at most its one-group value |tr rho(e ox f) -
     tr(rho_1 e) tr(rho_2 f)|, so pairs are visited in decreasing order of it
     and skipped once it is below the value of a pair that has run its
-    course.  The visited pairs' searched starts step together as one stack,
-    and a pair leaves it once its best value so far is below such a value,
+    course.  The visited pairs' searched starts step together as one stack
+    (each pair a group of the scan ``eof_upper`` also runs on), and a pair
+    leaves it once its best value so far is below such a value,
     or equal to it and later in basis order: it can no longer win.  Each
     pair keeps the seed child it has in basis order, values at or below
     EARLY_STOP_VALUE tie as zero and ties go to the first pair, so

@@ -48,7 +48,9 @@ def _eof_step():
     state = states.random_density(2, 3, rank=3, seed=1)
     base = measures._spectral_rows(state)
     u = next(measures._random_isometries(6, 3, 0, 0, 1))
-    value, grad = kernels._value_gradient(u, base, 2, 3)
+    objective = kernels._Entropy(base, 2, 3)
+    value, parts = objective.value(u, None)
+    grad = objective.gradient(u, None, parts)
     return kernels.eof_sweep(u, grad, -grad, np.array([value, 1.0]), base, 2, 3)
 
 

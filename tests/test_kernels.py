@@ -46,6 +46,13 @@ def test_column_scores_match_eigvalsh(d1, d2):
     assert np.abs(ew - _entropy_bits(rows, d1, d2)).max() < 1e-12
 
 
+def _value_gradient(u, base, d1, d2):
+    """EOF objective and Riemannian gradient at the isometry ``u`` (..., K, r)."""
+    objective = kernels._Entropy(base, d1, d2)
+    value, parts = objective.value(u, None)
+    return value, objective.gradient(u, None, parts)
+
+
 def _cg_run(state, k, seed, steps):
     """Run ``steps`` CG steps from a random K x r isometry; yield after each.
 
@@ -54,7 +61,7 @@ def _cg_run(state, k, seed, steps):
     d1, d2 = state.split
     base = measures._spectral_rows(state)
     u = next(measures._random_isometries(k, base.shape[0], seed, 0, 1))
-    value, grad = kernels._value_gradient(u, base, d1, d2)
+    value, grad = _value_gradient(u, base, d1, d2)
     direction = -grad
     line = np.array([value, 1.0])
     for _ in range(steps):
@@ -68,7 +75,7 @@ def test_gradient_matches_finite_differences():
     base = measures._spectral_rows(state)
     rng = np.random.default_rng(8)
     u = next(measures._random_isometries(7, 3, 5, 0, 1))
-    value, grad = kernels._value_gradient(u, base, 2, 3)
+    value, grad = _value_gradient(u, base, 2, 3)
     assert abs(value - _entropy_bits(u @ base, 2, 3).sum()) < 1e-12
     # the gradient is tangent: u^+ grad is anti-hermitian
     s = u.conj().T @ grad
@@ -96,7 +103,7 @@ def test_zero_padded_rows_stay_zero(d1, d2):
     for k in (rank + 1, rank * rank):
         u = np.zeros((k, rank), dtype=np.complex128)
         u[: small.shape[0]] = small
-        value, grad = kernels._value_gradient(u, base, d1, d2)
+        value, grad = _value_gradient(u, base, d1, d2)
         direction = -grad
         line = np.array([value, 1.0])
         for _ in range(8):
@@ -171,7 +178,7 @@ def test_stacked_sweep_matches_single_starts(d1, d2, count, rank, seed, data):
     zero, ascent = data.draw(st.permutations(range(count)))[:2]
     starts = []
     for i, u in enumerate(measures._random_isometries(rank + 2, rank, seed, 0, count)):
-        value, grad = kernels._value_gradient(u, base, d1, d2)
+        value, grad = _value_gradient(u, base, d1, d2)
         direction, line = -grad, np.array([value, 1.0])
         kernels.eof_sweep(u, grad, direction, line, base, d1, d2)  # a conjugate direction
         line[1] = 4.0 / (1 + i)  # each start its own trial step

@@ -346,15 +346,15 @@ PRUNE_CASES = [
 
 
 def _record_scans(monkeypatch):
-    """The pair scans of every dcoef call from now on."""
+    """The start scans of every search from now on."""
     scans = []
-    init = measures._PairScan.__init__
+    init = measures._StartScan.__init__
 
     def recorded(scan, *args):
         init(scan, *args)
         scans.append(scan)
 
-    monkeypatch.setattr(measures._PairScan, "__init__", recorded)
+    monkeypatch.setattr(measures._StartScan, "__init__", recorded)
     return scans
 
 
@@ -528,7 +528,7 @@ def test_certified_fixtures_are_settled_without_a_search(monkeypatch):
     def refused(*args):
         raise AssertionError("a settled pair drew a searched start")
 
-    monkeypatch.setattr(measures._PairScan, "_draw", refused)
+    monkeypatch.setattr(measures._StartScan, "_draw", refused)
     fixtures = [states.random_separable(2, 2, m=4, seed=s) for s in range(10)]
     fixtures += [states.random_separable(2, 3, m=2, seed=10 + s) for s in range(10)]
     for i, state in enumerate(fixtures):
@@ -579,7 +579,7 @@ def test_closed_form_row_sets_are_checked_once_per_call(monkeypatch):
 def _record_windows(monkeypatch):
     """The isometries of every window of searched starts from now on."""
     windows = []
-    draw = measures._PairScan._draw
+    draw = measures._StartScan._draw
 
     def recorded(scan, k):
         size = scan.a["u"].shape[0] if scan.a else 0
@@ -588,7 +588,7 @@ def _record_windows(monkeypatch):
             windows.append(scan.a["u"][size:].copy())
         return drawn
 
-    monkeypatch.setattr(measures._PairScan, "_draw", recorded)
+    monkeypatch.setattr(measures._StartScan, "_draw", recorded)
     return windows
 
 
@@ -1109,3 +1109,38 @@ def test_no_start_after_a_zero_is_stepped(monkeypatch):
     row = int(np.flatnonzero(calls[first] <= measures.EARLY_STOP_VALUE)[0])
     assert calls[first].shape[0] == 5 and row == 1
     assert all(line.shape[0] <= row for line in calls[first + 1 :])
+
+
+def test_eof_search_is_one_group_of_the_start_scan(monkeypatch):
+    # eof_upper steps its starts on the scan dcoef_sup uses, as its one group
+    scans = _record_scans(monkeypatch)
+    rep = measures.eof_upper(states.isotropic_state(0.5, 3), K=9, restarts=2, seed=1)
+    assert len(scans) == 1
+    assert len(scans[0].taken) == 1 and len(scans[0].found) == 1
+    assert scans[0].found[0][3] == rep.restarts_used
+    assert scans[0].a == {}  # nothing is left stepping
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda seed: measures.eof_upper(
+            states.random_density(2, 3, rank=3, seed=4), K=6, restarts=4, seed=seed
+        ),
+        lambda seed: measures.dcoef(
+            states.random_density(2, 2, rank=3, seed=14), SX, SZ, K=8, restarts=4, seed=seed
+        ),
+        lambda seed: measures.dcoef_sup(
+            states.random_density(2, 2, rank=3, seed=14), K=8, restarts=4, seed=seed
+        ),
+    ],
+    ids=["eof_upper", "dcoef", "dcoef_sup"],
+)
+def test_a_seed_sequence_is_not_consumed(search):
+    # a SeedSequence seed gives the same report on every call, and the
+    # caller's object spawns no child
+    ss = np.random.SeedSequence(5)
+    first, second = search(ss), search(ss)
+    assert ss.n_children_spawned == 0
+    assert first.to_json() == second.to_json()
+    assert first.value == search(np.random.SeedSequence(5)).value
