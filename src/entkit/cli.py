@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import dynamics, maps, measures, states
+from . import dynamics, maps, matcore, measures, states
 
 
 def _write_output(args, text):
@@ -28,9 +28,9 @@ def _dump_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_state(path):
+def _load(path, reader=states.state_from_json):
     with open(path, encoding="utf-8") as fh:
-        return states.state_from_json(json.load(fh))
+        return reader(json.load(fh))
 
 
 def _fmt(value):
@@ -94,13 +94,13 @@ def _state_make(args):
     params = _catalog_params(states.FAMILIES, args.family, "family", flags)
     for key in ("rho1", "rho2"):
         if key in params:
-            params[key] = _load_state(params[key])
+            params[key] = _load(params[key])
     state = states.make_named(args.family, seed=args.seed, **params)
     _write_output(args, _dump_json(state.to_json()))
 
 
 def _state_info(args):
-    state = _load_state(args.infile)
+    state = _load(args.infile)
     report = {
         "d1": state.d1,
         "d2": state.d2,
@@ -114,12 +114,12 @@ def _state_info(args):
 
 
 def _measure_ppt(args):
-    rep = measures.ppt_test(_load_state(args.infile), tol=args.tol)
+    rep = measures.ppt_test(_load(args.infile), tol=args.tol)
     _report(args, [("lambda_min", rep.lambda_min), ("verdict", rep.verdict)])
 
 
 def _measure_negativity(args):
-    _report(args, [("negativity", measures.negativity(_load_state(args.infile)))])
+    _report(args, [("negativity", measures.negativity(_load(args.infile)))])
 
 
 def _measure_search(args):
@@ -127,7 +127,7 @@ def _measure_search(args):
     # at call time so that a replaced measures attribute is the one that runs
     search = getattr(measures, args.search)
     given = _given(K=args.K, restarts=args.restarts, iters=args.iters)
-    rep = search(_load_state(args.infile), seed=args.seed, **given)
+    rep = search(_load(args.infile), seed=args.seed, **given)
     _report(args, [("value", rep.value), ("converged", rep.converged)], rep.to_json())
     if args.strict and not rep.converged:
         sys.stderr.write("measure did not converge within budget (--strict)\n")
@@ -141,8 +141,7 @@ def _get_choi(args):
         params = _catalog_params(maps.CATALOG, args.catalog, "catalog", flags)
         return maps.catalog(args.catalog, **params)
     _refuse_unread("without --catalog", {"--d": args.d, "--lam": args.lam})
-    with open(args.infile, encoding="utf-8") as fh:
-        return maps.choi_from_json(json.load(fh))
+    return _load(args.infile, maps.choi_from_json)
 
 
 def _map_check(args):
@@ -170,19 +169,13 @@ def _map_check(args):
 
 def _map_apply(args):
     choi = _get_choi(args)
-    state = _load_state(args.state)
+    state = _load(args.state)
     if state.dim != choi.d_in:
         raise ValueError(
             f"state dimension {state.dim} does not match map input {choi.d_in}"
         )
     out = maps.apply_map(choi, state.mat)
-    payload = {
-        "d1": choi.d_out,
-        "d2": 1,
-        "re": out.real.tolist(),
-        "im": out.imag.tolist(),
-    }
-    _write_output(args, _dump_json(payload))
+    _write_output(args, _dump_json(matcore.matrix_to_json(out, d1=choi.d_out, d2=1)))
 
 
 def _evolve(args):
@@ -198,7 +191,7 @@ def _evolve(args):
         "--hz": ("H", None if args.hz is None else args.hz * sigma_z),
     }
     params = _catalog_params(dynamics.FAMILIES, args.family, "family", flags)
-    state = _load_state(args.infile)
+    state = _load(args.infile)
     reads = dynamics.FAMILIES.reads(args.family)
     if "d" in reads:
         params["d"] = state.d1

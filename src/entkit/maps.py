@@ -63,6 +63,18 @@ class ChoiMatrix:
         return choi_to_json(self)
 
 
+def choi_to_json(choi):
+    obj = matcore.matrix_to_json(choi.mat, d_in=choi.d_in, d_out=choi.d_out)
+    return {**obj, "convention": "in_out"}
+
+
+def choi_from_json(obj):
+    mat, d_in, d_out = matcore.matrix_from_json(obj, ("d_in", "d_out"), "Choi JSON")
+    if obj.get("convention", "in_out") != "in_out":
+        raise ValueError(f"unsupported Choi convention {obj['convention']!r}")
+    return ChoiMatrix(mat, d_in, d_out)
+
+
 def choi_from_map(fn, d_in, d_out=None):
     """Build the Choi matrix of a map given as a callable on matrices."""
     d_out = d_in if d_out is None else d_out
@@ -410,30 +422,3 @@ def random_cp_map(d, kraus_count=2, seed=0):
     norm = np.sqrt(sum(float(np.sum(np.abs(a) ** 2)) for a in ops))
     ops = [a / norm for a in ops]
     return choi_from_map(lambda x: sum(a @ x @ a.conj().T for a in ops), d)
-
-
-# ---------------------------------------------------------------------------
-# serialization (field names are part of the file format)
-# ---------------------------------------------------------------------------
-
-
-def choi_to_json(choi):
-    return {
-        "d_in": int(choi.d_in),
-        "d_out": int(choi.d_out),
-        "re": choi.mat.real.tolist(),
-        "im": choi.mat.imag.tolist(),
-        "convention": "in_out",
-    }
-
-
-def choi_from_json(obj):
-    try:
-        if obj.get("convention", "in_out") != "in_out":
-            raise ValueError(f"unsupported Choi convention {obj['convention']!r}")
-        d_in = int(obj["d_in"])
-        d_out = int(obj["d_out"])
-        mat = matcore.complex_from_parts(obj["re"], obj["im"], "Choi JSON")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed Choi JSON: {exc}") from exc
-    return ChoiMatrix(mat, d_in, d_out)

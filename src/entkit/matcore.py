@@ -4,15 +4,19 @@ Everything operates on square complex numpy arrays.  The composite index
 convention is fixed globally: the first tensor factor is the slow index,
 so a product basis vector |i>|k> sits at position i * d2 + k.  ``Catalog``
 names the builders of the states, maps and map families made from them.
+``matrix_to_json`` and ``matrix_from_json`` are the one JSON form of a
+state or Choi matrix: its sizes, "re" and "im", the keys of the file format.
 """
 
 import inspect
+import sys
 
 import numpy as np
 
 from . import kernels
 
 HERMITICITY_TOL = 1e-10
+_FLOAT_MAX = sys.float_info.max  # NaN, inf and larger integers are not finite
 
 
 def as_complex_matrix(m):
@@ -23,13 +27,32 @@ def as_complex_matrix(m):
     return a
 
 
-def complex_from_parts(re, im, what):
-    """re + i im, refusing a non-finite part first: 1j * inf would warn and give NaN."""
-    re = np.asarray(re, dtype=np.float64)
-    im = np.asarray(im, dtype=np.float64)
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+def matrix_to_json(mat, **dims):
+    """The JSON form of a matrix: its integer sizes ``dims``, then "re" and "im"."""
+    return dict({k: int(n) for k, n in dims.items()}, re=mat.real.tolist(), im=mat.imag.tolist())
+
+
+def matrix_from_json(obj, dims, what):
+    """(matrix, *sizes) of the JSON form of a matrix with size keys ``dims``.
+
+    It needs the ``dims`` keys, integral (2 or 2.0), and "re" and "im", number
+    arrays of one shape with finite entries, and ignores other keys; anything
+    else raises ValueError.
+    """
+    keys = (*dims, "re", "im")
+    if not isinstance(obj, dict) or not all(key in obj for key in keys):
+        raise ValueError(f"malformed {what}: expected an object with keys {', '.join(keys)}")
+    sizes = [int(n) if type(n) is float and n.is_integer() else n for n in map(obj.get, dims)]
+    if not all(type(n) is int for n in sizes):
+        raise ValueError(f"malformed {what}: {', '.join(dims)} must be integers, got {sizes}")
+    re, im = (np.array(obj[key], dtype=object) for key in ("re", "im"))
+    entries = [*re.flat, *im.flat]
+    # JSON numbers read as int or float; a bool is neither type
+    if re.ndim == 0 or re.shape != im.shape or not {int, float}.issuperset(map(type, entries)):
+        raise ValueError(f"malformed {what}: re and im must be number arrays of one shape")
+    if not all(abs(x) <= _FLOAT_MAX for x in entries):  # before 1j * inf would give NaN
         raise ValueError(f"{what}: matrix has non-finite entries")
-    return re + 1j * im
+    return (re.astype(np.float64) + 1j * im.astype(np.float64), *sizes)
 
 
 def frobenius_norm(m):

@@ -345,7 +345,7 @@ def _ensemble_from_rows(rows, d1, d2, state, gid=None):
 
     ``gid`` labels each row's group (default: every row on its own).
     Groups lighter than 1e-12 are dropped; the barycenter must match the
-    state within 1e-9.
+    state as ``_check_barycenter`` says.
     """
     if gid is None:
         gid = np.arange(rows.shape[0])
@@ -356,8 +356,22 @@ def _ensemble_from_rows(rows, d1, d2, state, gid=None):
     p = p[keep]
     comps = tuple(states.DensityMatrix(m / pg, d1, d2) for m, pg in zip(mats[keep], p))
     ens = states.Ensemble(p / p.sum(), comps)
-    ens.check_barycenter(state, tol=1e-9)
+    _check_barycenter(state, ens.barycenter(), "ensemble barycenter")
     return ens
+
+
+def _check_barycenter(state, bary, what):
+    """Refuse a barycenter ``bary`` that misses the state beyond its allowance.
+
+    That is 1e-9, plus twice the summed magnitude of the eigenvalues that
+    ``_spectral_rows`` drops (a state holds them down to -PSD_TOL): the mass
+    the rows lack, and the weights renormalized without it.
+    """
+    err = matcore.frobenius_norm(bary - state.mat)
+    if err > 1e-9:
+        w = state.eigenvalues()
+        if err > 1e-9 + 2.0 * np.abs(w[w <= RANK_FLOOR]).sum():
+            raise ValueError(f"{what} misses its state by {err:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +572,7 @@ def _dcoef_setup(state, K, restarts, iters):
 
 
 def _check_rows(state, rows):
-    err = matcore.frobenius_norm(rows.T @ rows.conj() - state.mat)
-    if err > 1e-9:
-        raise ValueError(f"dcoef ensemble misses its state by {err:.3e}")
+    _check_barycenter(state, rows.T @ rows.conj(), "dcoef ensemble")
 
 
 def _joint_table(state, e, f):

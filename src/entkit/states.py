@@ -139,6 +139,14 @@ def von_neumann_entropy(state):
     return entropy_of_eigenvalues(state.eigenvalues())
 
 
+def state_to_json(state):
+    return matcore.matrix_to_json(state.mat, d1=state.d1, d2=state.d2)
+
+
+def state_from_json(obj):
+    return DensityMatrix(*matcore.matrix_from_json(obj, ("d1", "d2"), "state JSON"))
+
+
 # ---------------------------------------------------------------------------
 # named state families
 # ---------------------------------------------------------------------------
@@ -336,27 +344,3 @@ def xxz_hamiltonian(n, j, delta):
         for op, coeff in ((_SIGMA_X, 1.0), (_SIGMA_Y, 1.0), (_SIGMA_Z, delta)):
             ham -= j * coeff * _site_operator(op, i, n) @ _site_operator(op, i + 1, n)
     return ham
-
-
-# ---------------------------------------------------------------------------
-# serialization (field names are part of the file format)
-# ---------------------------------------------------------------------------
-
-
-def state_to_json(state):
-    return {
-        "d1": int(state.d1),
-        "d2": int(state.d2),
-        "re": state.mat.real.tolist(),
-        "im": state.mat.imag.tolist(),
-    }
-
-
-def state_from_json(obj):
-    try:
-        d1 = int(obj["d1"])
-        d2 = int(obj["d2"])
-        mat = matcore.complex_from_parts(obj["re"], obj["im"], "state JSON")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed state JSON: {exc}") from exc
-    return DensityMatrix(mat, d1, d2)

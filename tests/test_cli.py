@@ -13,6 +13,7 @@ import pytest
 from entkit import cli, maps, measures, states
 
 from cli_env import cli_env
+from matrix_files import MALFORMED, malformed
 
 
 def _checked(proc, check):
@@ -189,6 +190,82 @@ def test_non_positive_dimensions_exit_2(tmp_path, argv):
     assert proc.returncode == 2
     assert "split -2x-2 has a dimension below 1" in proc.stderr
     assert proc.stdout == ""
+
+
+# every command that reads a matrix file, with the size keys of the file it
+# reads: BAD is the malformed file, STATE a valid state file, OUT the --out
+STATE_KEYS, CHOI_KEYS = ("d1", "d2"), ("d_in", "d_out")
+MATRIX_READERS = {
+    "state-info": (STATE_KEYS, ("state", "info", "--in", "BAD")),
+    "state-make-product": (STATE_KEYS, (
+        "state", "make", "--family", "product", "--in1", "BAD", "--in2", "STATE", "--out", "OUT"
+    )),
+    "measure-ppt": (STATE_KEYS, ("measure", "ppt", "--in", "BAD")),
+    "measure-negativity": (STATE_KEYS, ("measure", "negativity", "--in", "BAD")),
+    "measure-eof": (STATE_KEYS, ("measure", "eof", "--in", "BAD", "--out", "OUT")),
+    "measure-dcoef-sup": (STATE_KEYS, ("measure", "dcoef-sup", "--in", "BAD", "--out", "OUT")),
+    "map-check-in": (CHOI_KEYS, ("map", "check", "--in", "BAD", "--out", "OUT")),
+    "map-apply-in": (
+        CHOI_KEYS, ("map", "apply", "--in", "BAD", "--state", "STATE", "--out", "OUT")
+    ),
+    "map-apply-state": (STATE_KEYS, (
+        "map", "apply", "--catalog", "depolarizing", "--d", "4", "--lam", "0.5",
+        "--state", "BAD", "--out", "OUT",
+    )),
+    "evolve": (STATE_KEYS, (
+        "evolve", "--in", "BAD", "--family", "depolarizing_flow", "--rate", "1",
+        "--t-max", "1", "--steps", "2", "--out", "OUT",
+    )),
+}
+
+
+@pytest.mark.parametrize("row", sorted(MALFORMED))
+@pytest.mark.parametrize("command", sorted(MATRIX_READERS))
+def test_malformed_matrix_file_exit_2(bell_file, tmp_path, command, row):
+    keys, argv = MATRIX_READERS[command]
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(malformed(row, keys))
+    files = {"BAD": str(bad), "STATE": str(bell_file), "OUT": str(out)}
+    proc = run_cli(*(files.get(a, a) for a in argv), check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: malformed ") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.fixture
+def near_psd_file(tmp_path):
+    # eigenvalues -8e-10, twice: DensityMatrix accepts them, and the searches
+    # drop them from the spectral rows
+    e = 8e-10
+    mat = np.diag([0.5 + e, 0.5 + e, -e, -e])
+    path = tmp_path / "near_psd.json"
+    path.write_text(
+        json.dumps({"d1": 2, "d2": 2, "re": mat.tolist(), "im": np.zeros((4, 4)).tolist()})
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv", [("measure", "ppt"), ("measure", "eof"), ("measure", "dcoef-sup")]
+)
+def test_searches_take_the_states_ppt_takes(near_psd_file, argv):
+    proc = run_cli(*argv, "--in", str(near_psd_file))
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
+def test_integral_float_sizes_read_as_integers(tmp_path):
+    # sizes 2.0 and integer-valued re give the verdict that 2 and floats give
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(
+        {"d1": 2.0, "d2": 2.0, "re": [[1, 0, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4}
+    ))
+    floats = tmp_path / "floats.json"
+    pure = states.product_state(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+    floats.write_text(json.dumps(pure.to_json()))
+    for argv in (("measure", "ppt"), ("measure", "negativity"), ("state", "info")):
+        got, want = (run_cli(*argv, "--in", str(f)).stdout for f in (path, floats))
+        assert got == want
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -528,6 +605,24 @@ class TestMapCommands:
             maps.catalog("depolarizing", d=4, lam=0.5), bell.mat
         )
         assert np.abs(got - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("source", ["catalog", "file"])
+    def test_apply_output_reads_back(self, bell_file, tmp_path, source):
+        # the output is the JSON form of a (d_out, 1)-split state
+        choi = maps.catalog("depolarizing", d=4, lam=0.5)
+        if source == "catalog":
+            given = ("--catalog", "depolarizing", "--d", "4", "--lam", "0.5")
+        else:
+            path = tmp_path / "choi.json"
+            path.write_text(json.dumps(choi.to_json()))
+            given = ("--in", str(path))
+        out = tmp_path / "out.json"
+        run_cli("map", "apply", *given, "--state", str(bell_file), "--out", str(out))
+        obj = load_json(out.read_text())
+        assert set(obj) == {"d1", "d2", "re", "im"}
+        st = states.state_from_json(obj)
+        assert st.split == (4, 1)
+        assert np.array_equal(st.mat, maps.apply_map(choi, states.bell_state(1).mat))
 
 
 class TestEvolveCommand:

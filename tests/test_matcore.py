@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from entkit import maps, matcore, measures, states
 
+from matrix_files import MALFORMED, malformed, valid
 from oracles import SX, SY, SZ, pt_reference, random_hermitian, random_psd, trace_out_reference
 
 
@@ -297,3 +300,61 @@ class TestHermiticityGate:
         assert not np.isfinite(matcore.hermiticity_defect(a))
         with pytest.raises(ValueError, match="non-finite"):
             build(a)
+
+
+STATE_KEYS, CHOI_KEYS = ("d1", "d2"), ("d_in", "d_out")
+
+
+class TestMatrixJson:
+    @pytest.mark.parametrize("keys", [STATE_KEYS, CHOI_KEYS], ids=["state", "choi"])
+    def test_round_trip_and_valid_file(self, keys):
+        mat = states.random_density(2, 3, seed=4).mat
+        obj = matcore.matrix_to_json(mat, **dict(zip(keys, (2, 3))))
+        assert list(obj) == [*keys, "re", "im"]
+        got, *sizes = matcore.matrix_from_json(json.loads(json.dumps(obj)), keys, "test")
+        assert np.array_equal(got, mat) and sizes == [2, 3]
+        got, *sizes = matcore.matrix_from_json(valid(keys), keys, "test")
+        assert np.array_equal(got, np.eye(4) / 4) and sizes == [2, 2]
+
+    @pytest.mark.parametrize("row", sorted(MALFORMED))
+    @pytest.mark.parametrize("keys", [STATE_KEYS, CHOI_KEYS], ids=["state", "choi"])
+    def test_refuses_malformed(self, keys, row):
+        obj = json.loads(malformed(row, keys))
+        with pytest.raises(ValueError, match="malformed test"):
+            matcore.matrix_from_json(obj, keys, "test")
+
+    @pytest.mark.parametrize("row", sorted(MALFORMED))
+    def test_readers_refuse_malformed(self, row):
+        with pytest.raises(ValueError, match="malformed state JSON"):
+            states.state_from_json(json.loads(malformed(row, STATE_KEYS)))
+        with pytest.raises(ValueError, match="malformed Choi JSON"):
+            maps.choi_from_json(json.loads(malformed(row, CHOI_KEYS)))
+
+    def test_extra_keys_are_ignored(self):
+        obj = {**valid(), "note": [1, "x"]}
+        assert np.array_equal(states.state_from_json(obj).mat, np.eye(4) / 4)
+
+    def test_integral_floats_and_integers_read_as_integers(self):
+        # sizes 2.0 and integer-valued re give the matrix that 2 and floats give
+        ints = {"d1": 2.0, "d2": 2.0, "re": [[1, 0, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4}
+        floats = {**ints, "d1": 2, "d2": 2, "re": np.diag([1.0, 0, 0, 0]).tolist()}
+        got, d1, d2 = matcore.matrix_from_json(ints, STATE_KEYS, "test")
+        want, *_ = matcore.matrix_from_json(floats, STATE_KEYS, "test")
+        assert (d1, d2) == (2, 2) and type(d1) is int and type(d2) is int
+        assert got.dtype == np.complex128 and np.array_equal(got, want)
+        st = states.state_from_json(ints)
+        assert st.split == (2, 2) and np.array_equal(st.mat, states.state_from_json(floats).mat)
+
+    @pytest.mark.parametrize(
+        "entry", ["NaN", "Infinity", "-1e999", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "10^400"],
+    )
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_refuses_non_finite_entries(self, part, entry):
+        # refused before re + 1j * im is formed, so no RuntimeWarning either;
+        # an integer beyond the float range counts as non-finite
+        obj = valid()
+        obj[part][0][1] = "ENTRY"
+        text = json.dumps(obj).replace('"ENTRY"', entry)
+        with pytest.raises(ValueError, match="state JSON: matrix has non-finite entries"):
+            states.state_from_json(json.loads(text))

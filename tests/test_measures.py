@@ -652,6 +652,54 @@ def test_every_pair_search_checks_its_rows(monkeypatch):
         measures.dcoef_sup(states.werner_state(0.9), K=8, restarts=1)
 
 
+E_NEG = 8e-10  # within PSD_TOL: DensityMatrix takes the state, _spectral_rows drops it
+NEAR_PSD = {
+    "2x2": (np.diag([0.5 + E_NEG, 0.5 + E_NEG, -E_NEG, -E_NEG]), 2, 2),
+    "2x3": (np.diag([0.3 + E_NEG, 0.3 + E_NEG, 0.4, -E_NEG, -E_NEG, 0.0]), 2, 3),
+}
+
+
+def _allowance(state):
+    # 1e-9 plus twice the summed magnitude of the dropped eigenvalues
+    w = np.linalg.eigvalsh(state.mat)
+    return 1e-9 + 2.0 * np.abs(w[w <= measures.RANK_FLOOR]).sum()
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        measures.eof_upper,
+        measures.dcoef_sup,
+        lambda state, **kw: measures.dcoef(
+            state, *(measures.gell_mann_basis(d)[0] for d in state.split), **kw
+        ),
+    ],
+    ids=["eof_upper", "dcoef_sup", "dcoef"],
+)
+@pytest.mark.parametrize("name", sorted(NEAR_PSD))
+def test_searches_take_states_with_eigenvalues_down_to_psd_tol(measure, name):
+    # the spectral rows lack the dropped eigenvalues, so the barycenter of a
+    # certificate misses such a state by more than 1e-9, within the allowance
+    state = states.DensityMatrix(*NEAR_PSD[name])
+    assert np.linalg.eigvalsh(state.mat)[0] < -5e-10
+    rep = measure(state, K=8, restarts=2, seed=1)
+    miss = rep.certificate.check_barycenter(state, tol=np.inf)
+    assert 1e-9 < miss <= _allowance(state)
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_PSD))
+def test_allowance_still_refuses_rows_that_miss(name):
+    state = states.DensityMatrix(*NEAR_PSD[name])
+    rows = measures._spectral_rows(state)
+    measures._check_rows(state, rows)
+    measures._ensemble_from_rows(rows, *state.split, state)
+    rows[0, 0] += 1e-8
+    with pytest.raises(ValueError, match="dcoef ensemble misses its state"):
+        measures._check_rows(state, rows)
+    with pytest.raises(ValueError, match="ensemble barycenter misses its state"):
+        measures._ensemble_from_rows(rows, *state.split, state)
+
+
 @pytest.mark.parametrize(
     "measure",
     [
