@@ -196,8 +196,12 @@ def evolve_track(
     tau = (target^dual ox id)(rho) applied once for the whole grid; s = 1
     gives rho exactly.  Each block of time points is one stack of outputs,
     symmetrized, whose eigenvalues and partial-transpose eigenvalues come
-    from one stacked call each.  A point's values do not depend on the
-    block it falls in.
+    from one stacked call each.  Each measure searches the block's valid
+    points in one call, as groups of one start scan per shape (rank, K)
+    (``measures._StartScan``); every point's report is bit for bit what
+    ``measures.eof_upper`` or ``measures.dcoef_sup`` gives it alone.  A
+    point's values depend neither on the block it falls in nor on the
+    points searched beside it.
 
     Records the minimal output eigenvalue and trace at every time, the
     negativity when the output is a valid state, and optionally the
@@ -231,23 +235,17 @@ def evolve_track(
         valid = (min_eig >= -NEGATIVE_EIG_TOL) & (np.abs(trace - 1.0) <= states.TRACE_TOL)
         # partial transpose on leg 2 of every valid output, as one stack
         pt = out[valid].reshape(-1, d1, d2, d1, d2).transpose(0, 1, 4, 3, 2)
-        w_pt = iter(np.linalg.eigvalsh(pt.reshape(-1, n, n)))
+        w_pt = np.linalg.eigvalsh(pt.reshape(-1, n, n))
+        cols = [[float(np.clip(-w, 0.0, None).sum()) for w in w_pt]]
+        if measure_eof or measure_dcoef:  # each measure searches the valid points in one call
+            measured = [states.DensityMatrix(m, d1, d2) for m in out[valid]]
+        searches = (measure_eof, measures._eof_uppers), (measure_dcoef, measures._dcoef_sups)
+        for on, search in searches:
+            reports = search(measured, K, restarts, iters, seed) if on else [None] * len(w_pt)
+            cols.append([rep.value if on else None for rep in reports])
+        rows = iter(zip(*cols))  # one per valid point
         for i, t in enumerate(times[lo:lo + _BLOCK]):
-            neg = None
-            eof_val = None
-            dsup_val = None
-            if valid[i]:
-                neg = float(np.clip(-next(w_pt), 0.0, None).sum())
-                if measure_eof or measure_dcoef:
-                    out_state = states.DensityMatrix(out[i], d1, d2)
-                if measure_eof:
-                    eof_val = measures.eof_upper(
-                        out_state, K=K, restarts=restarts, iters=iters, seed=seed
-                    ).value
-                if measure_dcoef:
-                    dsup_val = measures.dcoef_sup(
-                        out_state, K=K, restarts=restarts, iters=iters, seed=seed
-                    ).value
+            neg, eof_val, dsup_val = next(rows) if valid[i] else (None, None, None)
             pts.append(
                 TrackPoint(t, float(min_eig[i]), neg, eof_val, dsup_val, float(trace[i]))
             )

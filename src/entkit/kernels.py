@@ -97,7 +97,7 @@ def _retract(y):
 
 
 class _Entropy:
-    """The EOF objective of the rows u @ base, as ``_cg_step`` takes it."""
+    """The EOF objective of the rows u @ base (base (r, n), or (S, r, n) by start), for _cg_step."""
 
     floor = -np.inf  # never crossed
     max_step = _MAX_STEP
@@ -110,7 +110,7 @@ class _Entropy:
 
         One stacked eigendecomposition of the marginals gives both.
         """
-        r = _blocks(u @ self.base, self.d1, self.d2)
+        r = _blocks(u @ self._base(idx), self.d1, self.d2)
         lam, v = eigh(r @ r.conj().swapaxes(-1, -2))
         lam = np.maximum(lam, 0.0)
         p = lam.sum(axis=-1)
@@ -124,7 +124,11 @@ class _Entropy:
         g = (v * log_ratio[..., None, :]) @ (v.conj().swapaxes(-1, -2) @ r) * (2.0 / np.log(2.0))
         if self.d1 > self.d2:
             g = g.swapaxes(-1, -2)
-        return _tangent(u, g.reshape(u.shape[:-1] + (self.d1 * self.d2,)) @ self.base.conj().T)
+        base = self._base(idx).conj().swapaxes(-1, -2)
+        return _tangent(u, g.reshape(u.shape[:-1] + (self.d1 * self.d2,)) @ base)
+
+    def _base(self, idx):
+        return self.base if self.base.ndim == 2 else self.base[idx]
 
     def step(self, u, grad, direction, line):
         return eof_sweep(u, grad, direction, line, self.base, self.d1, self.d2)
@@ -273,7 +277,8 @@ def eof_sweep(u, grad, direction, line, base, d1, d2):
     """One Riemannian conjugate-gradient step of the EOF objective per isometry of ``u``.
 
     ``u`` is one isometry (K, r) or a stack (S, K, r) of independent starts,
-    each minimizing the objective of its rows u @ base; ``grad``,
+    each minimizing the objective of its rows u @ base, with ``base`` (r, n)
+    or one per start (S, r, n), as ``_Entropy`` takes it; ``grad``,
     ``direction`` and ``line`` ((2,) or (S, 2)) are as in ``_cg_step``,
     which does the step in place with a trial length of at most 4.  Returns
     the objective decrease summed over the stack.

@@ -194,35 +194,72 @@ def _multistart(results, n_structured, beaten=-np.inf):
 class _StartScan:
     """The searched starts of one or more groups, stepped as one stack.
 
-    A group is the start list of one search: EOF's one group, or one
-    ``dcoef_sup`` pair.  Group k's results go to ``_multistart`` in start
-    order, as one search alone would take them; ``taken[k]`` holds them,
-    None while a start runs.  Once it asks for more and none runs,
-    ``_draw`` enters the next starts of ``queue[k]``, K x rank isometries U.
-    ``objective(owner, sign)`` is the objective of the starts of groups
-    ``owner`` with start signs ``sign``; its ``step`` moves them and its
-    ``score`` values a start that ended.  A start steps until ``iters``
-    steps, a gain below ``tol`` or a value at or below EARLY_STOP_VALUE, then
-    scores its rows U B; a score at or below EARLY_STOP_VALUE, where
-    ``_multistart`` stops, drops its group's later starts.  Every start
+    A group is the start list of one search of one state: EOF's one group,
+    or one ``dcoef_sup`` pair.  ``run`` gives the states of one shape (split,
+    rank, K) one scan.  Group k's results go to ``_multistart`` in start
+    order, as its search alone would take them; ``taken[k]`` holds them,
+    None while a start runs.  Once it asks for more and none runs, ``_draw``
+    enters the next starts of ``queue[k]``, K x rank isometries U.
+    ``objective(scan, owner, sign)`` is the objective of the starts of
+    groups ``owner`` with start signs ``sign``, built from ``arrays``, a
+    row per group: its spectral rows ``base`` and what else it takes.  Its
+    ``step`` moves them and its ``score`` values a start that ended.  A
+    start steps until ``iters`` steps, a gain below ``tol`` or a value at or
+    below EARLY_STOP_VALUE, then scores its rows U B; a score at or below
+    EARLY_STOP_VALUE, where ``_multistart`` stops, drops its group's later
+    starts.  A round in which a start ends steps no start, so every start
     steps as it would alone.
     """
 
-    def __init__(self, base, objective, taken, queue, n_structured):
-        self.base, self.objective = base, objective
-        self.taken, self.queue, self.n_structured = taken, queue, n_structured
-        self.best = [np.inf] * len(taken)  # per group: its best value so far
-        self.found = [None] * len(taken)  # per group: its _multistart result once settled
+    def __init__(self, objective, split):
+        self.objective, self.split = objective, split
+        self.taken, self.queue, self.n_structured, self.found, self.arrays = [], [], [], [], {}
+        self.best = {}  # per group that drew starts: its best value so far
         self.a = {}  # per searched start: its arrays, stacked
+
+    @classmethod
+    def run(cls, searches, objective, iters, tol):
+        """The results of ``searches``, generators that each search one state.
+
+        A search returns its result, or yields its shape (split, rank, K).
+        Then it is sent its shape's scan, where it ``add``s its groups, and
+        each round the groups that got results, until it returns.
+        """
+        found, shapes = [None] * len(searches), {}
+        for i, search in enumerate(searches):
+            try:
+                shapes.setdefault(next(search), []).append(i)
+            except StopIteration as stop:
+                found[i] = stop.value
+        for (split, _, _), mine in shapes.items():
+            scan = news = cls(objective, split)
+            while mine:
+                for i in mine:
+                    try:
+                        searches[i].send(news)
+                    except StopIteration as stop:
+                        found[i] = stop.value
+                mine = [i for i in mine if found[i] is None]
+                news = scan.advance(iters, tol) if mine else None
+        return found
+
+    def add(self, taken, queue, n_structured, **arrays):
+        """Register groups, one per entry of ``taken``, ``queue`` and each array; their indices."""
+        first = len(self.taken)
+        self.taken, self.queue = self.taken + taken, self.queue + queue
+        self.n_structured += [n_structured] * len(taken)
+        self.found += [None] * len(taken)
+        for key, val in arrays.items():
+            self.arrays[key] = np.concatenate([self.arrays.get(key, val[:0]), val])
+        return range(first, len(self.taken))
 
     def _keep(self, keep):  # an empty stack is an empty dict
         self.a = {key: val[keep] for key, val in self.a.items()} if keep.any() else {}
 
-    def above(self, bound):
-        """Whether a group in the stack has its best so far and every start above ``bound``."""
-        owner = self.a["owner"]
-        low = set(owner[self.a["line"][:, 0] <= bound].tolist())
-        return any(self.best[k] > bound for k in set(owner.tolist()) - low)
+    def above(self, bound, groups):
+        """Whether a running group of ``groups`` has its best and all starts above ``bound``."""
+        low = set(self.a["owner"][self.a["line"][:, 0] <= bound].tolist())
+        return any(self.best[k] > bound for k in set(groups) - low)
 
     def review(self, k, beaten):
         """``_multistart`` of group k's results so far once it settles, else None.
@@ -236,7 +273,7 @@ class _StartScan:
             yield from itertools.takewhile(lambda result: result is not None, self.taken[k])
             asked.append(True)
 
-        found = _multistart(so_far(), self.n_structured, beaten)
+        found = _multistart(so_far(), self.n_structured[k], beaten)
         self.best[k] = found[0]
         if asked and (None in self.taken[k] or self._draw(k)):
             return None
@@ -251,7 +288,7 @@ class _StartScan:
         The random starts are drawn only if no structured start entered here
         is at or below EARLY_STOP_VALUE.  Returns whether any start entered.
         """
-        value = self._enter(k, max(0, self.n_structured - len(self.taken[k])))
+        value = self._enter(k, max(0, self.n_structured[k] - len(self.taken[k])))
         if not (value <= EARLY_STOP_VALUE).any():
             value = np.concatenate([value, self._enter(k, RESTART_PATIENCE)])
         return value.size > 0
@@ -266,9 +303,9 @@ class _StartScan:
         if not n:
             return np.zeros(0)
         owner = np.full(n, k)
-        value, parts = self.objective(owner, np.ones(n)).value(u, at)
+        value, parts = self.objective(self, owner, np.ones(n)).value(u, at)
         sign = np.where(value < 0.0, -1.0, 1.0)
-        grad = self.objective(owner, sign).gradient(u, at, parts)
+        grad = self.objective(self, owner, sign).gradient(u, at, parts)
         value = sign * value
         new = dict(
             u=u, grad=grad, direction=-grad, line=np.stack([value, np.ones(n)], axis=1),
@@ -286,7 +323,7 @@ class _StartScan:
         Returns the groups that got results.
         """
         a = self.a
-        objective = self.objective(a["owner"], a["sign"])
+        objective = self.objective(self, a["owner"], a["sign"])
         done = a["ended"] | (a["steps"] >= iters)
         if not done.any():
             before = a["line"][:, 0].copy()
@@ -297,7 +334,7 @@ class _StartScan:
         keep, news = ~done, set()
         for j in np.flatnonzero(done).tolist():
             k, i = int(a["owner"][j]), int(a["order"][j])
-            rows = a["u"][j] @ self.base
+            rows = a["u"][j] @ self.arrays["base"][k]
             value = objective.score(rows, a["line"][j, 0])
             self.taken[k][i] = (value, (rows, None), bool(a["ended"][j]))
             if value <= EARLY_STOP_VALUE:
@@ -492,11 +529,12 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     refined certificate of a state that carries one, the spectral ensemble
     (U = I) and up to ``restarts`` random K x rank isometries, drawn a window
     of RESTART_PATIENCE at a time, and none if a structured start is already
-    at EARLY_STOP_VALUE.  They are the one group of a ``_StartScan``, the
-    scan ``dcoef_sup`` runs its pairs on: they step together as one stack,
-    the structured ones padded with zero rows (which stay zero), and the
-    report is what running them one by one gives.  A start's value is
-    recomputed from its final rows.  Rank-one states short-circuit to the
+    at EARLY_STOP_VALUE.  They are one group of a ``_StartScan``, the scan
+    that ``dcoef_sup`` runs its pairs on and ``evolve_track`` the searches of
+    a block of points: they step together as one stack, the structured ones
+    padded with zero rows (which stay zero), and the report is what running
+    them one by one gives, whatever else the stack holds.  A start's value
+    is recomputed from its final rows.  Rank-one states short-circuit to the
     exact value.
 
     Two-qubit states get the exact value from Wootters' optimal
@@ -506,6 +544,22 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     separable rank-3 state with K = 3: its decomposition has 4 members, so
     it takes the search.
     """
+    return _eof_uppers([state], K, restarts, iters, seed, tol)[0]
+
+
+def _eof_uppers(many, K, restarts, iters, seed, tol=1e-10):
+    """``eof_upper`` of each state, the searches of states of one shape on one start scan."""
+    searches = [_eof_search(st, K, restarts, iters, seed) for st in many]
+    return _StartScan.run(searches, _entropy, iters, tol)
+
+
+def _entropy(scan, owner, sign):  # the rows of one state need no gathering by start
+    base = scan.arrays["base"]
+    return kernels._Entropy(base[0] if len(base) == 1 else base[owner], *scan.split)
+
+
+def _eof_search(state, K, restarts, iters, seed):
+    """The search of ``eof_upper``, as ``_StartScan.run`` takes it: the report."""
     base = _spectral_rows(state)
     rank = base.shape[0]
     K = _budget(rank, K, restarts, iters)
@@ -527,11 +581,11 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
         if refined is not None:
             starts.append(_isometry_of(refined[0], base, K))
     starts.append(np.eye(K, rank))
-    entropy = kernels._Entropy(base, d1, d2)
     queue = itertools.chain(starts, _random_isometries(K, rank, seed, 2, restarts))
-    scan = _StartScan(base, lambda owner, sign: entropy, [[]], [queue], len(starts))
-    while (found := scan.review(0, -np.inf)) is None:
-        scan.advance(iters, tol)
+    scan = yield state.split, rank, K
+    (k,) = scan.add([[]], [queue], len(starts), base=base[None])
+    while (found := scan.review(k, -np.inf)) is None:
+        yield
     best_value, (best_rows, _), best_converged, used = found
     cert = _ensemble_from_rows(best_rows, d1, d2, state)
     return MeasureReport(max(0.0, best_value), cert, best_converged, used)
@@ -547,28 +601,6 @@ def _hermitian_observable(a, d, name):
     if m.shape[0] != d:
         raise ValueError(f"{name} must be {d}x{d}, got {m.shape[0]}x{m.shape[0]}")
     return matcore.require_hermitian(m, matcore.HERMITICITY_TOL, name)
-
-
-def _dcoef_setup(state, K, restarts, iters):
-    """Pair-independent part of dcoef: (spectral rows, K, closed-form starts).
-
-    The closed-form starts, each (rows, gid), are the one group (the state)
-    and the refined certificate of a state that carries one.  Above rank
-    one, their rows are checked here, once per call.
-    """
-    base = _spectral_rows(state)
-    rank = base.shape[0]
-    K = _budget(rank, K, restarts, iters)
-    starts = [(base, np.zeros(rank, dtype=np.int64))]
-    if rank <= 1:  # no search: the one group is the only ensemble
-        return base, K, starts
-    _check_rows(state, base)
-    if state.certificate is not None:
-        refined = _refine_product_certificate(state.certificate, *state.split, K)
-        if refined is not None:
-            _check_rows(state, refined[0])
-            starts.append((refined[0], np.unique(refined[1], return_inverse=True)[1]))
-    return base, K, starts
 
 
 def _check_rows(state, rows):
@@ -605,24 +637,38 @@ def _start_values(rows, gid, e, f, joint):
     return np.abs(joint - terms.sum(axis=-1))
 
 
-def _dcoef_pairs(state, setup, e, f, seeds, restarts, iters, tol):
+def _correlation(scan, owner, sign):
+    return kernels._Correlation(scan.arrays["gram"][owner], scan.arrays["target"][owner], sign)
+
+
+def _dcoef_pairs(state, K, e, f, seeds, restarts, iters, tol):
     """Largest dcoef over the pairs (e_a, f_b): the search tuple, and the index k.
 
-    Pair k = a * n_f + b takes ``seeds[k]``.  The closed-form starts of
-    ``setup`` are scored at every pair in one contraction, the first giving
-    the pair's bound.  Each pair is a group of one ``_StartScan`` on its
-    ``kernels._Correlation`` objective.  Pairs are visited and pruned as
-    ``dcoef_sup`` says; a pair that a running pair may still beat waits
-    until it cannot.  A beaten pair stops through ``_multistart``'s
-    ``beaten``.
+    A search of ``_StartScan.run``.  Pair k = a * n_f + b takes ``seeds[k]``.
+    The closed-form starts (rows, gid), the one group and the refined
+    certificate of a state that carries one, are checked above rank one and
+    scored at every pair in one contraction, the first giving the pair's
+    bound.  Each pair is a group of the scan on ``kernels._Correlation``.
+    Pairs are visited and pruned as ``dcoef_sup`` says; a pair that a
+    running pair may still beat waits until it cannot.  A beaten pair
+    stops through ``_multistart``'s ``beaten``.
     """
-    base, K, starts = setup
+    base = _spectral_rows(state)
+    rank = base.shape[0]
+    K = _budget(rank, K, restarts, iters)
+    starts = [(base, np.zeros(rank, dtype=np.int64))]
+    if rank > 1:
+        _check_rows(state, base)
+        if state.certificate is not None:
+            refined = _refine_product_certificate(state.certificate, *state.split, K)
+            if refined is not None:
+                _check_rows(state, refined[0])
+                starts.append((refined[0], np.unique(refined[1], return_inverse=True)[1]))
     joint = _joint_table(state, e, f)
     closed = np.array([_start_values(*start, e, f, joint).ravel() for start in starts])
-    if base.shape[0] <= 1:
+    if rank <= 1:  # no search: the one group is the only ensemble
         k = int(np.argmax(np.where(closed[0] > EARLY_STOP_VALUE, closed[0], 0.0)))
         return (float(closed[0, k]), None, None, True, 0), k
-    rank = base.shape[0]
     cert = [_isometry_of(start[0], base, K) for start in starts[1:]]
     moves = iters > 0 and tol > 0  # one group cannot move: it converges iff a step runs
     taken, queue = [], []
@@ -640,52 +686,52 @@ def _dcoef_pairs(state, setup, e, f, seeds, restarts, iters, tol):
     g0, g1, g2 = np.diag(_weights(base)) + 0j, g1 @ base.T, g2 @ base.T
     grams = np.broadcast_arrays(g0, g1.swapaxes(1, 2)[:, None], g2.swapaxes(1, 2)[None])
     grams = np.concatenate(grams, axis=-1).reshape(-1, rank, 3 * rank)
-    targets = joint.ravel()
-    scan = _StartScan(
-        base, lambda owner, sign: kernels._Correlation(grams[owner], targets[owner], sign),
-        taken, queue, len(starts),
-    )
+    scan = yield state.split, rank, K
+    pairs = scan.add(taken, queue, len(starts), base=np.broadcast_to(base, (len(taken),) + base.shape),
+                     gram=grams, target=joint.ravel())
+    found = [None] * len(pairs)  # per pair, its _multistart result once settled
     # (value, k) of the best pair that ran its course; none yet beats no pair
-    best, visited = (-np.inf, closed.shape[1]), []
+    best, visited = (-np.inf, len(pairs)), []
 
     def review(todo):  # settle or feed the pairs with news, lowest k first
         nonlocal best
         while todo:
             k = min(todo)
             todo.discard(k)
-            if scan.found[k] is not None:
+            if found[k] is not None:
                 continue
             # a tie with a lower-k best loses too
             beaten = best[0] if k < best[1] else np.nextafter(best[0], np.inf)
-            found = scan.review(k, beaten)
-            if found is None or found[0] < beaten:  # still running, or beaten
+            found[k] = scan.review(pairs[k], beaten)
+            if found[k] is None or found[k][0] < beaten:  # still running, or beaten
                 continue
-            if found[1][1] is None:  # searched rows
-                _check_rows(state, found[1][0])
-            key = (found[0] if found[0] > EARLY_STOP_VALUE else 0.0, -k)
+            if found[k][1][1] is None:  # searched rows
+                _check_rows(state, found[k][1][0])
+            key = (found[k][0] if found[k][0] > EARLY_STOP_VALUE else 0.0, -k)
             if key > (best[0], -best[1]):
                 best = (key[0], k)
-                todo |= {i for i in visited if scan.found[i] is None}
+                todo |= {i for i in visited if found[i] is None}
 
     order = np.argsort(-closed[0], kind="stable").tolist()
     news = set()
     while True:
-        review(news)
+        review({k - pairs.start for k in news if k in pairs})
         # visit pairs in decreasing order of their bound while it reaches the
         # best value; defer one that a running pair may still beat
         while order and closed[0, order[0]] >= best[0]:
-            if scan.a and scan.above(closed[0, order[0]]):
+            running = [pairs[k] for k in visited if found[k] is None]
+            if running and scan.above(closed[0, order[0]], running):
                 break
             visited.append(order.pop(0))
             review({visited[-1]})
         else:
             order = []  # the bounds left are below the best value
-        if not scan.a:
+        if all(found[k] is not None for k in visited):  # no start of the state runs
             break
-        news = scan.advance(iters, tol)
-    value, (rows, gid), _, _ = scan.found[best[1]]
-    converged = all(scan.found[k][2] for k in visited)
-    used = sum(scan.found[k][3] for k in visited)
+        news = yield
+    value, (rows, gid), _, _ = found[best[1]]
+    converged = all(found[k][2] for k in visited)
+    used = sum(found[k][3] for k in visited)
     return (value, rows, gid, converged, used), best[1]
 
 
@@ -724,8 +770,8 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     """
     a1 = _hermitian_observable(a1, state.d1, "a1")
     a2 = _hermitian_observable(a2, state.d2, "a2")
-    setup = _dcoef_setup(state, K, restarts, iters)
-    found, _ = _dcoef_pairs(state, setup, a1[None], a2[None], [seed], restarts, iters, tol)
+    search = _dcoef_pairs(state, K, a1[None], a2[None], [seed], restarts, iters, tol)
+    found, _ = _StartScan.run([search], _correlation, iters, tol)[0]
     return _dcoef_report(state, *found)
 
 
@@ -764,9 +810,10 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     tr(rho_1 e) tr(rho_2 f)|, so pairs are visited in decreasing order of it
     and skipped once it is below the value of a pair that has run its
     course.  The visited pairs' searched starts step together as one stack
-    (each pair a group of the scan ``eof_upper`` also runs on), and a pair
-    leaves it once its best value so far is below such a value,
-    or equal to it and later in basis order: it can no longer win.  Each
+    (each pair a group of the scan ``eof_upper`` also runs on, which
+    ``evolve_track`` shares among the points of a block), and a pair leaves
+    it once its best value so far is below such a value, or equal to it
+    and later in basis order: it can no longer win.  Each
     pair keeps the seed child it has in basis order, values at or below
     EARLY_STOP_VALUE tie as zero and ties go to the first pair, so
     ``value``, ``pair`` and the certificate are those of scanning every
@@ -774,9 +821,15 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     ``restarts_used`` counts the starts each visited pair took, and
     ``converged`` holds when every visited pair's best start so far did.
     """
-    setup = _dcoef_setup(state, K, restarts, iters)
-    e = np.array(gell_mann_basis(state.d1))
-    f = np.array(gell_mann_basis(state.d2))
-    seeds = _as_seed_sequence(seed).spawn(e.shape[0] * f.shape[0])
-    found, k = _dcoef_pairs(state, setup, e, f, seeds, restarts, iters, 1e-10)
-    return _dcoef_report(state, *found, divmod(k, f.shape[0]))
+    return _dcoef_sups([state], K, restarts, iters, seed)[0]
+
+
+def _dcoef_sups(many, K, restarts, iters, seed):
+    """``dcoef_sup`` of each state, the searches of states of one shape on one start scan."""
+    searches = []
+    for state in many:
+        e, f = (np.array(gell_mann_basis(d)) for d in state.split)
+        seeds = _as_seed_sequence(seed).spawn(e.shape[0] * f.shape[0])
+        searches.append(_dcoef_pairs(state, K, e, f, seeds, restarts, iters, 1e-10))
+    found = _StartScan.run(searches, _correlation, iters, 1e-10)
+    return [_dcoef_report(st, *res, divmod(k, st.d2**2 - 1)) for st, (res, k) in zip(many, found)]

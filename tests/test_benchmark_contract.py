@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from entkit import dynamics, kernels, maps, measures, states
+import entkit
+from entkit import cli, dynamics, kernels, maps, measures, states
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = ROOT / "BENCHMARK.json"
@@ -84,3 +85,17 @@ def test_return_counters_yield_real_numbers():
             assert key.startswith(name + "."), key
             assert np.ndim(val) == 0 and np.isrealobj(val), (key, val)
             assert math.isfinite(float(val)), (key, val)
+
+
+def test_traced_cli_reads_its_input_through_state_from_json(tmp_path):
+    # the CLI looks the reader up when it loads a file, so the tracer's
+    # wrapper runs and states.state_from_json.s counts the reads
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps(states.state_to_json(states.bell_state(1))))
+    tracer = _load_tracer().Tracer(entkit)
+    tracer.install()
+    try:
+        assert cli.main(["state", "info", "--in", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["states.state_from_json"]["calls"] == 1

@@ -254,6 +254,15 @@ def test_searches_take_the_states_ppt_takes(near_psd_file, argv):
     assert proc.returncode == 0 and proc.stderr == ""
 
 
+def test_state_info_takes_the_states_ppt_takes(near_psd_file):
+    # a marginal of this state reaches -1.6e-9, below -PSD_TOL: state info
+    # projects it, where it used to exit 2
+    proc = run_cli("state", "info", "--in", str(near_psd_file))
+    assert proc.returncode == 0 and proc.stderr == ""
+    info = load_json(proc.stdout)
+    assert info["marginal_entropy_1"] == 0.0 and abs(info["marginal_entropy_2"] - 1.0) < 1e-12
+
+
 def test_integral_float_sizes_read_as_integers(tmp_path):
     # sizes 2.0 and integer-valued re give the verdict that 2 and floats give
     path = tmp_path / "ints.json"

@@ -308,15 +308,16 @@ class TestDualOncePerTrack:
 
     @pytest.mark.parametrize("split", [3, 16, 20])
     def test_block_boundaries_are_invisible_to_the_measures(self, split):
-        bell = states.bell_state(1)
-        fam = _built_in("depolarizing_flow", 2)
-        budget = {"measure_eof": True, "measure_dcoef": True, "K": 4, "restarts": 1, "iters": 5, "seed": 3}
+        # on a 2 x 2 and a 3 x 3 track: the searched EOF only runs on the second
         grid = np.linspace(0.0, 2.0, 21)
-        whole = dynamics.evolve_track(bell, fam, grid, **budget)
-        head = dynamics.evolve_track(bell, fam, grid[:split], **budget)
-        tail = dynamics.evolve_track(bell, fam, grid[split:], **budget)
-        assert all(pt.eof_upper is not None and pt.dcoef_sup is not None for pt in whole.points)
-        assert whole.points == head.points + tail.points
+        for st, d, K in ((states.bell_state(1), 2, 4), (states.isotropic_state(0.7, 3), 3, 9)):
+            fam = _built_in("depolarizing_flow", d)
+            budget = {"measure_eof": True, "measure_dcoef": True, "K": K, "restarts": 1, "iters": 5, "seed": 3}
+            whole = dynamics.evolve_track(st, fam, grid, **budget)
+            head = dynamics.evolve_track(st, fam, grid[:split], **budget)
+            tail = dynamics.evolve_track(st, fam, grid[split:], **budget)
+            assert all(pt.eof_upper is not None and pt.dcoef_sup is not None for pt in whole.points)
+            assert whole.points == head.points + tail.points
 
     def test_weight_must_start_at_one(self):
         target = maps.catalog("transpose", d=2)
@@ -330,6 +331,95 @@ class TestDualOncePerTrack:
         wide = maps.ChoiMatrix(np.eye(6), 2, 3)
         with pytest.raises(ValueError, match="does not map M_d to itself"):
             dynamics.ChannelFamily("wide", wide, lambda t: 1.0)
+
+
+def _pure_2x3():
+    v = np.array([0.6, 0.0, 0.2, 0.0, 0.0, 0.6j])
+    v /= np.linalg.norm(v)
+    return states.DensityMatrix(np.outer(v, v.conj()), 2, 3)
+
+
+# (state, family, time grid, evolve_track budget) of the stacked tracks: the
+# Bell track of the cli-session benchmark; a 3 x 3 track with the searched
+# EOF; a 2 x 3 track with invalid points; and a track whose t = 0 point is
+# rank one, so that its first block mixes ranks
+STACKED_TRACKS = {
+    "bell": (
+        states.bell_state(1), ("depolarizing_flow", 2, {"rate": 1.0}), np.linspace(0.0, 1.5, 7),
+        {"K": 4, "restarts": 2, "seed": 7},
+    ),
+    "isotropic-3x3": (
+        states.isotropic_state(0.7, 3), ("depolarizing_flow", 3, {"rate": 1.0}),
+        np.linspace(0.0, 1.5, 6), {"K": 9, "restarts": 1, "iters": 6, "seed": 1},
+    ),
+    "random-2x3-transpose-mix": (
+        states.random_density(2, 3, seed=5), ("transpose_mix", 2, {"speed": 1.0}),
+        np.linspace(0.0, 1.5, 8), {"K": 6, "restarts": 2, "iters": 10, "seed": 2},
+    ),
+    "pure-at-t0": (
+        _pure_2x3(), ("depolarizing_flow", 2, {"rate": 1.0}), np.linspace(0.0, 1.0, 5),
+        {"K": 6, "restarts": 2, "iters": 10, "seed": 3},
+    ),
+}
+
+
+def _same_report(got, want):
+    assert got.value == want.value and got.pair == want.pair
+    assert got.restarts_used == want.restarts_used and got.converged == want.converged
+    assert np.array_equal(got.certificate.weights, want.certificate.weights)
+    assert len(got.certificate.components) == len(want.certificate.components)
+    for a, b in zip(got.certificate.components, want.certificate.components):
+        assert np.array_equal(a.mat, b.mat)
+
+
+class TestStackedSearches:
+    """Each measure searches a block's valid points in one call, one start scan per shape."""
+
+    @pytest.mark.parametrize("name", list(STACKED_TRACKS))
+    def test_points_and_reports_equal_the_per_point_calls(self, name, monkeypatch):
+        st, (fam_name, d, params), grid, budget = STACKED_TRACKS[name]
+        fam = dynamics.family_catalog(fam_name, d=d, **params)
+        calls = {"_eof_uppers": [], "_dcoef_sups": []}
+        for search, seen in calls.items():
+            def recorded(many, *args, inner=getattr(measures, search), seen=seen):
+                reports = inner(many, *args)
+                seen.append(list(zip(many, reports)))
+                return reports
+
+            monkeypatch.setattr(measures, search, recorded)
+        scans = []
+        init = measures._StartScan.__init__
+
+        def counted(scan, *args):
+            init(scan, *args)
+            scans.append(scan)
+
+        monkeypatch.setattr(measures._StartScan, "__init__", counted)
+        rec = dynamics.evolve_track(st, fam, grid, measure_eof=True, measure_dcoef=True, **budget)
+        monkeypatch.undo()
+
+        # one call per measure and block, on the block's valid points
+        blocks = -(-len(grid) // dynamics._BLOCK)
+        assert [len(seen) for seen in calls.values()] == [blocks, blocks]
+        valid = [pt for pt in rec.points if pt.negativity is not None]
+        kwargs = {"K": budget["K"], "restarts": budget["restarts"], "seed": budget["seed"]}
+        kwargs["iters"] = budget.get("iters", 40)
+        for (search, seen), column in zip(calls.items(), ("eof_upper", "dcoef_sup")):
+            pairs = [pair for block in seen for pair in block]
+            assert [getattr(pt, column) for pt in valid] == [rep.value for _, rep in pairs]
+            single = measures.eof_upper if search == "_eof_uppers" else measures.dcoef_sup
+            for state, rep in pairs:
+                _same_report(rep, single(state, **kwargs))
+        # the searched points of a block share one scan per rank: dcoef_sup
+        # searches above rank one, and eof_upper beyond two qubits
+        ranks = [[measures._spectral_rows(state).shape[0] for state, _ in block]
+                 for block in calls["_dcoef_sups"]]
+        shapes = sum(len(set(block) - {1}) for block in ranks)
+        assert len(scans) == (shapes if st.split == (2, 2) else 2 * shapes)
+        if name == "random-2x3-transpose-mix":
+            assert len(valid) < len(rec.points)
+        if name == "pure-at-t0":
+            assert ranks[0][0] == 1 and len(set(ranks[0])) > 1
 
 
 class TestSerialization:

@@ -85,6 +85,27 @@ class TestRestrict:
         assert_allclose(red.mat, np.eye(2) / 2, atol=1e-12)
         assert red.split == (2, 1)
 
+    def test_marginal_below_psd_tol_is_projected(self):
+        # the state is held to -PSD_TOL, its leg-1 marginal reaches -2 e =
+        # -1.6e-9: restrict projects it onto the states instead of refusing it
+        e = 8e-10
+        st = states.DensityMatrix(np.diag([0.5 + e, 0.5 + e, -e, -e]), 2, 2)
+        assert np.array_equal(states.restrict(st, 1).mat, np.diag([1.0, 0.0]).astype(complex))
+        assert_allclose(states.restrict(st, 2).mat, np.eye(2) / 2, atol=1e-15)
+        assert states.von_neumann_entropy(states.restrict(st, 1)) == 0.0
+
+    def test_marginals_within_psd_tol_are_kept_bit_for_bit(self):
+        # restrict is the partial trace, as DensityMatrix symmetrizes it,
+        # on every state whose marginal is not below -PSD_TOL
+        fixtures = [states.random_density(d1, d2, rank=r, seed=s)
+                    for d1, d2, r, s in ((2, 2, 4, 1), (2, 3, 2, 2), (3, 3, 5, 3), (3, 2, 6, 4))]
+        fixtures += [states.bell_state(1), states.werner_state(0.3), states.isotropic_state(0.7, 3)]
+        for st in fixtures:
+            for leg in (1, 2):
+                red = matcore.partial_trace(st.mat, st.split, keep=leg)
+                want = states.DensityMatrix(red, st.split[leg - 1], 1).mat
+                assert np.array_equal(states.restrict(st, leg).mat, want)
+
     def test_werner_sweep(self):
         # Werner reductions are maximally mixed for every p (direct oracle)
         for p in np.linspace(0, 1, 11):
