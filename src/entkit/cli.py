@@ -28,9 +28,7 @@ def _dump_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load(path, reader=None):
-    # reader defaults to states.state_from_json, found at call time so that a
-    # replaced states attribute is the one that runs
+def _load(path, reader=None):  # states.state_from_json, looked up at call time
     with open(path, encoding="utf-8") as fh:
         return (reader or states.state_from_json)(json.load(fh))
 

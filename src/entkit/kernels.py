@@ -277,8 +277,7 @@ def eof_sweep(u, grad, direction, line, base, d1, d2):
     """One Riemannian conjugate-gradient step of the EOF objective per isometry of ``u``.
 
     ``u`` is one isometry (K, r) or a stack (S, K, r) of independent starts,
-    each minimizing the objective of its rows u @ base, with ``base`` (r, n)
-    or one per start (S, r, n), as ``_Entropy`` takes it; ``grad``,
+    each minimizing the objective of its rows u @ base (as ``_Entropy``); ``grad``,
     ``direction`` and ``line`` ((2,) or (S, 2)) are as in ``_cg_step``,
     which does the step in place with a trial length of at most 4.  Returns
     the objective decrease summed over the stack.

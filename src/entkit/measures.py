@@ -194,21 +194,19 @@ def _multistart(results, n_structured, beaten=-np.inf):
 class _StartScan:
     """The searched starts of one or more groups, stepped as one stack.
 
-    A group is the start list of one search of one state: EOF's one group,
-    or one ``dcoef_sup`` pair.  ``run`` gives the states of one shape (split,
-    rank, K) one scan.  Group k's results go to ``_multistart`` in start
-    order, as its search alone would take them; ``taken[k]`` holds them,
-    None while a start runs.  Once it asks for more and none runs, ``_draw``
-    enters the next starts of ``queue[k]``, K x rank isometries U.
-    ``objective(scan, owner, sign)`` is the objective of the starts of
-    groups ``owner`` with start signs ``sign``, built from ``arrays``, a
-    row per group: its spectral rows ``base`` and what else it takes.  Its
-    ``step`` moves them and its ``score`` values a start that ended.  A
-    start steps until ``iters`` steps, a gain below ``tol`` or a value at or
-    below EARLY_STOP_VALUE, then scores its rows U B; a score at or below
-    EARLY_STOP_VALUE, where ``_multistart`` stops, drops its group's later
-    starts.  A round in which a start ends steps no start, so every start
-    steps as it would alone.
+    A group is the start list of one search: EOF's one group, or one
+    ``dcoef_sup`` pair, of any state of the scan's shape.  Group k's results
+    go to ``_multistart`` in start order, as one search alone would take
+    them; ``taken[k]`` holds them, None while a start runs.  Once it asks
+    for more and none runs, ``_draw`` enters the next starts of
+    ``queue[k]``, K x rank isometries U.  ``objective(scan, owner, sign)``
+    is the objective of the starts of groups ``owner`` with start signs
+    ``sign``, from ``arrays`` (a row per group: spectral rows ``base``, and
+    the like); its ``step`` moves them and its ``score`` values a start that
+    ended.  A start steps until ``iters`` steps, a gain below ``tol`` or a
+    value at or below EARLY_STOP_VALUE, then scores its rows U B; a score at
+    or below EARLY_STOP_VALUE, where ``_multistart`` stops, drops its
+    group's later starts.  Every start steps as it would alone.
     """
 
     def __init__(self, objective, split):
@@ -219,11 +217,10 @@ class _StartScan:
 
     @classmethod
     def run(cls, searches, objective, iters, tol):
-        """The results of ``searches``, generators that each search one state.
+        """The results of ``searches``, generators that each return one or yield its shape.
 
-        A search returns its result, or yields its shape (split, rank, K).
-        Then it is sent its shape's scan, where it ``add``s its groups, and
-        each round the groups that got results, until it returns.
+        A shape (split, rank, K) gets one scan; each of its searches is sent
+        it, ``add``s its groups, and is then sent each round's news.
         """
         found, shapes = [None] * len(searches), {}
         for i, search in enumerate(searches):
@@ -257,9 +254,10 @@ class _StartScan:
         self.a = {key: val[keep] for key, val in self.a.items()} if keep.any() else {}
 
     def above(self, bound, groups):
-        """Whether a running group of ``groups`` has its best and all starts above ``bound``."""
-        low = set(self.a["owner"][self.a["line"][:, 0] <= bound].tolist())
-        return any(self.best[k] > bound for k in set(groups) - low)
+        """Whether a stacked group of ``groups`` has its best and all starts above ``bound``."""
+        owner = self.a["owner"]
+        low = set(owner[self.a["line"][:, 0] <= bound].tolist())
+        return any(self.best[k] > bound for k in set(owner.tolist()) - low if k in groups)
 
     def review(self, k, beaten):
         """``_multistart`` of group k's results so far once it settles, else None.
@@ -529,13 +527,11 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     refined certificate of a state that carries one, the spectral ensemble
     (U = I) and up to ``restarts`` random K x rank isometries, drawn a window
     of RESTART_PATIENCE at a time, and none if a structured start is already
-    at EARLY_STOP_VALUE.  They are one group of a ``_StartScan``, the scan
-    that ``dcoef_sup`` runs its pairs on and ``evolve_track`` the searches of
-    a block of points: they step together as one stack, the structured ones
-    padded with zero rows (which stay zero), and the report is what running
-    them one by one gives, whatever else the stack holds.  A start's value
-    is recomputed from its final rows.  Rank-one states short-circuit to the
-    exact value.
+    at EARLY_STOP_VALUE.  They are one group of a ``_StartScan``, as in
+    ``dcoef_sup`` and ``evolve_track``: they step as one stack, the
+    structured ones padded with zero rows (which stay zero), and the report
+    is what running them alone gives, whatever else the stack holds.  A
+    start's value is recomputed from its final rows; rank one is exact.
 
     Two-qubit states get the exact value from Wootters' optimal
     decomposition, whose members all have the state's concurrence; the
@@ -550,12 +546,8 @@ def eof_upper(state, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
 def _eof_uppers(many, K, restarts, iters, seed, tol=1e-10):
     """``eof_upper`` of each state, the searches of states of one shape on one start scan."""
     searches = [_eof_search(st, K, restarts, iters, seed) for st in many]
-    return _StartScan.run(searches, _entropy, iters, tol)
-
-
-def _entropy(scan, owner, sign):  # the rows of one state need no gathering by start
-    base = scan.arrays["base"]
-    return kernels._Entropy(base[0] if len(base) == 1 else base[owner], *scan.split)
+    entropy = lambda scan, owner, sign: kernels._Entropy(scan.arrays["base"][owner], *scan.split)
+    return _StartScan.run(searches, entropy, iters, tol)
 
 
 def _eof_search(state, K, restarts, iters, seed):
@@ -642,16 +634,14 @@ def _correlation(scan, owner, sign):
 
 
 def _dcoef_pairs(state, K, e, f, seeds, restarts, iters, tol):
-    """Largest dcoef over the pairs (e_a, f_b): the search tuple, and the index k.
+    """The search of ``_StartScan.run`` for the largest dcoef over the pairs (e_a, f_b).
 
-    A search of ``_StartScan.run``.  Pair k = a * n_f + b takes ``seeds[k]``.
-    The closed-form starts (rows, gid), the one group and the refined
-    certificate of a state that carries one, are checked above rank one and
-    scored at every pair in one contraction, the first giving the pair's
-    bound.  Each pair is a group of the scan on ``kernels._Correlation``.
-    Pairs are visited and pruned as ``dcoef_sup`` says; a pair that a
-    running pair may still beat waits until it cannot.  A beaten pair
-    stops through ``_multistart``'s ``beaten``.
+    Returns the search tuple and the index k; pair k = a * n_f + b takes
+    ``seeds[k]``.  The closed-form starts (rows, gid), the one group and a
+    refined certificate, are scored at every pair in one contraction, the
+    first giving the pair's bound.  Each pair is a group of the scan.  Pairs
+    are visited and pruned as ``dcoef_sup`` says; a pair that a running
+    pair may still beat waits until it cannot, a beaten one stops.
     """
     base = _spectral_rows(state)
     rank = base.shape[0]
@@ -687,9 +677,8 @@ def _dcoef_pairs(state, K, e, f, seeds, restarts, iters, tol):
     grams = np.broadcast_arrays(g0, g1.swapaxes(1, 2)[:, None], g2.swapaxes(1, 2)[None])
     grams = np.concatenate(grams, axis=-1).reshape(-1, rank, 3 * rank)
     scan = yield state.split, rank, K
-    pairs = scan.add(taken, queue, len(starts), base=np.broadcast_to(base, (len(taken),) + base.shape),
-                     gram=grams, target=joint.ravel())
-    found = [None] * len(pairs)  # per pair, its _multistart result once settled
+    bases = np.broadcast_to(base, (len(taken),) + base.shape)
+    pairs = scan.add(taken, queue, len(starts), base=bases, gram=grams, target=joint.ravel())
     # (value, k) of the best pair that ran its course; none yet beats no pair
     best, visited = (-np.inf, len(pairs)), []
 
@@ -698,19 +687,19 @@ def _dcoef_pairs(state, K, e, f, seeds, restarts, iters, tol):
         while todo:
             k = min(todo)
             todo.discard(k)
-            if found[k] is not None:
+            if scan.found[pairs[k]] is not None:
                 continue
             # a tie with a lower-k best loses too
             beaten = best[0] if k < best[1] else np.nextafter(best[0], np.inf)
-            found[k] = scan.review(pairs[k], beaten)
-            if found[k] is None or found[k][0] < beaten:  # still running, or beaten
+            found = scan.review(pairs[k], beaten)
+            if found is None or found[0] < beaten:  # still running, or beaten
                 continue
-            if found[k][1][1] is None:  # searched rows
-                _check_rows(state, found[k][1][0])
-            key = (found[k][0] if found[k][0] > EARLY_STOP_VALUE else 0.0, -k)
+            if found[1][1] is None:  # searched rows
+                _check_rows(state, found[1][0])
+            key = (found[0] if found[0] > EARLY_STOP_VALUE else 0.0, -k)
             if key > (best[0], -best[1]):
                 best = (key[0], k)
-                todo |= {i for i in visited if found[i] is None}
+                todo |= set(visited)  # the settled ones are skipped
 
     order = np.argsort(-closed[0], kind="stable").tolist()
     news = set()
@@ -719,19 +708,18 @@ def _dcoef_pairs(state, K, e, f, seeds, restarts, iters, tol):
         # visit pairs in decreasing order of their bound while it reaches the
         # best value; defer one that a running pair may still beat
         while order and closed[0, order[0]] >= best[0]:
-            running = [pairs[k] for k in visited if found[k] is None]
-            if running and scan.above(closed[0, order[0]], running):
+            if scan.a and scan.above(closed[0, order[0]], pairs):
                 break
             visited.append(order.pop(0))
             review({visited[-1]})
         else:
             order = []  # the bounds left are below the best value
-        if all(found[k] is not None for k in visited):  # no start of the state runs
+        if not scan.a or all(scan.found[pairs[k]] is not None for k in visited):  # none runs
             break
         news = yield
-    value, (rows, gid), _, _ = found[best[1]]
-    converged = all(found[k][2] for k in visited)
-    used = sum(found[k][3] for k in visited)
+    value, (rows, gid), _, _ = scan.found[pairs[best[1]]]
+    converged = all(scan.found[pairs[k]][2] for k in visited)
+    used = sum(scan.found[pairs[k]][3] for k in visited)
     return (value, rows, gid, converged, used), best[1]
 
 
@@ -810,10 +798,9 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     tr(rho_1 e) tr(rho_2 f)|, so pairs are visited in decreasing order of it
     and skipped once it is below the value of a pair that has run its
     course.  The visited pairs' searched starts step together as one stack
-    (each pair a group of the scan ``eof_upper`` also runs on, which
-    ``evolve_track`` shares among the points of a block), and a pair leaves
-    it once its best value so far is below such a value, or equal to it
-    and later in basis order: it can no longer win.  Each
+    (each pair a group of a ``_StartScan``, as in ``eof_upper``), and a pair
+    leaves it once its best value so far is below such a value,
+    or equal to it and later in basis order: it can no longer win.  Each
     pair keeps the seed child it has in basis order, values at or below
     EARLY_STOP_VALUE tie as zero and ties go to the first pair, so
     ``value``, ``pair`` and the certificate are those of scanning every

@@ -115,19 +115,15 @@ class Ensemble:
 
 
 def restrict(state, leg):
-    """Marginal of a bipartite state on one leg, as a (d, 1)-split state.
-
-    A state is held to -PSD_TOL, so its marginal can reach -d' PSD_TOL, d'
-    the other leg's size.  A marginal below -PSD_TOL is projected onto the
-    positive semidefinite cone and renormalized; any other is kept as it is.
-    """
+    """Marginal of a bipartite state on one leg, as a (d, 1)-split state."""
     if leg not in (1, 2):
         raise ValueError(f"leg must be 1 or 2, got {leg}")
     red = matcore.partial_trace(state.mat, state.split, keep=leg)
-    if matcore.min_eigenvalue(red) < -PSD_TOL:
+    try:
+        return DensityMatrix(red, state.split[leg - 1], 1)
+    except ValueError:  # it can reach -d' PSD_TOL, d' the other leg's size: project it
         red = matcore.psd_project(red)
-        red /= np.trace(red).real
-    return DensityMatrix(red, state.split[leg - 1], 1)
+        return DensityMatrix(red / np.trace(red).real, state.split[leg - 1], 1)
 
 
 def entropy_of_eigenvalues(w):
