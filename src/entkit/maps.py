@@ -55,6 +55,13 @@ class ChoiMatrix:
         pt = matcore.partial_transpose(self.mat, (self.d_in, self.d_out), leg=2)
         return matcore.min_eigenvalue(pt)
 
+    @cached_property
+    def dual(self):
+        """The Choi matrix of the adjoint map (see ``dual_map``), built once."""
+        dual4 = self.tensor4().conj().transpose(1, 0, 3, 2)
+        mat = np.ascontiguousarray(dual4.reshape(self.dim, self.dim))
+        return ChoiMatrix(mat, self.d_out, self.d_in)
+
     def tensor4(self):
         """View as C[i, a, j, b] with (i, j) input and (a, b) output indices."""
         return self.mat.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
@@ -93,7 +100,9 @@ def apply_map(choi, x, d2=1):
     X is split as (d_in, d2) x (d_in, d2) and the output is
     out[(a,k),(b,l)] = sum_ij X[(i,k),(j,l)] C[i,a,j,b], a d_out*d2 square
     matrix; ``d2=1`` is the plain action t(X)_ab = sum_ij X_ij C[i,a,j,b].
-    This never builds the (d_in*d2*d_out*d2)-wide Choi matrix of t ox id.
+    The sum is one (d2^2, d_in^2) x (d_in^2, d_out^2) matrix product, X
+    indexed by (k,l),(i,j) and C by (i,j),(a,b); it never builds the
+    (d_in*d2*d_out*d2)-wide Choi matrix of t ox id.
     """
     if d2 < 1:
         raise ValueError(f"identity dimension must be >= 1, got {d2}")
@@ -103,8 +112,9 @@ def apply_map(choi, x, d2=1):
             f"input dimension {xm.shape[0]} does not match map input "
             f"{choi.d_in} times identity dimension {d2}"
         )
-    x4 = xm.reshape(choi.d_in, d2, choi.d_in, d2)
-    out = np.einsum("ikjl,iajb->akbl", x4, choi.tensor4())
+    x2 = xm.reshape(choi.d_in, d2, choi.d_in, d2).transpose(1, 3, 0, 2).reshape(d2 * d2, -1)
+    c2 = choi.tensor4().transpose(0, 2, 1, 3).reshape(choi.d_in**2, -1)
+    out = (x2 @ c2).reshape(d2, d2, choi.d_out, choi.d_out).transpose(2, 0, 3, 1)
     d = choi.d_out * d2
     return out.reshape(d, d)
 
@@ -112,12 +122,10 @@ def apply_map(choi, x, d2=1):
 def dual_map(choi):
     """Choi matrix of the adjoint map w.r.t. the trace inner product.
 
-    Satisfies tr[t(X)^+ Y] = tr[X^+ t^d(Y)] for all X, Y.
+    Satisfies tr[t(X)^+ Y] = tr[X^+ t^d(Y)] for all X, Y.  It is
+    ``choi.dual``, built once per ChoiMatrix.
     """
-    c4 = choi.tensor4()
-    dual4 = c4.conj().transpose(1, 0, 3, 2)
-    d = choi.d_in * choi.d_out
-    return ChoiMatrix(np.ascontiguousarray(dual4.reshape(d, d)), choi.d_out, choi.d_in)
+    return choi.dual
 
 
 def tensor_with_identity(choi, d2):
@@ -311,8 +319,9 @@ def is_decomposable(choi, max_iter=DEFAULT_DECOMP_ITERS, tol=DEFAULT_DECOMP_TOL)
     co-CP set {A : (C - A)^PT >= 0}: from z = C, each iteration takes
     y = P_psd(z), x = P_shift(2y - z) and z <- z + x - y, which converges
     for any two closed convex sets (Lions & Mercier, SIAM J. Numer. Anal.
-    16, 964 (1979)).  The residual ||y - P_shift(y)||_F measures how far the
-    split (y, C - y) is from valid; below ``tol`` it is returned.  When no
+    16, 964 (1979)).  The residual, the Frobenius norm of the negative part
+    of (C - y)^PT (from its eigenvalues alone), measures how far the split
+    (y, C - y) is from valid; below ``tol`` it is returned.  When no
     split exists the gap y - x tends to the gap vector between the two sets
     (Bauschke & Moursi, Math. Program. 164, 263 (2017)), a PPT operator W
     with tr(W C) < 0; at iterations 1, 2, 4, 8, ... and at the last one the
@@ -335,7 +344,8 @@ def is_decomposable(choi, max_iter=DEFAULT_DECOMP_ITERS, tol=DEFAULT_DECOMP_TOL)
         y = matcore.psd_project(z)
         x = _project_co_cp_shifted(2.0 * y - z, cmat, dims)
         z = z + x - y
-        residual = matcore.frobenius_norm(y - _project_co_cp_shifted(y, cmat, dims))
+        pt = matcore.partial_transpose(cmat - y, dims, leg=2)
+        residual = matcore.frobenius_norm(np.minimum(np.linalg.eigvalsh(pt), 0.0))
         if residual < tol:
             return DecomposabilityReport(True, residual, iterations, y, cmat - y)
         if iterations & (iterations - 1) == 0 or iterations == max_iter:

@@ -154,8 +154,7 @@ def psd_project(h, tol=HERMITICITY_TOL):
 def min_eigenvalue(h, tol=HERMITICITY_TOL):
     """Smallest eigenvalue of a hermitian matrix."""
     sym = require_hermitian(h, tol, "min_eigenvalue")
-    w, _ = kernels.eigh(sym)
-    return float(w[0])
+    return float(np.linalg.eigvalsh(sym)[0])
 
 
 class Catalog:

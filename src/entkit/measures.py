@@ -46,7 +46,7 @@ def ppt_test(state, tol=WITNESS_TOL):
 def negativity(state):
     """Sum of the magnitudes of the negative partial-transpose eigenvalues."""
     pt = matcore.partial_transpose(state.mat, state.split, leg=2)
-    w, _ = matcore.hermitian_eig(pt)
+    w = np.linalg.eigvalsh(pt)
     return float(np.clip(-w, 0.0, None).sum())
 
 
@@ -71,7 +71,7 @@ def map_witness(state, choi, tol=WITNESS_TOL):
         raise ValueError(
             f"map input dimension {choi.d_in} does not match leg 1 ({state.d1})"
         )
-    out = maps.apply_map(maps.dual_map(choi), state.mat, state.d2)
+    out = maps.apply_map(choi.dual, state.mat, state.d2)
     lo = matcore.min_eigenvalue(out)
     return WitnessReport(lo, lo < -tol)
 

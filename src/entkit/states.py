@@ -40,7 +40,7 @@ class DensityMatrix:
         tr = float(np.trace(a).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} differs from 1")
-        w, _ = kernels.eigh(a)
+        w = np.linalg.eigvalsh(a)
         if w[0] < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
         a.setflags(write=False)
@@ -55,8 +55,7 @@ class DensityMatrix:
         return (self.d1, self.d2)
 
     def eigenvalues(self):
-        w, _ = matcore.hermitian_eig(self.mat)
-        return w
+        return np.linalg.eigvalsh(self.mat)
 
     def rank(self, tol=1e-9):
         return int((self.eigenvalues() > tol).sum())
@@ -130,9 +129,8 @@ def entropy_of_eigenvalues(w):
     """Shannon entropy in bits of a spectrum, flooring tiny eigenvalues."""
     w = np.asarray(w, dtype=np.float64)
     nz = w[w > kernels.ENTROPY_FLOOR]
-    if nz.size == 0:
-        return 0.0
-    return float(-(nz * np.log2(nz)).sum())
+    # 0.0 - sum, not -sum: a pure spectrum sums to 0.0 and gives +0.0, not -0.0
+    return float(0.0 - (nz * np.log2(nz)).sum())
 
 
 def von_neumann_entropy(state):

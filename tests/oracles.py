@@ -250,6 +250,22 @@ def block_positivity_lower_reference(c, d_in, d_out):
     return float(np.linalg.eigvalsh(c)[0]), float(np.linalg.eigvalsh(pt)[0])
 
 
+def apply_map_reference(c, d_in, d_out, x, d2):
+    """(t ox id_d2)(X) from the defining sum over the Choi entries C[i,a,j,b].
+
+    out[(a,k),(b,l)] = sum_ij X[(i,k),(j,l)] C[i,a,j,b], as one einsum.
+    """
+    c4 = np.asarray(c, dtype=complex).reshape(d_in, d_out, d_in, d_out)
+    x4 = np.asarray(x, dtype=complex).reshape(d_in, d2, d_in, d2)
+    return np.einsum("ikjl,iajb->akbl", x4, c4).reshape(d_out * d2, d_out * d2)
+
+
+def decomposition_residual_reference(c, part_cp, d_in, d_out):
+    """||min(0, eigvalsh((C - A)^PT))||_2: how far the split (A, C - A) is from valid."""
+    pt = pt_reference(np.asarray(c) - part_cp, d_in, d_out, leg=2)
+    return float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(pt), 0.0)))
+
+
 def random_hermitian(rng, n, scale=1.0):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (g + g.conj().T) / 2.0

@@ -102,12 +102,31 @@ class TestStateCommands:
         assert abs(np.trace(st.mat).real - 1.0) < 1e-9
         assert st.split == (2, 2)
 
-    def test_info_bell(self, bell_file):
+    def test_info_bell(self, bell_file, tmp_path):
         proc = run_cli("state", "info", "--in", str(bell_file))
         rep = load_json(proc.stdout)
         assert rep["rank"] == 1
         assert abs(rep["entropy_bits"]) < 1e-9
         assert abs(rep["marginal_entropy_1"] - 1.0) < 1e-9
+        # a product of pure states has pure marginals: every entropy prints
+        # as 0.0, never -0.0
+        legs = []
+        for d, k in ((2, 0), (3, 1)):
+            path = tmp_path / f"pure{d}.json"
+            mat = np.zeros((d, d))
+            mat[k, k] = 1.0
+            path.write_text(json.dumps(
+                {"d1": d, "d2": 1, "re": mat.tolist(), "im": np.zeros((d, d)).tolist()}
+            ))
+            legs.append(str(path))
+        product = tmp_path / "product.json"
+        run_cli("state", "make", "--family", "product", "--in1", legs[0], "--in2", legs[1],
+                "--out", str(product))
+        proc = run_cli("state", "info", "--in", str(product))
+        assert "-0.0" not in proc.stdout
+        rep = load_json(proc.stdout)
+        for key in ("entropy_bits", "marginal_entropy_1", "marginal_entropy_2"):
+            assert rep[key] == 0.0 and np.copysign(1.0, rep[key]) == 1.0
 
     def test_bad_parameter_exit_2(self):
         proc = spawn_cli("state", "make", "--family", "werner", "--p", "2", check=False)

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 from entkit import cli, maps, matcore, states
 
 from oracles import (
+    apply_map_reference,
     block_positivity_lower_reference,
+    decomposition_residual_reference,
     generalized_choi_decomposable,
     generalized_choi_map,
     generalized_choi_positive,
@@ -74,19 +76,25 @@ class TestApplyMap:
         with pytest.raises(ValueError):
             maps.apply_map(ident, np.eye(2), d2=0)
 
-    @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 2), (2, 2)])
-    @pytest.mark.parametrize("d2", [1, 2, 3])
+    @pytest.mark.parametrize("d_out", [2, 3, 4])
+    @pytest.mark.parametrize("d_in", [2, 3, 4])
+    @pytest.mark.parametrize("d2", [1, 2, 3, 5])
     def test_leg_one_matches_tensor_with_identity(self, d_in, d_out, d2):
+        # the expected side is the defining sum, computed apart from apply_map;
+        # the wide Choi matrix of t ox id applied to X must give it too
         rng = np.random.default_rng(100 * d_in + 10 * d_out + d2)
         for _ in range(3):
-            choi = maps.ChoiMatrix(random_hermitian(rng, d_in * d_out), d_in, d_out)
+            c = random_hermitian(rng, d_in * d_out)
+            choi = maps.ChoiMatrix(c, d_in, d_out)
             x = rng.standard_normal((d_in * d2,) * 2) + 1j * rng.standard_normal(
                 (d_in * d2,) * 2
             )
             got = maps.apply_map(choi, x, d2)
-            expected = maps.apply_map(maps.tensor_with_identity(choi, d2), x)
+            expected = apply_map_reference(c, d_in, d_out, x, d2)
+            wide = maps.apply_map(maps.tensor_with_identity(choi, d2), x)
             assert got.shape == (d_out * d2, d_out * d2)
             assert np.abs(got - expected).max() < 1e-12
+            assert np.abs(wide - expected).max() < 1e-12
 
 
 class TestDualMap:
@@ -311,6 +319,8 @@ def assert_valid_split(rep, choi, tol):
     a, b = rep.part_cp, rep.part_co_cp
     b_pt = pt_reference(b, choi.d_in, choi.d_out, leg=2)
     assert rep.residual < tol
+    residual = decomposition_residual_reference(choi.mat, a, choi.d_in, choi.d_out)
+    assert abs(rep.residual - residual) <= 1e-12
     assert np.abs(a + b - choi.mat).max() < 1e-12
     assert np.abs(a - a.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(a).min() >= -1e-12
@@ -451,6 +461,34 @@ class TestDecomposability:
         rep = maps.is_decomposable(maps.catalog("choi_map"), max_iter=5000)
         assert rep.decomposable is False
         assert rep.residual >= 1e-3
+        assert rep.iterations == 8  # the iteration the README names
+
+    @pytest.mark.parametrize("tol", [1.0, 0.5])
+    def test_loose_tol_residual_matches_reference(self, tol):
+        # a tol above Choi's map's residuals returns an early split (y, C - y),
+        # so the residual is checked where it is far from 0
+        choi = maps.catalog("choi_map")
+        rep = maps.is_decomposable(choi, tol=tol)
+        assert rep.decomposable is True and 0.1 < rep.residual < tol
+        residual = decomposition_residual_reference(choi.mat, rep.part_cp, 3, 3)
+        assert abs(rep.residual - residual) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("identity", {"d": 3}),
+            ("transpose", {"d": 3}),
+            ("depolarizing", {"d": 3, "lam": 0.5}),
+            ("reduction", {"d": 3}),
+            ("werner_holevo", {"d": 3}),
+        ],
+    )
+    def test_catalog_residual_matches_reference(self, name, params):
+        choi = maps.catalog(name, **params)
+        rep = maps.is_decomposable(choi)
+        assert rep.decomposable is True
+        residual = decomposition_residual_reference(choi.mat, rep.part_cp, 3, 3)
+        assert abs(rep.residual - residual) <= 1e-12
 
     @pytest.mark.parametrize(
         "label,d",
@@ -507,10 +545,11 @@ class TestDecomposability:
             maps.is_decomposable(strict_mixture(0), max_iter=max_iter)
 
     def test_strict_mixture_converges(self):
-        rep = maps.is_decomposable(strict_mixture(0), max_iter=2000, tol=1e-8)
+        choi = strict_mixture(0)
+        rep = maps.is_decomposable(choi, max_iter=2000, tol=1e-8)
         assert rep.decomposable is True
         assert rep.iterations <= 2000
-        assert rep.residual < 1e-8
+        assert_valid_split(rep, choi, 1e-8)
 
     def test_split_validity(self):
         choi = strict_mixture(1)

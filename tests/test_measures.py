@@ -91,6 +91,19 @@ class TestMapWitness:
                 ref = np.linalg.eigvalsh(maps.apply_map(big, st.mat)).min()
                 assert abs(measures.map_witness(st, choi).lambda_min - ref) < 1e-12
 
+    def test_dual_built_once_per_map(self, monkeypatch):
+        # the dual is a cached property of the ChoiMatrix: witnesses of many
+        # states with one map build and validate it once
+        choi = maps.catalog("reduction", d=3)
+        built = []
+        init = maps.ChoiMatrix.__post_init__
+        monkeypatch.setattr(
+            maps.ChoiMatrix, "__post_init__", lambda self: (built.append(self), init(self))
+        )
+        for f in (0.1, 0.5, 0.9):
+            measures.map_witness(states.isotropic_state(f, 3), choi)
+        assert len(built) == 1 and maps.dual_map(choi) is built[0]
+
 
 class TestNegativity:
     def test_separable(self):
