@@ -5,13 +5,18 @@ two objectives and the one Riemannian conjugate-gradient step both searches
 run.  Each objective (``_Entropy``, ``_Correlation``) gives its value and
 gradient, and says how a start steps (``step``) and how an ended start is
 scored (``score``), so ``measures._StartScan`` drives both searches the
-same way.  Ensembles are (K, n) arrays of subnormalized pure-state rows on a
-d1 x d2 split.  Following Audenaert, Verstraete & De Moor, PRA 64, 052304
-(2001), every size-K pure ensemble of a state is X = U B, with B the (r, n)
-spectral rows and U a K x r isometry, so both searches run on the Stiefel
-manifold of such U, a stack (S, K, r) of starts at a time: the Riemannian
-gradient is the tangent part G_U - U sym(U^+ G_U) of the Euclidean one and
-the QR factor of U + t D is the retraction.  For EOF (``_Entropy``), with
+same way.  It also sets the step's line search: the longest trial
+(``max_step``), a floor the value may not cross (``floor``), and whether a
+failed trial is followed by the minimizer of the line's quadratic model
+(``interpolate``: EOF; Nocedal & Wright, Numerical Optimization, sec. 3.5)
+or by half its length (``dcoef``).  Ensembles are (K, n) arrays of
+subnormalized pure-state rows on a d1 x d2 split.  Following Audenaert,
+Verstraete & De Moor, PRA 64, 052304 (2001), every size-K pure ensemble of
+a state is X = U B, with B the (r, n) spectral rows and U a K x r
+isometry, so both searches run on the Stiefel manifold of such U, a stack
+(S, K, r) of starts at a time: the Riemannian gradient is the tangent part
+G_U - U sym(U^+ G_U) of the Euclidean one and the QR factor of U + t D is
+the retraction.  For EOF (``_Entropy``), with
 R_i row i as a d x d' matrix (d = min(d1, d2)), M_i = R_i R_i^+ and
 p_i = tr M_i, the objective sum_i p_i S(M_i / p_i) has
 G_R,i = 2 (log p_i I - log M_i) R_i / ln 2, rows G_X and G_U = G_X B^+.
@@ -28,9 +33,11 @@ ENTROPY_FLOOR = 1e-12
 # would otherwise blow up as a marginal becomes pure.
 _LOG_FLOOR = 1e-15
 # Sufficient-decrease constant of the Armijo test.  The first trial is 4
-# times the last accepted step, and a weak constant such as 1e-4 accepts
-# steps far past the minimum along the line, which spoils the conjugate
-# directions: certificate-free separable 2 x 3 states then stall near 1e-8.
+# times the last accepted step (at most _MAX_STEP); a failed one is followed
+# by half its length or, for EOF, by the minimizer of the line's quadratic
+# model.  A weak constant such as 1e-4 accepts steps far past the minimum
+# along the line, which spoils the conjugate directions: certificate-free
+# separable 2 x 3 states then stall near 1e-8.
 _ARMIJO = 0.3
 _MAX_STEP = 4.0
 _MIN_STEP = 1e-12
@@ -101,6 +108,7 @@ class _Entropy:
 
     floor = -np.inf  # never crossed
     max_step = _MAX_STEP
+    interpolate = True
 
     def __init__(self, base, d1, d2):
         self.base, self.d1, self.d2 = base, d1, d2
@@ -155,6 +163,7 @@ class _Correlation:
 
     floor = 0.0
     max_step = _MAX_STEP
+    interpolate = False
 
     def __init__(self, gram, target, sign):
         self.gram, self.target, self.sign = gram, target, sign
@@ -228,16 +237,20 @@ def _cg_step(u, grad, direction, line, objective):
     ``objective.gradient(x, idx, parts)`` their Riemannian gradients.
     ``u``, its gradient ``grad``, the search direction ``direction`` and
     ``line`` ((S, 2): the objective at u and the next trial step length) are
-    updated in place.  Each start backtracks from its trial length by
-    halving until the Armijo condition holds, evaluating only the starts
-    still backtracking, moves to the retracted point, sets its next trial
-    length to 4 times the accepted one (at most ``objective.max_step``), and
-    takes the Polak-Ribiere+ direction with the old direction and gradient
-    projected onto the new tangent space.  A trial below ``objective.floor``
-    (0, or -inf for none) ends the line search on zero (``_onto_zero``),
-    its gradient and direction left as they were.  A start does not move at
-    a zero gradient or when no step length down to 1e-12 decreases it
-    enough.  Returns the objective decrease summed over the stack.
+    updated in place.  Each start backtracks from its trial length until
+    the Armijo condition holds, evaluating only the starts still
+    backtracking.  With ``objective.interpolate`` a failed trial of length
+    s is followed by the minimizer of the quadratic through the value and
+    slope at 0 and the value at s, kept in [s / 10, s / 2] (s / 2 if that
+    model is not convex); otherwise by s / 2.  The start then moves to the
+    retracted point, sets its next trial length to 4 times the accepted one
+    (at most ``objective.max_step``), and takes the Polak-Ribiere+ direction
+    with the old direction and gradient projected onto the new tangent
+    space.  A trial below ``objective.floor`` (0, or -inf for none) ends the
+    line search on zero (``_onto_zero``), its gradient and direction left as
+    they were.  A start does not move at a zero gradient or when no step
+    length down to 1e-12 decreases it enough.  Returns the objective
+    decrease summed over the stack.
     """
     value, t = line[:, 0].copy(), line[:, 1].copy()
     slope = _inner(grad, direction)
@@ -267,8 +280,16 @@ def _cg_step(u, grad, direction, line, objective):
                 u[at], direction[at], step[crossed], value[at], new[crossed], trial[crossed],
                 objective, at,
             )
-        pending = pending[~(ok | crossed)]
-        t[pending] *= 0.5
+        failed = ~(ok | crossed)
+        pending = pending[failed]
+        if objective.interpolate:  # the model value + slope s + c s^2 meets new at s = step
+            step, new = step[failed], new[failed]
+            curve = new - value[pending] - slope[pending] * step  # c step^2
+            convex = curve > 0.0  # always after a failed Armijo test, unless new is NaN
+            best = -slope[pending] * step * step / (2.0 * np.where(convex, curve, 1.0))
+            t[pending] = np.where(convex, np.clip(best, 0.1 * step, 0.5 * step), 0.5 * step)
+        else:
+            t[pending] *= 0.5
         pending = pending[t[pending] >= _MIN_STEP]
     return float((value - line[:, 0]).sum())
 
@@ -279,7 +300,8 @@ def eof_sweep(u, grad, direction, line, base, d1, d2):
     ``u`` is one isometry (K, r) or a stack (S, K, r) of independent starts,
     each minimizing the objective of its rows u @ base (as ``_Entropy``); ``grad``,
     ``direction`` and ``line`` ((2,) or (S, 2)) are as in ``_cg_step``,
-    which does the step in place with a trial length of at most 4.  Returns
+    which does the step in place with a trial length of at most 4 and, after
+    a failed trial, the minimizer of the line's quadratic model.  Returns
     the objective decrease summed over the stack.
     """
     if u.ndim == 2:  # one isometry: a stack of one, through views

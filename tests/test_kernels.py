@@ -254,3 +254,77 @@ def test_step_across_the_target_lands_on_it(monkeypatch):
     assert solved == [1] and abs(line[0, 0]) <= 1e-15
     assert abs(objective.value(u, [0])[0][0] - line[0, 0]) == 0.0
     assert np.abs(u[0].conj().T @ u[0] - np.eye(4)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("interpolate", [True, False], ids=["model", "halving"])
+def test_failed_trial_is_followed_by_the_clipped_model_minimizer(interpolate):
+    # after a trial of length t fails the Armijo test, the next trial length
+    # is the minimizer of the quadratic through the value and slope at 0 and
+    # the value at t, kept in [t / 10, t / 2]; the EOF objective does so, the
+    # dcoef objective halves
+    assert kernels._Entropy.interpolate and not kernels._Correlation.interpolate
+    state = states.isotropic_state(0.5, 3)
+    base = measures._spectral_rows(state)
+    u = np.array(list(measures._random_isometries(9, base.shape[0], 3, 0, 6)))
+    value, grad = _value_gradient(u, base, 3, 3)
+    direction, line = -grad, np.stack([value, np.ones(u.shape[0])], axis=1)
+    for _ in range(12):  # conjugate directions near the minimum, where long trials fail
+        kernels.eof_sweep(u, grad, direction, line, base, 3, 3)
+    line[:, 1] = 4.0 * 4.0 ** np.arange(6)  # first trials from the cap up
+    start, d, value, length = u.copy(), direction.copy(), line[:, 0].copy(), line[:, 1].copy()
+    slope = np.array([np.vdot(g, e).real for g, e in zip(grad, direction)])
+    assert (slope < 0.0).all()
+    trials = []
+
+    class Recording(kernels._Entropy):
+        def value(self, x, idx):
+            out = super().value(x, idx)
+            trials.append((x.copy(), idx.copy(), out[0].copy()))
+            return out
+
+    Recording.interpolate = interpolate
+    kernels._cg_step(u, grad, direction, line, Recording(base, 3, 3))
+    accepted, ratios = set(), []
+    for x, idx, new in trials:
+        for j, s in enumerate(idx.tolist()):
+            assert s not in accepted
+            t = length[s]
+            assert np.abs(x[j] - kernels._retract(start[s] + t * d[s])).max() < 1e-12
+            if new[j] <= value[s] + 0.3 * t * slope[s]:
+                accepted.add(s)
+                continue
+            length[s] = 0.5 * t
+            if interpolate:
+                curve = new[j] - value[s] - slope[s] * t
+                assert curve > 0.0  # a failed Armijo test leaves a convex model
+                length[s] = min(max(-slope[s] * t * t / (2.0 * curve), 0.1 * t), 0.5 * t)
+            ratios.append(length[s] / t)
+    assert accepted == set(range(u.shape[0]))
+    if interpolate:  # the clip at both ends, and a minimizer inside
+        assert min(ratios) == pytest.approx(0.1) and max(ratios) == pytest.approx(0.5)
+        assert any(0.1 < r < 0.5 for r in ratios)
+    else:
+        assert ratios and set(ratios) == {0.5}
+
+
+def test_eof_search_evaluates_under_two_starts_per_start_step(monkeypatch):
+    # the three isotropic 3 x 3 searches of the ensemble-search benchmark: a
+    # failed trial goes to the model's minimizer instead of halving, so a
+    # start is evaluated fewer than twice per step on average
+    counts = {"evaluations": 0, "steps": 0}
+    value, sweep = kernels._Entropy.value, kernels.eof_sweep
+
+    def counting_value(self, u, idx):
+        counts["evaluations"] += u.shape[0]
+        return value(self, u, idx)
+
+    def counting_sweep(u, *args):
+        counts["steps"] += u.shape[0]
+        return sweep(u, *args)
+
+    monkeypatch.setattr(kernels._Entropy, "value", counting_value)
+    monkeypatch.setattr(kernels, "eof_sweep", counting_sweep)
+    for i, f in enumerate((0.4, 0.5, 0.7)):
+        measures.eof_upper(states.isotropic_state(f, 3), K=9, restarts=4, seed=21 + i)
+    assert counts["steps"] > 0
+    assert counts["evaluations"] <= 2.0 * counts["steps"]

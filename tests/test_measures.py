@@ -937,6 +937,31 @@ def test_eof_separable_without_certificate_is_zero(split, seed):
     _assert_sound_eof(rep, state)
 
 
+def test_eof_separable_battery_without_certificate():
+    # 30 certificate-free separable states (2 x 3 and 3 x 2, seeds 10-24):
+    # at most 2 end above 1e-9
+    above = []
+    for split in ((2, 3), (3, 2)):
+        for seed in range(10, 25):
+            mat = states.random_separable(*split, m=2, seed=seed).mat
+            rep = measures.eof_upper(states.DensityMatrix(mat, *split), restarts=4, seed=seed - 10)
+            if rep.value > 1e-9:
+                above.append((split, seed, rep.value))
+    assert len(above) <= 2, above
+
+
+def test_eof_isotropic_3x3_median_gap_to_terhal_vollbrecht():
+    # 21 searches, F = 0.35-0.9 at seeds 0-2: median relative gap at most 5e-6
+    gaps = []
+    for f in (0.35, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        exact = tv_isotropic_eof(f, 3)
+        for seed in range(3):
+            rep = measures.eof_upper(states.isotropic_state(f, 3), K=9, restarts=4, seed=seed)
+            assert rep.value >= exact - 1e-9
+            gaps.append((rep.value - exact) / exact)
+    assert np.median(gaps) <= 5e-6
+
+
 def test_tv_oracle_self_check():
     for d in (2, 3, 4):
         assert tv_isotropic_eof(0.5 / d, d) == 0.0
@@ -1007,6 +1032,18 @@ def _ref_retract(y):
     return q * (d / np.abs(d))
 
 
+def _ref_next_trial(value, slope, trial_t, new):
+    """Length after a failed trial: argmin of the quadratic model, in [trial_t / 10, trial_t / 2].
+
+    The model q(s) = value + slope s + a s^2 meets the trial's value at
+    s = trial_t; a model with a <= 0 has no minimizer, and the length halves.
+    """
+    a = (new - value - slope * trial_t) / trial_t**2
+    if not a > 0.0:
+        return trial_t / 2.0
+    return min(max(-slope / (2.0 * a), trial_t / 10.0), trial_t / 2.0)
+
+
 def _ref_step(u, grad, direction, value, t, base, d1, d2):
     """One Armijo / Polak-Ribiere+ step: (u, grad, direction, value, t, gain)."""
     slope = np.vdot(grad, direction).real
@@ -1021,7 +1058,7 @@ def _ref_step(u, grad, direction, value, t, base, d1, d2):
             beta = max(0.0, beta / np.vdot(grad, grad).real)
             direction = beta * _ref_tangent(trial, direction) - new_grad
             return trial, new_grad, direction, new, min(4.0 * trial_t, 4.0), value - new
-        trial_t *= 0.5
+        trial_t = _ref_next_trial(value, slope, trial_t, new)
     return u, grad, direction, value, t, 0.0
 
 
@@ -1163,7 +1200,7 @@ def test_no_start_after_a_zero_is_stepped(monkeypatch):
         return gain
 
     monkeypatch.setattr(kernels, "eof_sweep", recording)
-    state = _separable((2, 3), 10)
+    state = _separable((2, 3), 13)
     rep = measures.eof_upper(state, restarts=4, seed=0)
     assert rep.restarts_used == eof_upper_reference(state, 36, restarts=4, seed=0)[3] == 2
     first = next(c for c, line in enumerate(calls) if (line <= measures.EARLY_STOP_VALUE).any())
