@@ -1,25 +1,23 @@
 """Numpy kernels of the ensemble searches: EOF and the correlation coefficient.
 
 A hermitian eigensolver, the per-member weighted marginal entropies, the
-two objectives and the one Riemannian conjugate-gradient step both searches
-run.  Each objective (``_Entropy``, ``_Correlation``) gives its value and
-gradient, and says how a start steps (``step``) and how an ended start is
-scored (``score``), so ``measures._StartScan`` drives both searches the
-same way.  It also sets the step's line search: the longest trial
-(``max_step``), a floor the value may not cross (``floor``), and whether a
-failed trial is followed by the minimizer of the line's quadratic model
-(``interpolate``: EOF; Nocedal & Wright, Numerical Optimization, sec. 3.5)
-or by half its length (``dcoef``).  Ensembles are (K, n) arrays of
-subnormalized pure-state rows on a d1 x d2 split.  Following Audenaert,
-Verstraete & De Moor, PRA 64, 052304 (2001), every size-K pure ensemble of
-a state is X = U B, with B the (r, n) spectral rows and U a K x r
-isometry, so both searches run on the Stiefel manifold of such U, a stack
-(S, K, r) of starts at a time: the Riemannian gradient is the tangent part
+two objectives and the one Riemannian conjugate-gradient step both
+searches run.  Each objective (``_Entropy``, ``_Correlation``) gives its
+value and gradient, how a start steps (``step``), how an ended start is
+scored (``score``), the longest trial step (``max_step``) and a floor the
+value may not cross (``floor``), so ``measures._StartScan`` drives both
+searches the same way, with one line search (Nocedal & Wright, Numerical
+Optimization, sec. 3.5).  Ensembles are (K, n) arrays of subnormalized
+pure-state rows on a d1 x d2 split.  Following Audenaert, Verstraete &
+De Moor, PRA 64, 052304 (2001), every size-K pure ensemble of a state is
+X = U B, with B the (r, n) spectral rows and U a K x r isometry, so both
+searches run on the Stiefel manifold of such U, a stack (S, K, r) of
+starts at a time: the Riemannian gradient is the tangent part
 G_U - U sym(U^+ G_U) of the Euclidean one and the QR factor of U + t D is
-the retraction.  For EOF (``_Entropy``), with
-R_i row i as a d x d' matrix (d = min(d1, d2)), M_i = R_i R_i^+ and
-p_i = tr M_i, the objective sum_i p_i S(M_i / p_i) has
-G_R,i = 2 (log p_i I - log M_i) R_i / ln 2, rows G_X and G_U = G_X B^+.
+the retraction.  For EOF (``_Entropy``), with R_i row i as a d x d'
+matrix (d = min(d1, d2)), M_i = R_i R_i^+ and p_i = tr M_i, the objective
+sum_i p_i S(M_i / p_i) has G_R,i = 2 (log p_i I - log M_i) R_i / ln 2,
+rows G_X and G_U = G_X B^+.
 """
 
 import numpy as np
@@ -34,10 +32,10 @@ ENTROPY_FLOOR = 1e-12
 _LOG_FLOOR = 1e-15
 # Sufficient-decrease constant of the Armijo test.  The first trial is 4
 # times the last accepted step (at most _MAX_STEP); a failed one is followed
-# by half its length or, for EOF, by the minimizer of the line's quadratic
-# model.  A weak constant such as 1e-4 accepts steps far past the minimum
-# along the line, which spoils the conjugate directions: certificate-free
-# separable 2 x 3 states then stall near 1e-8.
+# by the minimizer of the line's quadratic model.  A weak constant such as
+# 1e-4 accepts steps far past the minimum along the line, which spoils the
+# conjugate directions: certificate-free separable 2 x 3 states then stall
+# near 1e-8.
 _ARMIJO = 0.3
 _MAX_STEP = 4.0
 _MIN_STEP = 1e-12
@@ -108,7 +106,6 @@ class _Entropy:
 
     floor = -np.inf  # never crossed
     max_step = _MAX_STEP
-    interpolate = True
 
     def __init__(self, base, d1, d2):
         self.base, self.d1, self.d2 = base, d1, d2
@@ -163,7 +160,6 @@ class _Correlation:
 
     floor = 0.0
     max_step = _MAX_STEP
-    interpolate = False
 
     def __init__(self, gram, target, sign):
         self.gram, self.target, self.sign = gram, target, sign
@@ -194,24 +190,28 @@ class _Correlation:
         return abs(float(h))
 
 
-def _onto_zero(u, direction, step, high, low, trial, objective, idx):
+def _onto_zero(u, direction, step, high, slope, low, trial, objective, idx):
     """Points where the objective is zero on the retracted line u + t direction.
 
-    Per start the objective is ``high`` > 0 at t = 0 and ``low`` < 0 at
-    t = ``step``, whose point is ``trial``.  Illinois regula falsi shrinks
-    [0, step] until the objective is at most _ZERO_TOL in magnitude, the
-    bracket stops shrinking or _ZERO_ROUNDS run out.  Returns the points of
-    smallest magnitude and their objective values.
+    Per start the objective is ``high`` > 0 with slope ``slope`` at t = 0
+    and ``low`` < 0 at t = ``step``, whose point is ``trial``.  The first
+    point is the root in (0, step) of the quadratic through these, then
+    Illinois regula falsi shrinks the bracket until the objective is at
+    most _ZERO_TOL in magnitude, the bracket stops shrinking or
+    _ZERO_ROUNDS run out.  Returns the points of smallest magnitude and
+    their objective values.
     """
     bracket, ends = np.stack([np.zeros_like(step), step], axis=1), np.stack([high, low], axis=1)
     side = np.full(step.shape[0], -1)  # the end the last round replaced
     near = high < -low
     best, value = np.where(near[:, None, None], u, trial), np.where(near, high, low)
+    curve = (low - high - slope * step) / (step * step)  # the model high + slope t + curve t^2
+    root = 2.0 * high / (np.sqrt(np.maximum(slope * slope - 4.0 * curve * high, 0.0)) - slope)
     live = np.arange(step.shape[0])
-    for _ in range(_ZERO_ROUNDS):
+    for i in range(_ZERO_ROUNDS):
         live = live[np.abs(value[live]) > _ZERO_TOL]
         (t_lo, t_hi), (f_lo, f_hi) = bracket[live].T, ends[live].T
-        t = (t_lo * f_hi - t_hi * f_lo) / (f_hi - f_lo)
+        t = root[live] if i == 0 else (t_lo * f_hi - t_hi * f_lo) / (f_hi - f_lo)
         moved = (t_lo < t) & (t < t_hi)
         live, t = live[moved], t[moved]
         if not live.size:
@@ -231,65 +231,63 @@ def _onto_zero(u, direction, step, high, low, trial, objective, idx):
 def _cg_step(u, grad, direction, line, objective):
     """One Riemannian conjugate-gradient step per isometry of the stack ``u``, in place.
 
-    ``u`` (S, K, r) holds independent starts, each minimizing ``objective``:
-    ``objective.value(x, idx)`` gives the values and gradient parts of
-    isometries x of the starts ``idx`` of the stack, and
-    ``objective.gradient(x, idx, parts)`` their Riemannian gradients.
-    ``u``, its gradient ``grad``, the search direction ``direction`` and
-    ``line`` ((S, 2): the objective at u and the next trial step length) are
+    ``u`` (S, K, r) holds independent starts, each minimizing ``objective``,
+    whose ``value(x, idx)`` gives the values and gradient parts of
+    isometries x of the starts ``idx`` (an index array, or a slice when
+    every start is in, so that nothing is gathered) and ``gradient(x, idx,
+    parts)`` their Riemannian gradients.  ``u``, ``grad``, ``direction``
+    and ``line`` ((S, 2): the value at u and the next trial length) are
     updated in place.  Each start backtracks from its trial length until
-    the Armijo condition holds, evaluating only the starts still
-    backtracking.  With ``objective.interpolate`` a failed trial of length
-    s is followed by the minimizer of the quadratic through the value and
-    slope at 0 and the value at s, kept in [s / 10, s / 2] (s / 2 if that
-    model is not convex); otherwise by s / 2.  The start then moves to the
-    retracted point, sets its next trial length to 4 times the accepted one
-    (at most ``objective.max_step``), and takes the Polak-Ribiere+ direction
-    with the old direction and gradient projected onto the new tangent
-    space.  A trial below ``objective.floor`` (0, or -inf for none) ends the
-    line search on zero (``_onto_zero``), its gradient and direction left as
-    they were.  A start does not move at a zero gradient or when no step
-    length down to 1e-12 decreases it enough.  Returns the objective
-    decrease summed over the stack.
+    the Armijo condition holds: a failed trial of length s is followed by
+    the minimizer of the quadratic through the value and slope at 0 and the
+    value at s, kept in [s / 10, s / 2] (s / 2 if that model is not
+    convex).  The start then moves to the retracted point, sets its next
+    trial length to 4 times the accepted one (at most
+    ``objective.max_step``), and takes the Polak-Ribiere+ direction with
+    the old direction and gradient projected onto the new tangent space.
+    A trial below ``objective.floor`` (0, or -inf for none) ends the line
+    search on zero (``_onto_zero``), gradient and direction left as they
+    were.  A start does not move at a zero gradient or when no step length
+    down to 1e-12 decreases it enough.  Returns the summed decrease.
     """
     value, t = line[:, 0].copy(), line[:, 1].copy()
     slope = _inner(grad, direction)
     reset = slope >= 0.0  # not a descent direction: steepest descent
-    direction[reset] = -grad[reset]
-    slope[reset] = -_inner(grad[reset], grad[reset])
+    if reset.any():
+        direction[reset] = -grad[reset]
+        slope[reset] = -_inner(grad[reset], grad[reset])
     pending = np.flatnonzero(slope < 0.0)  # a zero gradient does not step
     while pending.size:
-        step = t[pending]
-        trial = _retract(u[pending] + step[:, None, None] * direction[pending])
-        new, parts = objective.value(trial, pending)
+        at = slice(None) if pending.size == len(u) else pending  # every start: views, no gathers
+        step = t[at]
+        trial = _retract(u[at] + step[:, None, None] * direction[at])
+        new, parts = objective.value(trial, at)
         crossed = new < objective.floor
-        ok = ~crossed & (new <= value[pending] + _ARMIJO * step * slope[pending])
+        ok = ~crossed & (new <= value[at] + _ARMIJO * step * slope[at])
         if ok.any():
-            done, trial_ok, new_ok = pending[ok], trial[ok], new[ok]
-            parts = tuple(a[ok] for a in parts)
-            new_grad = objective.gradient(trial_ok, done, parts)
+            done, sel = (at, slice(None)) if ok.all() else (pending[ok], ok)
+            trial_ok, new_ok = trial[sel], new[sel]
+            new_grad = objective.gradient(trial_ok, done, tuple(a[sel] for a in parts))
             old_grad = grad[done]
             beta = _inner(new_grad, new_grad - _tangent(trial_ok, old_grad))
             beta = np.maximum(0.0, beta / _inner(old_grad, old_grad))[:, None, None]
             direction[done] = beta * _tangent(trial_ok, direction[done]) - new_grad
             u[done], grad[done], line[done, 0] = trial_ok, new_grad, new_ok
-            line[done, 1] = np.minimum(4.0 * step[ok], objective.max_step)
+            line[done, 1] = np.minimum(4.0 * step[sel], objective.max_step)
         if crossed.any():
             at = pending[crossed]
             u[at], line[at, 0] = _onto_zero(
-                u[at], direction[at], step[crossed], value[at], new[crossed], trial[crossed],
-                objective, at,
+                u[at], direction[at], step[crossed], value[at], slope[at], new[crossed],
+                trial[crossed], objective, at,
             )
         failed = ~(ok | crossed)
-        pending = pending[failed]
-        if objective.interpolate:  # the model value + slope s + c s^2 meets new at s = step
-            step, new = step[failed], new[failed]
-            curve = new - value[pending] - slope[pending] * step  # c step^2
-            convex = curve > 0.0  # always after a failed Armijo test, unless new is NaN
-            best = -slope[pending] * step * step / (2.0 * np.where(convex, curve, 1.0))
-            t[pending] = np.where(convex, np.clip(best, 0.1 * step, 0.5 * step), 0.5 * step)
-        else:
-            t[pending] *= 0.5
+        if not failed.any():
+            break
+        pending, step, new = pending[failed], step[failed], new[failed]
+        curve = new - value[pending] - slope[pending] * step  # c step^2: value + slope s + c s^2
+        convex = curve > 0.0  # always after a failed Armijo test, unless new is NaN
+        best = -slope[pending] * step * step / (2.0 * np.where(convex, curve, 1.0))
+        t[pending] = np.where(convex, np.clip(best, 0.1 * step, 0.5 * step), 0.5 * step)
         pending = pending[t[pending] >= _MIN_STEP]
     return float((value - line[:, 0]).sum())
 

@@ -20,6 +20,7 @@ RANK_FLOOR = 1e-12
 WITNESS_TOL = 1e-10
 EARLY_STOP_VALUE = 1e-10
 RESTART_PATIENCE = 8
+DCOEF_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,10 @@ class _StartScan:
     """
 
     def __init__(self, objective, split):
-        self.objective, self.split = objective, split
+        self.objective, self.split, self.stacked = objective, split, (None, None)
         self.taken, self.queue, self.n_structured, self.found, self.arrays = [], [], [], [], {}
         self.best = {}  # per group that drew starts: its best value so far
-        self.a = {}  # per searched start: its arrays, stacked
+        self.a = {}  # per searched start: its arrays, stacked; stacked: a and its objective
 
     @classmethod
     def run(cls, searches, objective, iters, tol):
@@ -321,7 +322,9 @@ class _StartScan:
         Returns the groups that got results.
         """
         a = self.a
-        objective = self.objective(self, a["owner"], a["sign"])
+        if self.stacked[0] is not a:
+            self.stacked = a, self.objective(self, a["owner"], a["sign"])
+        objective = self.stacked[1]
         done = a["ended"] | (a["steps"] >= iters)
         if not done.any():
             before = a["line"][:, 0].copy()
@@ -732,7 +735,7 @@ def _dcoef_report(state, value, rows, gid, converged, used, pair=None):
     return MeasureReport(float(value), cert, converged, used, pair)
 
 
-def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
+def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=DCOEF_TOL, seed=0):
     """Upper bound on the local quantum-correlation coefficient d(phi, a1, a2).
 
     Minimizes | tr[rho (a1 ox a2)] - sum_g P_g tr(rho_g^1 a1) tr(rho_g^2 a2) |
@@ -751,10 +754,11 @@ def dcoef(state, a1, a2, K=None, restarts=32, iters=60, tol=1e-10, seed=0):
     settles the search (``restarts_used`` 1 or 2); else the certificate is
     the first searched start.  A searched start takes up to ``iters``
     conjugate-gradient steps on |target - c| (``kernels._Correlation``) and
-    converges once a step gains less than ``tol``.  A step that carries c
-    across the target is solved back onto the crossing by regula falsi, so
-    zeros come out at or below 1e-15 and stop the restarts.  A rank-one
-    state is its own certificate, with ``restarts_used`` 0.
+    converges once a step gains less than ``tol`` (DCOEF_TOL: at EOF's
+    1e-10, Werner values ended up to 8e-11 above the exact ones).  A step
+    carrying c across the target is solved back onto the crossing, so zeros
+    come out at or below 1e-15 and stop the restarts.  A rank-one state is
+    its own certificate, with ``restarts_used`` 0.
     """
     a1 = _hermitian_observable(a1, state.d1, "a1")
     a2 = _hermitian_observable(a2, state.d2, "a2")
@@ -799,12 +803,12 @@ def dcoef_sup(state, K=None, restarts=32, iters=60, seed=0):
     and skipped once it is below the value of a pair that has run its
     course.  The visited pairs' searched starts step together as one stack
     (each pair a group of a ``_StartScan``, as in ``eof_upper``), and a pair
-    leaves it once its best value so far is below such a value,
-    or equal to it and later in basis order: it can no longer win.  Each
-    pair keeps the seed child it has in basis order, values at or below
-    EARLY_STOP_VALUE tie as zero and ties go to the first pair, so
-    ``value``, ``pair`` and the certificate are those of scanning every
-    pair in full, bit for bit what ``dcoef`` gives at the winning pair.
+    leaves it once its best value so far is below such a value, or equal to
+    it and later in basis order: it can no longer win.  Each pair keeps the
+    seed child it has in basis order, values at or below EARLY_STOP_VALUE
+    tie as zero and ties go to the first pair, so ``value``, ``pair`` and
+    the certificate are those of scanning every pair in full, bit for bit
+    what ``dcoef`` gives at the winning pair with its default ``tol``.
     ``restarts_used`` counts the starts each visited pair took, and
     ``converged`` holds when every visited pair's best start so far did.
     """
@@ -817,6 +821,6 @@ def _dcoef_sups(many, K, restarts, iters, seed):
     for state in many:
         e, f = (np.array(gell_mann_basis(d)) for d in state.split)
         seeds = _as_seed_sequence(seed).spawn(e.shape[0] * f.shape[0])
-        searches.append(_dcoef_pairs(state, K, e, f, seeds, restarts, iters, 1e-10))
-    found = _StartScan.run(searches, _correlation, iters, 1e-10)
+        searches.append(_dcoef_pairs(state, K, e, f, seeds, restarts, iters, DCOEF_TOL))
+    found = _StartScan.run(searches, _correlation, iters, DCOEF_TOL)
     return [_dcoef_report(st, *res, divmod(k, st.d2**2 - 1)) for st, (res, k) in zip(many, found)]

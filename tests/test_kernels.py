@@ -256,55 +256,65 @@ def test_step_across_the_target_lands_on_it(monkeypatch):
     assert np.abs(u[0].conj().T @ u[0] - np.eye(4)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("interpolate", [True, False], ids=["model", "halving"])
-def test_failed_trial_is_followed_by_the_clipped_model_minimizer(interpolate):
+def _entropy_stack():
+    """Six starts of EOF on isotropic(0.5, 3), K = 9: the objective's class, arguments and u."""
+    base = measures._spectral_rows(states.isotropic_state(0.5, 3))
+    u = np.array(list(measures._random_isometries(9, base.shape[0], 3, 0, 6)))
+    return kernels._Entropy, (base, 3, 3), u
+
+
+def _correlation_stack():
+    """Six starts of dcoef on werner(0.7), sz ox sz, K = 4, whose |target - c| stays >= 0.42."""
+    state = states.werner_state(0.7)
+    u = np.array(list(measures._random_isometries(4, 4, 3, 0, 6)))
+    one = _correlation_start(state, SZ, SZ, u[0])[0]
+    gram, target = np.repeat(one.gram, 6, axis=0), np.repeat(one.target, 6)
+    c = kernels._Correlation(gram, target, np.ones(6)).classical(u, np.arange(6))[0]
+    return kernels._Correlation, (gram, target, np.sign(target - c)), u
+
+
+@pytest.mark.parametrize("stack", [_entropy_stack, _correlation_stack], ids=["eof", "dcoef"])
+def test_failed_trial_is_followed_by_the_clipped_model_minimizer(stack):
     # after a trial of length t fails the Armijo test, the next trial length
     # is the minimizer of the quadratic through the value and slope at 0 and
-    # the value at t, kept in [t / 10, t / 2]; the EOF objective does so, the
-    # dcoef objective halves
-    assert kernels._Entropy.interpolate and not kernels._Correlation.interpolate
-    state = states.isotropic_state(0.5, 3)
-    base = measures._spectral_rows(state)
-    u = np.array(list(measures._random_isometries(9, base.shape[0], 3, 0, 6)))
-    value, grad = _value_gradient(u, base, 3, 3)
+    # the value at t, kept in [t / 10, t / 2], for both objectives
+    kind, args, u = stack()
+    objective = kind(*args)
+    value, parts = objective.value(u, np.arange(6))
+    grad = objective.gradient(u, np.arange(6), parts)
     direction, line = -grad, np.stack([value, np.ones(u.shape[0])], axis=1)
     for _ in range(12):  # conjugate directions near the minimum, where long trials fail
-        kernels.eof_sweep(u, grad, direction, line, base, 3, 3)
+        objective.step(u, grad, direction, line)
     line[:, 1] = 4.0 * 4.0 ** np.arange(6)  # first trials from the cap up
     start, d, value, length = u.copy(), direction.copy(), line[:, 0].copy(), line[:, 1].copy()
     slope = np.array([np.vdot(g, e).real for g, e in zip(grad, direction)])
     assert (slope < 0.0).all()
     trials = []
 
-    class Recording(kernels._Entropy):
+    class Recording(kind):
         def value(self, x, idx):
             out = super().value(x, idx)
-            trials.append((x.copy(), idx.copy(), out[0].copy()))
+            trials.append((x.copy(), np.arange(6)[idx], out[0].copy()))
             return out
 
-    Recording.interpolate = interpolate
-    kernels._cg_step(u, grad, direction, line, Recording(base, 3, 3))
+    kernels._cg_step(u, grad, direction, line, Recording(*args))
     accepted, ratios = set(), []
     for x, idx, new in trials:
         for j, s in enumerate(idx.tolist()):
-            assert s not in accepted
+            assert s not in accepted and new[j] >= kind.floor
             t = length[s]
             assert np.abs(x[j] - kernels._retract(start[s] + t * d[s])).max() < 1e-12
             if new[j] <= value[s] + 0.3 * t * slope[s]:
                 accepted.add(s)
                 continue
-            length[s] = 0.5 * t
-            if interpolate:
-                curve = new[j] - value[s] - slope[s] * t
-                assert curve > 0.0  # a failed Armijo test leaves a convex model
-                length[s] = min(max(-slope[s] * t * t / (2.0 * curve), 0.1 * t), 0.5 * t)
+            curve = new[j] - value[s] - slope[s] * t
+            assert curve > 0.0  # a failed Armijo test leaves a convex model
+            length[s] = min(max(-slope[s] * t * t / (2.0 * curve), 0.1 * t), 0.5 * t)
             ratios.append(length[s] / t)
     assert accepted == set(range(u.shape[0]))
-    if interpolate:  # the clip at both ends, and a minimizer inside
-        assert min(ratios) == pytest.approx(0.1) and max(ratios) == pytest.approx(0.5)
-        assert any(0.1 < r < 0.5 for r in ratios)
-    else:
-        assert ratios and set(ratios) == {0.5}
+    # the clip at both ends, and a minimizer inside
+    assert min(ratios) == pytest.approx(0.1) and max(ratios) == pytest.approx(0.5)
+    assert any(0.1 < r < 0.5 for r in ratios)
 
 
 def test_eof_search_evaluates_under_two_starts_per_start_step(monkeypatch):

@@ -762,6 +762,23 @@ def test_pure_ensembles_reach_the_grouped_optimum(p):
             assert np.linalg.matrix_rank(comp.mat, tol=1e-9) == 1
 
 
+@pytest.mark.parametrize("K", [4, 8, 16])
+def test_dcoef_reaches_the_werner_value_at_every_seed(K):
+    # a start that stopped at a 1e-10 gain ended 1e-11 to 8e-11 above the
+    # optimum, so more K or restarts could read higher; stopping at
+    # DCOEF_TOL, every seed reaches it
+    exact = werner_dcoef(0.55)
+    for seed in range(12):
+        rep = measures.dcoef(states.werner_state(0.55), SZ, SZ, K=K, restarts=6, seed=seed)
+        assert abs(rep.value - exact) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [0.5, 0.6, 0.7, 0.8])
+def test_dcoef_sup_reaches_the_werner_value(p):
+    rep = measures.dcoef_sup(states.werner_state(p), K=16, restarts=8, seed=1)
+    assert abs(rep.value - werner_dcoef(p)) <= 1e-13
+
+
 def test_bell_track_value_does_not_hang_on_the_last_bits():
     # the Bell track's state at t = 0.75 (depolarizing_flow, rate 1), built
     # as evolve_track does, as s rho + (1 - s) sigma with sigma the target's
